@@ -173,11 +173,30 @@ class ExecutionCounters:
         if layers:
             self.lane_active_steps += np.asarray(mask, dtype=np.int64) * layers
 
-    def record_call(self, name: str, layers: int = 1, mask=None) -> None:
-        """Record one (vector) call of an external routine such as Force."""
+    def record_call(
+        self,
+        name: str,
+        layers: int = 1,
+        mask=None,
+        active: int | None = None,
+        defer_lanes: bool = False,
+    ) -> int:
+        """Record one (vector) call of an external routine such as Force.
+
+        ``mask``/``active``/``defer_lanes`` and the return value behave
+        as in :meth:`record`, so a caller on the mask-epoch path pays no
+        per-call lane reduction or per-lane update.
+        """
         self.calls[name] += 1
         self.call_layer_steps[name] += layers
-        self.record("call", width=self.nproc, layers=layers, mask=mask)
+        return self.record(
+            "call",
+            width=self.nproc,
+            layers=layers,
+            mask=mask,
+            active=active,
+            defer_lanes=defer_lanes,
+        )
 
     def call_sections(self, name: str) -> tuple[int, int]:
         """(section call count, section layer steps) for routine ``name``.

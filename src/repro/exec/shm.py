@@ -10,11 +10,16 @@ into a zero-copy numpy view on the worker side.
 
 Ownership is strictly parent-side: the arena that created the
 segments unlinks them (context-manager or explicit
-:meth:`ShmArena.close`), and workers *must not* let Python's
-``resource_tracker`` adopt the segments they merely attach — on 3.11
-``SharedMemory(name=...)`` registers the segment with the tracker, so
-:func:`attach` immediately unregisters it again, otherwise the first
-worker to exit would tear the arena down under everyone else.
+:meth:`ShmArena.close`).  Python's ``resource_tracker`` is one process
+per parent, and forked workers inherit it: the arena makes sure it is
+running before it creates a segment, so workers forked afterwards talk
+to that same tracker.  On 3.11 ``SharedMemory(name=...)`` registers the
+segment it attaches; the tracker keeps a *set* of names, so a worker's
+registration of a name the arena already registered changes nothing,
+and the tracker never unlinks a segment when a worker exits.  Workers
+must therefore not unregister what they attach — that would drop the
+arena's own registration, and the arena's later ``unlink`` would make
+the tracker print a ``KeyError`` traceback for the segment.
 
 Workers treat attached arrays as read-only inputs.  This is safe by
 construction: the scalar interpreter's DECL copies plain-ndarray
@@ -58,15 +63,12 @@ def attach(spec: SharedArraySpec):
 
     The caller must keep the returned segment object alive as long as
     the array view is used, and ``close()`` (never ``unlink()``) it
-    afterwards — the creating arena owns the segment's lifetime.
+    afterwards — the creating arena owns the segment's lifetime.  Call
+    it in the arena's process or in one forked from it after the
+    segment was shared, so the attach registers with the arena's
+    resource tracker (see the module docstring).
     """
     segment = shared_memory.SharedMemory(name=spec.segment)
-    # Python 3.11 registers attached segments with the resource
-    # tracker, which would unlink them at this process's exit — but the
-    # parent arena owns them.  Undo the registration (private API, so
-    # guard it; worst case is a spurious tracker warning at shutdown).
-    with contextlib.suppress(Exception):
-        resource_tracker.unregister(segment._name, "shared_memory")
     array = np.ndarray(
         spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
     )
@@ -96,6 +98,9 @@ class ShmArena:
     def share_array(self, name: str, array: np.ndarray) -> SharedArraySpec:
         """Copy one array into a fresh shared segment; return its spec."""
         source = np.ascontiguousarray(array)
+        # Workers forked after this point must inherit a running
+        # tracker rather than start their own (see the module docstring).
+        resource_tracker.ensure_running()
         segment = shared_memory.SharedMemory(
             create=True, size=max(1, source.nbytes)
         )

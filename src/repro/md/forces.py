@@ -55,9 +55,8 @@ def _pair_terms(molecule: Molecule):
 def pair_energy(molecule: Molecule, at1: np.ndarray, at2: np.ndarray) -> np.ndarray:
     """LJ + Coulomb pair energy for 1-based index arrays ``at1``/``at2``.
 
-    Self-pairs (``at1 == at2``, which occur on masked-out SIMD lanes
-    whose gathered garbage was clamped) yield zero instead of a
-    singularity.
+    Self-pairs (``at1 == at2``, e.g. an index clamped onto its
+    partner) yield zero instead of a singularity.
     """
     x, y, z, half_sigma, sqrt_eps, q_scaled = _pair_terms(molecule)
     i = np.asarray(at1, dtype=np.int64) - 1
@@ -134,28 +133,54 @@ def reference_nbforce(molecule: Molecule, pairlist) -> np.ndarray:
 
 
 def make_simd_force_external(molecule: Molecule):
-    """External ``CALL force(f, at1, at2)`` for the SIMD interpreter.
+    """External ``CALL force(f, at1, at2)`` for the lockstep backends.
 
-    Computes the per-lane (or per-lane-per-layer) pair energy and
-    assigns it to the first argument under the current mask.  Works
-    for both the flattened kernel (1-D per-PE vectors) and the
-    unflattened kernels (2-D slot × layer sections).
+    Works for both the flattened kernel (1-D per-PE vectors) and the
+    unflattened kernels (2-D slot × layer sections), on the VM and the
+    tree-walking interpreter alike.
+
+    Live-lane contract: the pair energy is evaluated only on *live*
+    lanes — lanes active under ``mask`` whose ``at1`` and ``at2`` are
+    both non-zero (zero is the hole / padding marker of
+    :func:`~repro.md.distribution.unflat_kernel_bindings` and of the
+    pairlist).  Those lanes are compacted, clamped to ``[1, n_atoms]``
+    and handed to :func:`pair_energy` in one call; every other lane
+    gets ``0.0``.  The full-width result goes to ``assign_to``, whose
+    masked store leaves masked-off lanes of ``f`` untouched.  Live-lane
+    values are bit-identical to a full-width evaluation because
+    :func:`pair_energy` is elementwise.  The lockstep step counters
+    still charge the call on every lane — the backends record it
+    before the external runs — so only host time follows live lanes.
+
+    ``mask`` restricts lanes when it lines up with the arguments'
+    leading axes (a per-PE mask over slot × layer sections, or a mask
+    of the arguments' own shape); otherwise only the zero markers do.
     """
+    n_atoms = molecule.n_atoms
 
     def force(interp, arg_exprs, args, env, mask):
         if len(args) != 3:
             raise InterpreterError("force expects (f, at1, at2)")
         at1, at2 = args[1], args[2]
-        at1 = at1.data if isinstance(at1, FArray) else at1
-        at2 = at2.data if isinstance(at2, FArray) else at2
-        at1 = np.asarray(at1, dtype=np.int64)
-        at2 = np.asarray(at2, dtype=np.int64)
-        # Masked-out lanes may carry zero or stale indices; clamp for
-        # safety (raw ufuncs — np.clip's dispatch wrapper is hot here).
-        n_atoms = molecule.n_atoms
-        at1 = np.minimum(np.maximum(at1, 1), n_atoms)
-        at2 = np.minimum(np.maximum(at2, 1), n_atoms)
-        values = pair_energy(molecule, at1, at2)
+        at1 = np.asarray(at1.data if isinstance(at1, FArray) else at1)
+        at2 = np.asarray(at2.data if isinstance(at2, FArray) else at2)
+        live = (at1 != 0) & (at2 != 0)
+        if mask is not None:
+            lanes = np.asarray(mask)
+            if lanes.shape == live.shape[: lanes.ndim]:
+                live &= lanes.reshape(lanes.shape + (1,) * (live.ndim - lanes.ndim))
+        shape = live.shape
+        values = np.zeros(shape)
+        index = np.flatnonzero(live)
+        if index.size:
+            # Integer-index compaction: cheaper than boolean indexing
+            # twice plus a boolean scatter.  Raw ufuncs for the clamp —
+            # np.clip's dispatch wrapper is hot here.
+            live1 = np.broadcast_to(at1, shape).reshape(-1)[index]
+            live2 = np.broadcast_to(at2, shape).reshape(-1)[index]
+            live1 = np.minimum(np.maximum(live1, 1), n_atoms)
+            live2 = np.minimum(np.maximum(live2, 1), n_atoms)
+            values.reshape(-1)[index] = pair_energy(molecule, live1, live2)
         interp.assign_to(arg_exprs[0], values, env)
 
     return force

@@ -1137,7 +1137,9 @@ class SIMDVirtualMachine:
             else:
                 resolved.append(value)
         layers = max((self._layers_of(v) for v in resolved if v is not None), default=1)
-        self.counters.record_call(name, layers=layers, mask=self._lanes)
+        self._epoch_layers += self.counters.record_call(
+            name, layers=layers, active=self._active(), defer_lanes=True
+        )
         external(self, list(arg_exprs), resolved, env, self._mask)
 
     # -- external writeback --------------------------------------------------------

@@ -208,3 +208,74 @@ END
         for env in result.envs:
             assert np.array_equal(np.asarray(env["big"].data), expected)
         self._assert_unlinked(instances, segment_names)
+
+
+class TestResourceTracker:
+    """Forked workers share the parent's resource tracker.
+
+    A worker that unregistered a segment it attached would drop the
+    arena's own registration, and the arena's ``unlink`` would then make
+    the tracker print a ``KeyError`` traceback on stderr per segment.
+    The tracker writes to the stderr of the process that started it, so
+    the run happens in a fresh interpreter whose stderr the test owns.
+    """
+
+    SCRIPT = """
+import numpy as np
+from repro.exec import pmimd
+from repro.exec.shm import ShmArena
+from repro.runtime import BackendConfig, Engine
+
+names = []
+
+class RecordingArena(ShmArena):
+    def share_array(self, name, array):
+        spec = super().share_array(name, array)
+        names.append(spec.segment)
+        return spec
+
+pmimd.ShmArena = RecordingArena
+SOURCE = '''PROGRAM spmd
+  INTEGER i, n, myproc, nproc
+  REAL s, big(600), other(600)
+  s = 0.0
+  DO i = myproc, n, nproc
+    s = s + big(i) + other(i)
+  ENDDO
+END
+'''
+bindings = {"n": 600, "big": np.arange(600.0), "other": np.ones(600)}
+result = Engine().run(
+    SOURCE, bindings, nproc=4, backend="pmimd", config=BackendConfig(workers=2)
+)
+total = sum(env["s"] for env in result.envs)
+assert total == np.arange(600.0).sum() + 600, total
+print(" ".join(names))
+"""
+
+    def test_pmimd_shared_bindings_leave_tracker_quiet(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = proc.stdout.split()
+        assert len(names) == 2
+        assert "KeyError" not in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        for name in names:
+            spec = type(
+                "Spec", (), {"segment": name, "name": "x", "shape": (600,), "dtype": "<f8"}
+            )()
+            with pytest.raises(FileNotFoundError):
+                attach(spec)

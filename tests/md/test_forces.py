@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.exec.values import FArray
+from repro.kernels import nbforce
+from repro.md import forces
+from repro.md.distribution import gather_flat_results, gather_unflat_results
 from repro.md.forces import (
     COULOMB_K,
+    make_simd_force_external,
     pair_energy,
     pair_force,
     reference_nbforce,
 )
-from repro.md.molecule import Molecule, uniform_box
+from repro.md.molecule import Molecule, synthetic_sod, uniform_box
 from repro.md.pairlist import build_pairlist
+from repro.runtime.engine import Engine
+from repro.simd.layout import DataDistribution
 
 
 def two_atoms(distance, q1=0.0, q2=0.0, eps=0.1, sigma=3.0):
@@ -98,3 +105,164 @@ class TestReference:
         assert np.array_equal(
             reference_nbforce(mol, plist), reference_nbforce(mol, plist)
         )
+
+
+def _data(value):
+    return np.asarray(value.data if isinstance(value, FArray) else value)
+
+
+def _full_width(molecule, at1, at2):
+    """The pre-compaction evaluation: every lane, indices clamped."""
+    n = molecule.n_atoms
+    return pair_energy(molecule, np.clip(at1, 1, n), np.clip(at2, 1, n))
+
+
+class TestLiveLaneExternal:
+    """``make_simd_force_external`` evaluates ``pair_energy`` on live
+    lanes only: active under the mask, with non-zero ``at1`` and ``at2``.
+
+    Every ``CALL force`` of a real NBFORCE run is checked lane by lane:
+    L_f (1-D, lanes masked off by ``WHERE (at1 <= n)``) and Lu_l with
+    ``lrs > 1`` (2-D slot × layer sections with zero-padded holes and
+    exhausted partner columns), on both lockstep backends.
+    """
+
+    N_ATOMS = 300
+    NPROC = 64  # nproc < atoms: 5 memory layers, the last one holey
+
+    @pytest.fixture(scope="class")
+    def molecule(self):
+        return synthetic_sod(n_atoms=self.N_ATOMS, seed=1992)
+
+    @pytest.fixture(scope="class")
+    def pairlist(self, molecule):
+        return build_pairlist(molecule, 5.0)
+
+    def _cell(self, kernel, molecule, pairlist):
+        dist = DataDistribution(
+            n=self.N_ATOMS, gran=self.NPROC, nmax=512, scheme="cyclic"
+        )
+        if kernel == "L_f":
+            text, bindings, _ = nbforce.flat_kernel_setup(molecule, pairlist, dist)
+        else:
+            text, bindings, _ = nbforce.unflat_kernel_setup(
+                molecule, pairlist, dist, select_layers=True
+            )
+            assert bindings["lrs"] > 1
+        return text, bindings, dist
+
+    def _run(self, kernel, backend, molecule, pairlist, monkeypatch):
+        """Run one kernel; check each call's lanes; return tallies."""
+        text, bindings, dist = self._cell(kernel, molecule, pairlist)
+        layers = slice(None) if kernel == "L_f" else (slice(None), slice(0, dist.lrs))
+        received = []
+        real_pair_energy = forces.pair_energy
+
+        def counting(mol, at1, at2):
+            received.append((np.array(at1), np.array(at2)))
+            return real_pair_energy(mol, at1, at2)
+
+        monkeypatch.setattr(forces, "pair_energy", counting)
+        inner = make_simd_force_external(molecule)
+        tally = {"calls": 0, "live": 0, "masked_off": 0, "zero_marker": 0}
+
+        def checked(interp, arg_exprs, args, env, mask):
+            at1, at2 = _data(args[1]), _data(args[2])
+            lanes = np.asarray(mask).reshape(-1, *([1] * (at1.ndim - 1)))
+            lanes = np.broadcast_to(lanes, at1.shape)
+            live = lanes & (at1 != 0) & (at2 != 0)
+            before = _data(env["fpair"])[layers].copy()
+            received.clear()
+            inner(interp, arg_exprs, args, env, mask)
+            after = _data(env["fpair"])[layers]
+            # pair_energy saw exactly the live lanes, in lane order.
+            if live.any():
+                assert len(received) == 1
+                assert np.array_equal(received[0][0], at1[live])
+                assert np.array_equal(received[0][1], at2[live])
+            else:
+                assert received == []
+            # Live lanes: bit-identical to a full-width evaluation.
+            full = _full_width(molecule, at1, at2)
+            assert np.array_equal(after[live], full[live])
+            # Masked-off lanes keep their old value; active zero-marker
+            # lanes read 0.0.
+            assert np.array_equal(after[~lanes], before[~lanes])
+            assert np.all(after[lanes & ~live] == 0.0)
+            tally["calls"] += 1
+            tally["live"] += int(live.sum())
+            tally["masked_off"] += int((~lanes).sum())
+            tally["zero_marker"] += int((lanes & ~live).sum())
+
+        result = Engine().compile(text).run(
+            bindings, nproc=self.NPROC, backend=backend, externals={"force": checked}
+        )
+        if kernel == "L_f":
+            got = gather_flat_results(result.env, pairlist)
+        else:
+            got = gather_unflat_results(result.env, pairlist, dist)
+        np.testing.assert_allclose(
+            got, reference_nbforce(molecule, pairlist), rtol=1e-9, atol=0.0
+        )
+        return tally
+
+    @pytest.mark.parametrize("backend", ["vm", "interpreter"])
+    def test_flat_kernel_1d(self, backend, molecule, pairlist, monkeypatch):
+        tally = self._run("L_f", backend, molecule, pairlist, monkeypatch)
+        assert tally["calls"] > 0
+        assert tally["live"] == int(pairlist.pcnt.sum())
+        assert tally["masked_off"] > 0
+
+    @pytest.mark.parametrize("backend", ["vm", "interpreter"])
+    def test_unflat_select_2d(self, backend, molecule, pairlist, monkeypatch):
+        tally = self._run("Lu_l", backend, molecule, pairlist, monkeypatch)
+        assert tally["live"] == int(pairlist.pcnt.sum())
+        assert tally["zero_marker"] > 0
+
+
+class TestLiveLaneExternalUnit:
+    """The external's contract on hand-built arguments."""
+
+    class Sink:
+        def assign_to(self, target, value, env):
+            env[target] = value
+
+    def _call(self, molecule, at1, at2, mask):
+        env = {}
+        make_simd_force_external(molecule)(
+            self.Sink(), ["f", "at1", "at2"], [None, at1, at2], env, mask
+        )
+        return env["f"]
+
+    def test_values_and_zero_lanes(self):
+        mol = uniform_box(20, seed=4)
+        at1 = np.array([1, 0, 3, 4, 5, 6])
+        at2 = np.array([2, 5, 0, 7, 8, 9])
+        mask = np.array([True, True, True, True, False, True])
+        values = self._call(mol, at1, at2, mask)
+        live = np.array([True, False, False, True, False, True])
+        assert np.array_equal(values[live], _full_width(mol, at1, at2)[live])
+        assert np.all(values[~live] == 0.0)
+
+    def test_per_pe_mask_over_layer_sections(self):
+        mol = uniform_box(20, seed=4)
+        at1 = np.array([[1, 2], [3, 0], [5, 6]])
+        at2 = np.array([[7, 0], [9, 10], [11, 12]])
+        mask = np.array([True, True, False])
+        values = self._call(mol, at1, at2, mask)
+        live = np.array([[True, False], [True, False], [False, False]])
+        assert np.array_equal(values[live], _full_width(mol, at1, at2)[live])
+        assert np.all(values[~live] == 0.0)
+
+    def test_out_of_range_live_indices_are_clamped(self):
+        mol = uniform_box(20, seed=4)
+        at1 = np.array([25, 3])
+        at2 = np.array([2, -4])
+        values = self._call(mol, at1, at2, None)
+        assert np.array_equal(values, _full_width(mol, at1, at2))
+
+    def test_no_live_lane_skips_pair_energy(self, monkeypatch):
+        mol = uniform_box(20, seed=4)
+        monkeypatch.setattr(forces, "pair_energy", None)  # must not be called
+        values = self._call(mol, np.array([1, 2]), np.array([0, 3]), np.array([True, False]))
+        assert np.array_equal(values, np.zeros(2))
