@@ -23,6 +23,7 @@ from ..lang.symbols import implicit_type
 from ..reliability import (
     Budget,
     MachineSnapshot,
+    OutOfBoundsFault,
     TRACE_DEPTH,
     attach_snapshot,
     locate,
@@ -39,7 +40,13 @@ from .signals import (
     ReturnSignal,
     StopSignal,
 )
-from .values import FArray, as_bool_scalar, as_int_scalar
+from .values import FArray, as_bool_scalar, as_int_scalar, check_bounds
+
+#: ``_exec_<type>`` handler name per statement class, built on first use.
+_HANDLER_NAMES: dict[type, str] = {}
+
+#: Sentinel for an unbound variable (``None`` is a valid env value).
+_UNSET = object()
 
 
 class ScalarInterpreter:
@@ -342,10 +349,14 @@ class ScalarInterpreter:
         )
         if self.statement_hook is not None:
             self.statement_hook(stmt, env)
-        method = getattr(self, f"_exec_{type(stmt).__name__.lower()}", None)
+        kind = type(stmt)
+        name = _HANDLER_NAMES.get(kind)
+        if name is None:
+            name = _HANDLER_NAMES[kind] = f"_exec_{kind.__name__.lower()}"
+        method = getattr(self, name, None)
         if method is None:
             raise InterpreterError(
-                f"statement {type(stmt).__name__} not supported here", stmt.loc
+                f"statement {kind.__name__} not supported here", stmt.loc
             )
         try:
             method(stmt, env)
@@ -708,7 +719,15 @@ class ScalarInterpreter:
 
     def eval(self, expr: ast.Expr, env: dict):
         """Evaluate an expression to a runtime value."""
-        if isinstance(expr, ast.IntLit):
+        # The two commonest leaves first, by exact type (the AST has no
+        # subclasses of either).
+        kind = type(expr)
+        if kind is ast.Var:
+            value = env.get(expr.name, _UNSET)
+            if value is _UNSET:
+                raise InterpreterError(f"'{expr.name}' used before assignment", expr.loc)
+            return value
+        if kind is ast.IntLit:
             return expr.value
         if isinstance(expr, ast.RealLit):
             return expr.value
@@ -716,10 +735,6 @@ class ScalarInterpreter:
             return expr.value
         if isinstance(expr, ast.StringLit):
             return expr.value
-        if isinstance(expr, ast.Var):
-            if expr.name not in env:
-                raise InterpreterError(f"'{expr.name}' used before assignment", expr.loc)
-            return env[expr.name]
         if isinstance(expr, ast.ArrayRef):
             return self._eval_arrayref(expr, env)
         if isinstance(expr, ast.Call):
@@ -758,6 +773,8 @@ class ScalarInterpreter:
             hi_int = as_int_scalar(hi, "section upper bound") if hi is not None else None
             return slice(lo - 1, hi_int)
         value = self.eval(sub, env)
+        if type(value) is int:
+            return value
         if isinstance(value, np.ndarray):
             return value
         return as_int_scalar(value, "subscript")
@@ -776,6 +793,14 @@ class ScalarInterpreter:
                 raise InterpreterError(
                     f"'{expr.name}' subscript rank mismatch", expr.loc
                 )
+            # An undeclared binding has no FArray to check it, so check
+            # here: numpy would wrap 0 and negatives to the far end.
+            try:
+                for dim, s in enumerate(subs):
+                    if not isinstance(s, slice):
+                        check_bounds(expr.name, array.shape[dim], dim, s)
+            except OutOfBoundsFault as fault:
+                raise locate(fault, expr.loc)
             index = tuple(
                 s if isinstance(s, slice) else np.asarray(s) - 1 for s in subs
             )

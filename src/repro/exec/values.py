@@ -34,6 +34,30 @@ def dtype_for(base_type: str):
         raise InterpreterError(f"unknown base type '{base_type}'") from None
 
 
+def check_bounds(name: str, extent: int, dim: int, index) -> None:
+    """Bounds-check a (scalar or vector) 1-based subscript of dimension
+    ``dim`` (0-based) of array ``name``; raise :class:`OutOfBoundsFault`
+    naming the first offender."""
+    idx = np.asarray(index)
+    if idx.size == 0:
+        return
+    if idx.ndim:
+        # min/max reductions allocate nothing; the offender scan
+        # only runs on the error path.
+        if int(idx.min()) >= 1 and int(idx.max()) <= extent:
+            return
+        bad = (idx < 1) | (idx > extent)
+        offender = int(idx.flat[np.argmax(bad)])
+    else:
+        offender = int(idx)
+        if 1 <= offender <= extent:
+            return
+    raise OutOfBoundsFault(
+        f"subscript {offender} out of bounds for dimension "
+        f"{dim + 1} of '{name}' (extent {extent})"
+    )
+
+
 class FArray:
     """A Fortran array: 1-based indexing over a fixed shape.
 
@@ -91,25 +115,7 @@ class FArray:
 
     def check_subscript(self, dim: int, index) -> None:
         """Bounds-check a (scalar or vector) 1-based subscript."""
-        extent = self.shape[dim]
-        idx = np.asarray(index)
-        if idx.size == 0:
-            return
-        if idx.ndim:
-            # min/max reductions allocate nothing; the offender scan
-            # only runs on the error path.
-            if int(idx.min()) >= 1 and int(idx.max()) <= extent:
-                return
-            bad = (idx < 1) | (idx > extent)
-            offender = int(idx.flat[np.argmax(bad)])
-        else:
-            offender = int(idx)
-            if 1 <= offender <= extent:
-                return
-        raise OutOfBoundsFault(
-            f"subscript {offender} out of bounds for dimension "
-            f"{dim + 1} of '{self.name}' (extent {extent})"
-        )
+        check_bounds(self.name, self.shape[dim], dim, index)
 
     def np_index(self, subs: list, clamp: bool = False) -> tuple:
         """Translate checked 1-based subscripts into a numpy index tuple.
@@ -128,7 +134,19 @@ class FArray:
             )
         out = []
         for dim, sub in enumerate(subs):
-            if isinstance(sub, slice):
+            if type(sub) is int:
+                # Host-int fast path (the scalar interpreter's common
+                # case): same result as the numpy path below, without
+                # its array round trips.  Faults keep check_subscript's
+                # text.
+                extent = self.shape[dim]
+                if 1 <= sub <= extent:
+                    out.append(sub - 1)
+                elif clamp and extent >= 1:
+                    out.append(min(max(sub, 1), extent) - 1)
+                else:
+                    self.check_subscript(dim, sub)
+            elif isinstance(sub, slice):
                 out.append(sub)
             elif clamp and self.shape[dim] >= 1:
                 arr = np.asarray(sub)

@@ -23,6 +23,7 @@ from .forces import (
     pair_energy,
     pair_force,
     reference_nbforce,
+    scalar_pair_energy,
 )
 from .gromos import NMAX, PAPER_CUTOFFS, NBForceWorkload, sod_workload
 from .molecule import Molecule, lattice_box, synthetic_sod, uniform_box
@@ -50,6 +51,7 @@ __all__ = [
     "pair_energy",
     "pair_force",
     "reference_nbforce",
+    "scalar_pair_energy",
     "make_simd_force_external",
     "make_scalar_force_external",
     "WorkloadCounts",

@@ -17,6 +17,8 @@ arrays directly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..exec.values import FArray
@@ -49,6 +51,17 @@ def _pair_terms(molecule: Molecule):
             np.sqrt(COULOMB_K) * molecule.charges,
         )
         object.__setattr__(molecule, "_pair_cache", cache)
+    return cache
+
+
+def _scalar_pair_terms(molecule: Molecule):
+    """The :func:`_pair_terms` columns as per-atom Python lists, cached
+    on the molecule for :func:`scalar_pair_energy` (list indexing and
+    float arithmetic skip numpy's per-call overhead on one pair)."""
+    cache = getattr(molecule, "_scalar_pair_cache", None)
+    if cache is None:
+        cache = tuple(column.tolist() for column in _pair_terms(molecule))
+        object.__setattr__(molecule, "_scalar_pair_cache", cache)
     return cache
 
 
@@ -88,6 +101,35 @@ def pair_energy(molecule: Molecule, at1: np.ndarray, at2: np.ndarray) -> np.ndar
     total += coulomb
     total *= np.logical_not(same)
     return total
+
+
+def scalar_pair_energy(molecule: Molecule, at1: int, at2: int) -> float:
+    """:func:`pair_energy` of one pair of 1-based atom indices, on host
+    floats.
+
+    Repeats :func:`pair_energy`'s operation sequence step for step —
+    the same left-to-right products and sums, a correctly rounded
+    square root — so the result is bit-identical to the vector form.
+    Coincident distinct atoms (``r2 == 0``) defer to the vector form,
+    which yields its inf/nan instead of raising ``ZeroDivisionError``.
+    """
+    x, y, z, half_sigma, sqrt_eps, q_scaled = _scalar_pair_terms(molecule)
+    i = at1 - 1
+    j = at2 - 1
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    dz = z[i] - z[j]
+    same = i == j
+    r2 = dx * dx + dy * dy + dz * dz + same
+    if r2 == 0.0:
+        return float(pair_energy(molecule, np.array([at1]), np.array([at2]))[0])
+    inv_r2 = 1.0 / r2
+    sigma = half_sigma[i] + half_sigma[j]
+    s2 = sigma * sigma * inv_r2
+    s6 = s2 * s2 * s2
+    total = (s6 * s6 - s6) * sqrt_eps[i] * sqrt_eps[j] * 4.0
+    total += q_scaled[i] * q_scaled[j] * math.sqrt(inv_r2)
+    return total * (not same)
 
 
 def pair_force(molecule: Molecule, at1: np.ndarray, at2: np.ndarray) -> np.ndarray:
@@ -188,14 +230,20 @@ def make_simd_force_external(molecule: Molecule):
 
 def make_scalar_force_external(molecule: Molecule):
     """External ``CALL force(f, at1, at2)`` for the scalar/MIMD
-    interpreters (one pair per call)."""
+    interpreters (one pair per call).
+
+    Indices are clamped to ``[1, n_atoms]`` and the pair goes to
+    :func:`scalar_pair_energy`.  Its per-atom lists are built here, so
+    forked pmimd workers inherit them instead of each building a copy.
+    """
+    n_atoms = molecule.n_atoms
+    _scalar_pair_terms(molecule)
 
     def force(interp, arg_exprs, args, env):
         if len(args) != 3:
             raise InterpreterError("force expects (f, at1, at2)")
-        at1 = int(np.clip(int(args[1]), 1, molecule.n_atoms))
-        at2 = int(np.clip(int(args[2]), 1, molecule.n_atoms))
-        value = float(pair_energy(molecule, np.array([at1]), np.array([at2]))[0])
-        interp.assign_to(arg_exprs[0], value, env)
+        at1 = min(max(int(args[1]), 1), n_atoms)
+        at2 = min(max(int(args[2]), 1), n_atoms)
+        interp.assign_to(arg_exprs[0], scalar_pair_energy(molecule, at1, at2), env)
 
     return force

@@ -29,6 +29,25 @@ def tiny_sweep(label="tiny", backend="vm"):
     )
 
 
+def _eq1_steps(n_atoms, cutoff, nmax, nproc):
+    """Eq. 1 from the pairlist alone: the slowest processor of the
+    block partition ``mimd_kernel_setup`` hands out.  The scalar
+    interpreter records 4 events per atom (outer trip, ``f`` reset,
+    the ``at1g`` add and its store) and 6 per pair (inner trip, ``at2``
+    store, CALL, its ``fpair`` store, the accumulating add and its
+    store), so a processor's steps are 4·atoms + 6·pairs."""
+    from repro.kernels.nbforce import mimd_kernel_setup
+    from repro.md.gromos import sod_workload
+
+    workload = sod_workload(cutoff, n_atoms=n_atoms, nmax=nmax)
+    _, bindings_for, _ = mimd_kernel_setup(
+        workload.molecule, workload.pairlist, nproc
+    )
+    blocks = [bindings_for(proc)["pcnt"] for proc in range(1, nproc + 1)]
+    assert sum(len(block) for block in blocks) == n_atoms
+    return max(4 * len(block) + 6 * int(block.sum()) for block in blocks)
+
+
 @pytest.fixture(scope="module")
 def point():
     return tiny_sweep()
@@ -96,7 +115,7 @@ class TestRunner:
             cutoffs=(3.0,),
         )
         assert [c["kernel"] for c in mimd_point["cells"]] == [MIMD_KERNEL]
-        assert mimd_point["cells"][0]["steps"] > 0
+        assert mimd_point["cells"][0]["steps"] == _eq1_steps(100, 3.0, 128, 4)
         assert validate_report(
             {
                 "schema": SCHEMA,
@@ -106,6 +125,19 @@ class TestRunner:
         ) == []
         # a pmimd point never gates against lockstep points
         assert point_signature(mimd_point) != point_signature(point)
+
+    def test_pmimd_smoke_sweep_steps_are_eq1(self):
+        """The smoke-size MIMD column reproduces the committed
+        ``pr8-pmimd-smoke`` cells, and Eq. 1 predicts both."""
+        from repro.bench import MIMD_NPROC, SMOKE, run_smoke_sweep
+
+        smoke = run_smoke_sweep("smoke-pmimd", backend="pmimd")
+        steps = [c["steps"] for c in smoke["cells"]]
+        assert steps == [2522, 11570]
+        assert steps == [
+            _eq1_steps(SMOKE["n_atoms"], cutoff, SMOKE["nmax"], MIMD_NPROC)
+            for cutoff in SMOKE["cutoffs"]
+        ]
 
 
 class TestBaseline:

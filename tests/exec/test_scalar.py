@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from repro.exec import ScalarInterpreter, run_program
-from repro.lang import parse_source
+from repro.lang import ast, parse_source
 from repro.lang.errors import InterpreterError
+from repro.reliability import OutOfBoundsFault
+from repro.runtime.engine import Engine
 
 
 def run(text, bindings=None, externals=None):
@@ -190,3 +194,72 @@ class TestCounting:
     def test_acu_per_loop_iteration(self):
         _, counters = run("PROGRAM p\n  DO i = 1, 4\n    x = i\n  ENDDO\nEND")
         assert counters.events["acu"] >= 4
+
+
+@dataclasses.dataclass(eq=True)
+class _Unsupported(ast.Stmt):
+    """A statement kind no interpreter handles."""
+
+
+class TestErrorTexts:
+    """The dispatch and leaf fast paths keep the errors' messages and
+    source locations."""
+
+    def test_undefined_variable(self):
+        text = "PROGRAM p\n  INTEGER a(3)\n  x = 1\n  a(2) = x + zz\nEND"
+        with pytest.raises(InterpreterError) as info:
+            ScalarInterpreter(parse_source(text)).run()
+        assert str(info.value) == "<string>:4:14: 'zz' used before assignment"
+        assert (info.value.location.line, info.value.location.column) == (4, 14)
+
+    def test_variable_bound_to_none_is_not_undefined(self):
+        source = parse_source("PROGRAM p\n  y = x\nEND")
+        env = ScalarInterpreter(source).run(bindings={"x": None})
+        assert "y" in env and env["y"] is None
+
+    def test_unsupported_statement(self):
+        source = parse_source("PROGRAM p\n  x = 1\n  y = 2\nEND")
+        body = source.main.body
+        body.insert(1, _Unsupported(loc=body[1].loc))
+        with pytest.raises(InterpreterError) as info:
+            ScalarInterpreter(source).run()
+        assert str(info.value) == "<string>:3:3: statement _Unsupported not supported here"
+
+
+#: ``x`` is bound but never declared, so no FArray checks its subscripts.
+UNDECLARED = """PROGRAM t
+  INTEGER y
+  y = 0
+  y = x({sub})
+END
+"""
+
+
+class TestUndeclaredArrayBinding:
+    """Subscripts of an undeclared array binding are bounds-checked on
+    every backend: numpy indexing would wrap 0 and negatives to the far
+    end and raise a raw IndexError past it."""
+
+    DATA = np.array([10, 20, 30])
+
+    def _run(self, backend, sub):
+        program = Engine().compile(UNDECLARED.format(sub=sub))
+        if backend == "mimd":
+            result = program.run(
+                nproc=1, backend="mimd", bindings_for=lambda p: {"x": self.DATA}
+            )
+            return result.env[0]["y"]
+        nproc = {} if backend == "scalar" else {"nproc": 2}
+        return program.run({"x": self.DATA}, backend=backend, **nproc).env["y"]
+
+    @pytest.mark.parametrize("backend", ["scalar", "mimd", "vm", "interpreter"])
+    @pytest.mark.parametrize("sub", ["0", "4", "-1"])
+    def test_out_of_range_faults_at_the_reference(self, backend, sub):
+        with pytest.raises(OutOfBoundsFault) as info:
+            self._run(backend, sub)
+        assert (info.value.location.line, info.value.location.column) == (4, 7)
+
+    @pytest.mark.parametrize("backend", ["scalar", "mimd", "vm", "interpreter"])
+    def test_in_range_reads_the_element(self, backend):
+        for sub, expected in enumerate(self.DATA.tolist(), start=1):
+            assert np.all(np.asarray(self._run(backend, sub)) == expected)

@@ -11,6 +11,7 @@ from repro.exec.values import (
     serial_layers,
 )
 from repro.lang.errors import InterpreterError
+from repro.reliability import OutOfBoundsFault
 
 
 class TestFArray:
@@ -71,6 +72,77 @@ class TestFArray:
 
     def test_size(self):
         assert FArray("a", (3, 5)).size == 15
+
+
+def _index_or_fault(array, subs, clamp):
+    try:
+        return array.np_index(subs, clamp=clamp)
+    except OutOfBoundsFault as fault:
+        return str(fault)
+
+
+class TestNpIndexHostInts:
+    """Python-int subscripts take a pure-Python check/clamp path; it
+    must give the numpy path's tuples and fault texts exactly."""
+
+    CASES = [
+        # (shape, subs, clamp)
+        ((3, 4), [1, 1], False),
+        ((3, 4), [3, 4], False),
+        ((3, 4), [0, 2], False),
+        ((3, 4), [4, 2], False),
+        ((3, 4), [2, 5], False),
+        ((3, 4), [-1, 2], False),
+        ((3, 4), [0, 2], True),
+        ((3, 4), [4, 9], True),
+        ((3, 4), [-7, 0], True),
+        ((3, 4), [2, 3], True),
+        ((3, 0), [1, 1], False),
+        ((3, 0), [1, 1], True),
+        ((3, 0), [0, 0], True),
+        ((0,), [0], True),
+        ((5,), [6], False),
+    ]
+
+    @pytest.mark.parametrize("shape, subs, clamp", CASES)
+    def test_matches_the_numpy_int_path(self, shape, subs, clamp):
+        array = FArray("a", shape, "integer")
+        fast = _index_or_fault(array, list(subs), clamp)
+        slow = _index_or_fault(array, [np.int64(s) for s in subs], clamp)
+        assert fast == slow
+        if isinstance(fast, tuple):
+            assert all(type(i) is int for i in fast)
+
+    def test_known_tuples_and_texts(self):
+        array = FArray("a", (3, 4), "integer")
+        assert array.np_index([3, 4]) == (2, 3)
+        assert array.np_index([0, 9], clamp=True) == (0, 3)
+        assert _index_or_fault(array, [2, 5], False) == (
+            "<string>:0:0: subscript 5 out of bounds for dimension 2 of 'a' (extent 4)"
+        )
+        empty = FArray("e", (2, 0), "integer")
+        assert _index_or_fault(empty, [1, 1], True) == (
+            "<string>:0:0: subscript 1 out of bounds for dimension 2 of 'e' (extent 0)"
+        )
+
+    def test_bool_and_numpy_ints_keep_the_numpy_path(self, monkeypatch):
+        """Only exact ``int`` takes the fast path: a ``bool`` (an int
+        subclass) or an ``np.int64`` still goes through
+        ``check_subscript``."""
+        array = FArray("a", (3,), "integer")
+        seen = []
+        real = FArray.check_subscript
+
+        def spy(self, dim, index):
+            seen.append(type(index))
+            return real(self, dim, index)
+
+        monkeypatch.setattr(FArray, "check_subscript", spy)
+        assert array.np_index([2]) == (1,)
+        assert seen == []
+        assert array.np_index([True]) == (0,)
+        assert array.np_index([np.int64(3)]) == (2,)
+        assert seen == [bool, np.int64]
 
 
 class TestCoercions:

@@ -9,13 +9,17 @@ from repro.md import forces
 from repro.md.distribution import gather_flat_results, gather_unflat_results
 from repro.md.forces import (
     COULOMB_K,
+    make_scalar_force_external,
     make_simd_force_external,
     pair_energy,
     pair_force,
     reference_nbforce,
+    scalar_pair_energy,
 )
 from repro.md.molecule import Molecule, synthetic_sod, uniform_box
 from repro.md.pairlist import build_pairlist
+from repro.exec.scalar import ScalarInterpreter
+from repro.lang import parse_source
 from repro.runtime.engine import Engine
 from repro.simd.layout import DataDistribution
 
@@ -266,3 +270,105 @@ class TestLiveLaneExternalUnit:
         monkeypatch.setattr(forces, "pair_energy", None)  # must not be called
         values = self._call(mol, np.array([1, 2]), np.array([0, 3]), np.array([True, False]))
         assert np.array_equal(values, np.zeros(2))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _old_scalar_external_value(molecule, at1, at2):
+    """The scalar external's former body: np.clip, then a one-pair
+    ``pair_energy``."""
+    n = molecule.n_atoms
+    at1 = int(np.clip(int(at1), 1, n))
+    at2 = int(np.clip(int(at2), 1, n))
+    return float(pair_energy(molecule, np.array([at1]), np.array([at2]))[0])
+
+
+#: One external call in isolation: ``fpair`` gets the pair's energy.
+ONE_CALL = """
+PROGRAM one
+  INTEGER i, j
+  REAL fpair
+  CALL force(fpair, i, j)
+END
+"""
+
+
+class TestScalarPairEnergy:
+    """``scalar_pair_energy`` (host floats, the scalar/MIMD external)
+    and ``pair_energy`` (numpy, the SIMD external and the reference)
+    are two forms of one physics and must agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n_atoms, cutoff", [(400, 3.0), (600, 6.0), (6968, 4.0)]
+    )
+    def test_bit_identical_on_every_pair_of_a_real_pairlist(self, n_atoms, cutoff):
+        mol = synthetic_sod(n_atoms=n_atoms, seed=1992)
+        plist = build_pairlist(mol, cutoff)
+        live = np.arange(plist.partners.shape[1]) < plist.pcnt[:, None]
+        at1 = np.repeat(np.arange(1, n_atoms + 1), plist.pcnt)
+        at2 = plist.partners[live].astype(np.int64)
+        assert at1.size == int(plist.pcnt.sum()) > 0
+        vector = pair_energy(mol, at1, at2)
+        scalar = [
+            scalar_pair_energy(mol, i, j) for i, j in zip(at1.tolist(), at2.tolist())
+        ]
+        assert np.array_equal(_bits(scalar), _bits(vector))
+
+    def test_self_pairs_are_bit_identical(self):
+        mol = synthetic_sod(n_atoms=400, seed=1992)
+        atoms = np.arange(1, mol.n_atoms + 1)
+        scalar = [scalar_pair_energy(mol, i, i) for i in atoms.tolist()]
+        assert np.array_equal(_bits(scalar), _bits(pair_energy(mol, atoms, atoms)))
+
+    @pytest.mark.parametrize("bad", [0, -3, "n+1"])
+    def test_out_of_range_indices_match_the_old_clip_external(self, bad):
+        mol = synthetic_sod(n_atoms=400, seed=1992)
+        n = mol.n_atoms
+        bad = n + 1 if bad == "n+1" else bad
+        external = make_scalar_force_external(mol)
+        for at1, at2 in [(bad, 7), (7, bad), (bad, bad), (bad, 1), (n, bad)]:
+            got = _run_one_call(mol, external, at1, at2)[0]
+            assert _bits(got) == _bits(_old_scalar_external_value(mol, at1, at2))
+
+    def test_coincident_distinct_atoms_give_the_numpy_result(self):
+        mol = two_atoms(0.0, q1=0.5, q2=0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = pair_energy(mol, np.array([1]), np.array([2]))[0]
+            got = scalar_pair_energy(mol, 1, 2)
+        assert np.isnan(expected) or np.isinf(expected)
+        assert _bits(got) == _bits(expected)
+
+    def test_external_records_one_call_and_one_store_per_pair(self):
+        mol = synthetic_sod(n_atoms=50, seed=1992)
+        value, counters = _run_one_call(mol, make_scalar_force_external(mol), 3, 17)
+        assert value == scalar_pair_energy(mol, 3, 17)
+        assert dict(counters.events) == {"call": 1, "store": 1}
+        assert dict(counters.calls) == {"force": 1}
+
+    def test_sequential_kernel_counters_and_forces_are_unchanged(self):
+        """Field-by-field counters of a small SOD run, as recorded
+        before the scalar per-pair body existed; the per-atom forces
+        equal the numpy reference bit for bit (same summation order)."""
+        mol = synthetic_sod(n_atoms=120, seed=1992)
+        plist = build_pairlist(mol, 4.0)
+        assert int(plist.pcnt.sum()) == 906
+        f, counters = nbforce.run_sequential_kernel(mol, plist)
+        state = counters.state_dict()
+        per_kind = {"acu": 1026, "store": 2838, "call": 906, "real_op": 906}
+        assert state["nproc"] == 1
+        for field in ("events", "layer_steps", "element_ops", "active_elements"):
+            assert dict(state[field]) == per_kind, field
+        assert dict(state["calls"]) == {"force": 906}
+        assert dict(state["call_layer_steps"]) == {"force": 906}
+        assert dict(state["section_events"]) == {}
+        assert dict(state["section_layer_steps"]) == {}
+        assert np.array_equal(state["lane_active_steps"], [0])
+        assert np.array_equal(_bits(f), _bits(reference_nbforce(mol, plist)))
+
+
+def _run_one_call(molecule, external, at1, at2):
+    interp = ScalarInterpreter(parse_source(ONE_CALL), externals={"force": external})
+    env = interp.run(bindings={"i": at1, "j": at2})
+    return env["fpair"], interp.counters
