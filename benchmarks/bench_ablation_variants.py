@@ -37,10 +37,9 @@ def run_variant(variant):
     index = tree.main.body.index(loop)
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
-    _, counters = Engine().compile(prog).run(
+    return Engine().compile(prog).run(
         {"l": L.copy()}, nproc=2, backend="interpreter"
-    )
-    return counters
+    ).counters
 
 
 def measure_all():

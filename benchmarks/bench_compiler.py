@@ -61,7 +61,7 @@ def test_bench_simd_interpretation(benchmark):
     def run():
         return compiled.run({"l": trips.copy()}, nproc=16, backend="interpreter")
 
-    env, counters = benchmark(run)
+    counters = benchmark(run).counters
     assert counters.events["scatter"] > 0
 
 
@@ -88,7 +88,7 @@ def test_bench_vm_execution(benchmark):
         return vm.counters
 
     counters = benchmark(run)
-    _, interp_counters = Engine().compile(prog).run(
+    interp_counters = Engine().compile(prog).run(
         {"l": trips.copy()}, nproc=16, backend="interpreter"
-    )
+    ).counters
     assert counters.events["scatter"] == interp_counters.events["scatter"]

@@ -57,7 +57,7 @@ def main():
     program = ENGINE.compile(
         tree, transform="flatten", variant=report.variant, assume_min_trips=True
     )
-    env, counters = program.run(example_bindings())
+    env = program.run(example_bindings()).env
     assert (env["x"].data == expected_x()).all()
     print("flattened dusty deck verified against the original.\n")
 
@@ -66,13 +66,13 @@ def main():
     rowptr, rowlen, col, a, x = matrix
     report = report_for(spmv.parse_kernel(), assume_min_trips=True)
     show("CSR SpMV (indirect reads)", report)
-    env, _ = ENGINE.compile(
+    env = ENGINE.compile(
         spmv.parse_kernel(), transform="flatten", variant="done",
         assume_min_trips=True,
     ).run({
         "nrows": len(rowlen), "nnz": len(a), "rowptr": rowptr,
         "rowlen": rowlen, "col": col, "a": a, "x": x,
-    })
+    }).env
     assert np.allclose(env["y"].data, spmv.reference_spmv(*matrix))
     print(
         f"flattened SpMV verified; row lengths {rowlen.min()}..{rowlen.max()} "
@@ -85,13 +85,13 @@ def main():
     )
     report = report_for(region_growing.parse_kernel(), assume_min_trips=True)
     show("image region growing", report)
-    env, _ = ENGINE.compile(
+    env = ENGINE.compile(
         region_growing.parse_kernel(), transform="flatten", variant="done",
         assume_min_trips=True,
     ).run({
         "nregions": rings.size, "maxrings": ring_sizes.shape[1],
         "rings": rings, "ring": ring_sizes,
-    })
+    }).env
     assert np.array_equal(env["area"].data, ring_sizes.sum(axis=1))
     print(
         f"flattened region growing verified; ring counts "

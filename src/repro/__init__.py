@@ -39,7 +39,7 @@ Quick start — the three-call facade over a shared default Engine::
     result = repro.run(F77_TEXT, {...}, nproc=64)   # backend="auto"
     report = repro.lint(F77_TEXT)
     print(result.backend, result.steps, result.wall_seconds)
-    env, counters = result                          # legacy tuple shape
+    env, counters = result.env, result.counters
 
 or, with an explicit engine::
 
@@ -51,11 +51,9 @@ or, with an explicit engine::
 
 Repeated ``compile`` calls with the same source and options are cache
 hits (``engine.stats``); artifacts are independent of ``nproc``, so
-one compile serves a whole machine-width sweep.  The historical free
-functions (``flatten_program``, ``run_program``, ``run_simd_program``,
-``run_mimd_program``) are deprecated shims over the same default
-Engine; they emit :class:`DeprecationWarning` and will be removed in
-version 2.0.
+one compile serves a whole machine-width sweep.  Each backend
+(``auto``, ``vm``, ``interpreter``, ``scalar``, ``mimd``, ``pmimd``),
+transform, variant and layout has exactly one accepted name.
 """
 
 from .analysis import analyze_routine, evaluate_flattening
@@ -72,9 +70,6 @@ from .exec import (
     MIMDSimulator,
     ScalarInterpreter,
     SIMDInterpreter,
-    run_mimd_program,
-    run_program,
-    run_simd_program,
 )
 from .lang import (
     check_source,
@@ -92,14 +87,13 @@ from .simd import DataDistribution, cm2, decmpp, sparc2
 from .transform import (
     coalesce_nest,
     flatten_loop_nest,
-    flatten_program,
     naive_simd_program,
     simdize_nest,
     simdize_structured,
 )
 from .transform.parallel import flatten_spmd
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +121,6 @@ def run(source, bindings=None, **options) -> RunResult:
 
         result = repro.run(text, {"n": 8}, nproc=64)
         print(result.backend, result.steps, result.wall_seconds)
-
-    The result still unpacks as the legacy ``(env, counters)`` tuple.
     """
     return compile(source).run(bindings, **options)
 
@@ -160,7 +152,6 @@ __all__ = [
     "DiagnosticReport",
     "Severity",
     "flatten_loop_nest",
-    "flatten_program",
     "flatten_spmd",
     "simdize_structured",
     "simdize_nest",
@@ -169,9 +160,6 @@ __all__ = [
     "ScalarInterpreter",
     "SIMDInterpreter",
     "MIMDSimulator",
-    "run_program",
-    "run_simd_program",
-    "run_mimd_program",
     "ExecutionCounters",
     "DataDistribution",
     "cm2",

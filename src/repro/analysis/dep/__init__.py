@@ -1,7 +1,7 @@
 """Loop-nest dependence framework.
 
-The real replacement for the legacy single-variable SIV test of
-``repro.analysis.dependence``:
+The real replacement for the legacy single-variable SIV test (the
+removed ``dependence`` module):
 
 * :mod:`~repro.analysis.dep.affine` — subscripts as affine forms over
   all enclosing induction variables plus free symbols;

@@ -1,6 +1,6 @@
 """Affine subscript forms over many induction variables.
 
-The old :mod:`repro.analysis.dependence` parser handled ``a*i + c``
+The old single-variable dependence parser handled ``a*i + c``
 in a *single* loop variable; everything else — inner induction
 variables, loop-invariant symbolic bounds, scalars with a recognized
 evolution — defeated it.  This module is the replacement bottom layer

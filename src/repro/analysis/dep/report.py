@@ -1,7 +1,7 @@
 """Outer-loop parallelism verdicts on top of the dependence graph.
 
-:func:`analyze_outer_parallelism` keeps the legacy contract of
-``repro.analysis.dependence`` — the same :class:`ParallelismReport`
+:func:`analyze_outer_parallelism` keeps the legacy contract of the
+old single-variable analyser — the same :class:`ParallelismReport`
 shape, the same verdicts on every pattern the old single-variable SIV
 test decided, the same scalar privatization / reduction / CALL
 classification — but the array side now consults the full

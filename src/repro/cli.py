@@ -25,6 +25,7 @@ from . import __version__
 from .analysis import evaluate_flattening
 from .lang import check_source, format_source, parse_source
 from .lang.errors import MiniFError
+from .reliability import BACKENDS
 from .runtime.engine import default_engine
 from .transform import (
     find_nest_sites,
@@ -212,8 +213,17 @@ def cmd_simdize(args) -> int:
     return 0
 
 
-#: ``--engine`` spellings mapped onto Engine backends.
-_ENGINE_BACKENDS = {"interp": "interpreter", "vm": "vm", "auto": "auto"}
+def _parse_chain(text: str) -> tuple[str, ...]:
+    """``--fallback`` value: a comma-separated chain of backend names."""
+    from .reliability import FallbackPolicy
+
+    chain = tuple(b.strip() for b in text.split(",") if b.strip())
+    if not chain:
+        return ()
+    try:
+        return FallbackPolicy(chain=chain).chain
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
 
 
 def _run_guards(args):
@@ -230,8 +240,7 @@ def _run_guards(args):
         budget = Budget(**spec)
     policy = None
     if args.fallback:
-        chain = tuple(b.strip() for b in args.fallback.split(",") if b.strip())
-        policy = FallbackPolicy(chain=chain)
+        policy = FallbackPolicy(chain=args.fallback)
     return budget, policy
 
 
@@ -286,12 +295,7 @@ def cmd_run(args) -> int:
     program = default_engine().compile(_load(args.file))
     bindings = dict(args.bind or [])
     budget, policy = _run_guards(args)
-    backend = args.backend or (
-        _ENGINE_BACKENDS[args.engine]
-        if args.nproc and args.nproc > 0
-        else "scalar"
-    )
-    backend = {"interp": "interpreter"}.get(backend, backend)
+    backend = args.backend or ("auto" if args.nproc and args.nproc > 0 else "scalar")
     config = None
     if args.workers is not None:
         config = BackendConfig(workers=args.workers)
@@ -373,7 +377,7 @@ def cmd_run(args) -> int:
         raise
     _print_attempts(result)
     _print_supervision(result)
-    env, counters = result
+    env, counters = result.env, result.counters
     if isinstance(counters, list):
         # Per-processor accumulators (mimd/pmimd): Eq. 1 aggregates.
         print(f"processors     : {len(counters)}")
@@ -522,15 +526,12 @@ def cmd_serve(args) -> int:
 
     tenants = []
     if args.max_steps is not None or args.deadline is not None or args.fallback:
-        chain = tuple(
-            b.strip() for b in (args.fallback or "").split(",") if b.strip()
-        )
         tenants.append(
             TenantPolicy(
                 name="default",
                 max_steps=args.max_steps,
                 deadline_seconds=args.deadline,
-                fallback=chain,
+                fallback=args.fallback or (),
             )
         )
     config = ServeConfig(
@@ -662,17 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=V[,V...]", help="initial variable binding")
     p.add_argument("--show", action="append", metavar="NAME",
                    help="print a variable after the run")
-    p.add_argument("--engine", default="interp",
-                   choices=["interp", "vm", "auto"],
-                   help="SIMD execution engine: tree-walking interpreter, "
-                        "the bytecode VM, or autoselection")
-    p.add_argument("--backend", default=None,
-                   choices=["auto", "vm", "interp", "interpreter",
-                            "scalar", "mimd", "pmimd"],
-                   help="execution backend (overrides --engine): lockstep "
-                        "SIMD engines, sequential scalar, the in-process "
-                        "MIMD simulator, or the process-parallel pmimd "
-                        "pool with worker supervision")
+    p.add_argument("--backend", default=None, choices=BACKENDS,
+                   help="execution backend: lockstep SIMD engines "
+                        "(auto/vm/interpreter), sequential scalar, the "
+                        "in-process MIMD simulator, or the process-parallel "
+                        "pmimd pool with worker supervision (default: auto "
+                        "with -p N, scalar without)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker process count for --backend pmimd "
                         "(default: min(nproc, cpu count))")
@@ -684,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crash-dump", metavar="PATH",
                    help="on failure, write the postmortem (pc, mask stack, "
                         "per-PE environment, last opcodes) as JSON")
-    p.add_argument("--fallback", metavar="CHAIN",
+    p.add_argument("--fallback", metavar="CHAIN", type=_parse_chain,
                    help="comma-separated backend fallback chain, e.g. "
                         "'vm,interpreter'; retryable faults degrade along it")
     p.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
@@ -787,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run step budget applied to every tenant")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="per-run wall-clock budget applied to every tenant")
-    p.add_argument("--fallback", metavar="CHAIN",
+    p.add_argument("--fallback", metavar="CHAIN", type=_parse_chain,
                    help="backend fallback chain for served runs, e.g. "
                         "'vm,interpreter'")
     p.set_defaults(fn=cmd_serve)

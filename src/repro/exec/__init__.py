@@ -10,7 +10,7 @@ supervised pool of real worker processes.
 
 from .counters import EVENT_KINDS, ExecutionCounters
 from .intrinsics import call_intrinsic
-from .mimd import MIMDResult, MIMDSimulator, run_mimd_program
+from .mimd import MIMDResult, MIMDSimulator
 from .pmimd import (
     PMIMDExecutor,
     PMIMDResult,
@@ -18,9 +18,9 @@ from .pmimd import (
     plan_shards,
     replicate_bindings,
 )
-from .scalar import ScalarInterpreter, run_program
+from .scalar import ScalarInterpreter
 from .shm import SharedArraySpec, ShmArena
-from .simd import SIMDInterpreter, run_simd_program
+from .simd import SIMDInterpreter
 from .values import FArray
 
 __all__ = [
@@ -29,12 +29,9 @@ __all__ = [
     "FArray",
     "call_intrinsic",
     "ScalarInterpreter",
-    "run_program",
     "SIMDInterpreter",
-    "run_simd_program",
     "MIMDSimulator",
     "MIMDResult",
-    "run_mimd_program",
     "PMIMDExecutor",
     "PMIMDResult",
     "Shard",

@@ -138,35 +138,3 @@ class MIMDSimulator:
             counters.append(interp.counters)
             statements.append(interp.executed_statements)
         return MIMDResult(envs, counters, statements)
-
-
-def run_mimd_program(
-    source: ast.SourceFile,
-    nproc: int,
-    bindings_for=None,
-    externals: dict | None = None,
-):
-    """Run the program on P private-namespace processors.
-
-    .. deprecated::
-        Use :func:`repro.run` (``repro.run(source, nproc=p,
-        backend="mimd")``) or an explicit :class:`repro.Engine`.  This
-        shim will be removed in version 2.0.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_mimd_program() is deprecated; use repro.run(source, nproc=..., "
-        "backend='mimd') or Engine.compile(...).run(...) — removal planned "
-        "for 2.0",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runtime.engine import default_engine
-
-    return default_engine().compile(source).run(
-        nproc=nproc,
-        backend="mimd",
-        externals=externals,
-        bindings_for=bindings_for,
-    )

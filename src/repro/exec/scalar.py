@@ -809,34 +809,3 @@ class ScalarInterpreter:
                 return result.item()
             return result
         raise InterpreterError(f"'{expr.name}' is not an array", expr.loc)
-
-
-def run_program(
-    source: ast.SourceFile,
-    bindings: dict | None = None,
-    externals: dict | None = None,
-    statement_hook=None,
-):
-    """Run a program sequentially; unpacks as ``(final env, counters)``.
-
-    .. deprecated::
-        Use :func:`repro.run` (``repro.run(source, backend="scalar")``)
-        or an explicit :class:`repro.Engine`.  This shim will be
-        removed in version 2.0.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_program() is deprecated; use repro.run(source, backend='scalar') "
-        "or Engine.compile(...).run(...) — removal planned for 2.0",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runtime.engine import default_engine
-
-    return default_engine().compile(source).run(
-        bindings,
-        backend="scalar",
-        externals=externals,
-        statement_hook=statement_hook,
-    )

@@ -836,36 +836,3 @@ class SIMDInterpreter:
         if isinstance(value, FArray):
             return max(1, value.size // max(1, self.nproc))
         return 1
-
-
-def run_simd_program(
-    source: ast.SourceFile,
-    nproc: int,
-    bindings: dict | None = None,
-    externals: dict | None = None,
-    statement_hook=None,
-):
-    """Run a program on a ``nproc``-PE lockstep machine.
-
-    .. deprecated::
-        Use :func:`repro.run` (``repro.run(source, nproc=p)``) or an
-        explicit :class:`repro.Engine`.  This shim will be removed in
-        version 2.0.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_simd_program() is deprecated; use repro.run(source, nproc=...) "
-        "or Engine.compile(...).run(...) — removal planned for 2.0",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runtime.engine import default_engine
-
-    return default_engine().compile(source).run(
-        bindings,
-        nproc=nproc,
-        backend="interpreter",
-        externals=externals,
-        statement_hook=statement_hook,
-    )

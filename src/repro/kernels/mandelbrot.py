@@ -109,7 +109,7 @@ def escape_counts_reference(
 def run_sequential(cr: np.ndarray, ci: np.ndarray, maxiter: int):
     """Run the sequential kernel; returns (counts, counters)."""
     source = parse_source(MANDELBROT_SEQUENTIAL)
-    env, counters = default_engine().compile(source).run(
+    result = default_engine().compile(source).run(
         backend="scalar",
         bindings={
             "npix": int(cr.size),
@@ -118,7 +118,7 @@ def run_sequential(cr: np.ndarray, ci: np.ndarray, maxiter: int):
             "ci": np.asarray(ci, dtype=float),
         },
     )
-    return np.asarray(env["counts"].data), counters
+    return np.asarray(result.env["counts"].data), result.counters
 
 
 def run_flat_simd(cr: np.ndarray, ci: np.ndarray, maxiter: int, nproc: int):

@@ -104,7 +104,7 @@ def synthesize_regions(
 def run_sequential(rings: np.ndarray, ring_sizes: np.ndarray):
     """Run the sequential kernel; returns (areas, counters)."""
     source = parse_source(REGION_GROWING_SEQUENTIAL)
-    env, counters = default_engine().compile(source).run(
+    result = default_engine().compile(source).run(
         backend="scalar",
         bindings={
             "nregions": int(rings.size),
@@ -113,7 +113,7 @@ def run_sequential(rings: np.ndarray, ring_sizes: np.ndarray):
             "ring": ring_sizes.astype(np.int64),
         },
     )
-    return np.asarray(env["area"].data), counters
+    return np.asarray(result.env["area"].data), result.counters
 
 
 def parse_kernel():

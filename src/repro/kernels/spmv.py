@@ -77,7 +77,7 @@ def reference_spmv(rowptr, rowlen, col, a, x) -> np.ndarray:
 def run_sequential(rowptr, rowlen, col, a, x):
     """Run the sequential kernel; returns (y, counters)."""
     source = parse_source(SPMV_SEQUENTIAL)
-    env, counters = default_engine().compile(source).run(
+    result = default_engine().compile(source).run(
         backend="scalar",
         bindings={
             "nrows": int(len(rowlen)),
@@ -89,7 +89,7 @@ def run_sequential(rowptr, rowlen, col, a, x):
             "x": np.asarray(x, dtype=float),
         },
     )
-    return np.asarray(env["y"].data, dtype=float), counters
+    return np.asarray(result.env["y"].data, dtype=float), result.counters
 
 
 def parse_kernel():

@@ -43,7 +43,7 @@ from .errors import (
     locate,
 )
 from .faults import FaultPlan
-from .policy import Attempt, FallbackPolicy, check_agreement
+from .policy import BACKENDS, Attempt, FallbackPolicy, check_agreement
 from .snapshot import MachineSnapshot, TRACE_DEPTH, render_mask, snapshot_env
 from .supervisor import (
     SupervisionOutcome,
@@ -54,6 +54,7 @@ from .supervisor import (
 )
 
 __all__ = [
+    "BACKENDS",
     "Attempt",
     "BackendFault",
     "Budget",

@@ -23,6 +23,18 @@ import numpy as np
 
 from .errors import BackendFault, ReliabilityError
 
+#: The execution backends, each under its one accepted name.
+BACKENDS = ("auto", "vm", "interpreter", "scalar", "mimd", "pmimd")
+
+
+def canonical_backend(name) -> str | None:
+    """``name`` as a member of :data:`BACKENDS` (case and surrounding
+    blanks ignored), or None when it names no backend."""
+    if not isinstance(name, str):
+        return None
+    name = name.strip().lower()
+    return name if name in BACKENDS else None
+
 
 @dataclass
 class Attempt:
@@ -79,6 +91,14 @@ class FallbackPolicy:
     def __post_init__(self):
         if not self.chain:
             raise ValueError("FallbackPolicy needs a non-empty chain")
+        chain = tuple(canonical_backend(name) for name in self.chain)
+        if None in chain:
+            bad = self.chain[chain.index(None)]
+            choices = ", ".join(BACKENDS)
+            raise ValueError(
+                f"unknown backend {bad!r} in fallback chain (choose from {choices})"
+            )
+        object.__setattr__(self, "chain", chain)
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
 

@@ -450,6 +450,18 @@ class WorkerSupervisor:
                 self._check_recoverable()
                 if not progressed:
                     self._sleep(self.policy.poll_interval)
+            # A shard's last processor result can arrive a poll before
+            # its "done": collect the outstanding ones (or see their
+            # workers die).  Flights of a speculated shard are not
+            # waited on — one copy already won, the other is a straggler.
+            while any(
+                not (flight.speculative or flight.task.speculated)
+                for flight in self._flights.values()
+            ):
+                progressed = self._drain_messages()
+                progressed |= self._check_liveness()
+                if not progressed:
+                    self._sleep(self.policy.poll_interval)
         finally:
             self.shutdown()
         return SupervisionOutcome(

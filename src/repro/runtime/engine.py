@@ -40,12 +40,14 @@ from ..lang.errors import InterpreterError, MiniFError, TransformError
 from ..lang.parser import parse_source
 from ..lang.printer import format_source
 from ..reliability import (
+    BACKENDS,
     Attempt,
     FallbackPolicy,
     ReliabilityError,
     check_agreement,
     crash_dump_for,
 )
+from ..reliability.policy import canonical_backend
 from ..transform.options import (
     normalize_layout,
     normalize_transform,
@@ -228,20 +230,10 @@ class CompiledProgram:
 
     # -- backend selection ---------------------------------------------------
 
-    _BACKEND_ALIASES = {
-        "interp": "interpreter",
-        "tree": "interpreter",
-        "bytecode": "vm",
-        "sequential": "scalar",
-    }
-
     def _resolve_backend(
-        self, backend: str, nproc: int, statement_hook, routine_name
+        self, name: str, nproc: int, statement_hook, routine_name
     ) -> str:
-        name = backend.strip().lower()
-        name = self._BACKEND_ALIASES.get(name, name)
-        if name not in ("auto", "vm", "interpreter", "scalar", "mimd", "pmimd"):
-            raise InterpreterError(f"unknown backend {backend!r}")
+        """The backend that runs canonical ``name`` for this run shape."""
         if name == "pmimd":
             if nproc < 1:
                 raise InterpreterError(
@@ -302,8 +294,10 @@ class CompiledProgram:
             nproc: PE count; 0 runs the sequential execution level.
             backend: ``"auto"``, ``"vm"``, ``"interpreter"``,
                 ``"scalar"``, ``"mimd"`` or ``"pmimd"`` (the
-                process-parallel SPMD pool).  Ignored when ``policy``
-                supplies its own chain.
+                process-parallel SPMD pool); any other name raises
+                :class:`~repro.lang.errors.InterpreterError`.  Not
+                used to pick the backend when ``policy`` supplies its
+                own chain.
             externals: External subroutine registry.
             statement_hook: Trace hook (tree-walking backends only).
             routine_name: Run a routine other than the main program
@@ -354,6 +348,11 @@ class CompiledProgram:
                 source-SHA mismatch is refused.  Incompatible with
                 ``policy`` chains.
         """
+        name = canonical_backend(backend)
+        if name is None:
+            raise InterpreterError(
+                f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
+            )
         if config is not None:
             nproc = nproc if nproc else config.nproc
             externals = externals if externals is not None else config.externals
@@ -370,8 +369,6 @@ class CompiledProgram:
 
                     policy = dataclasses.replace(policy, verify=True)
             else:
-                name = backend.strip().lower()
-                name = self._BACKEND_ALIASES.get(name, name)
                 if nproc < 1 or name in ("scalar", "mimd", "pmimd"):
                     raise InterpreterError(
                         "verify=True cross-checks the lockstep backends; "
@@ -399,8 +396,6 @@ class CompiledProgram:
                     "program (source SHA mismatch)"
                 )
             chosen = "vm" if resume_from.backend == "vm" else "scalar"
-            name = backend.strip().lower()
-            name = self._BACKEND_ALIASES.get(name, name)
             if name not in ("auto", chosen):
                 raise InterpreterError(
                     f"resume_from checkpoint was captured by the '{chosen}' "
@@ -428,7 +423,7 @@ class CompiledProgram:
         if policy is not None:
             return self._run_with_policy(policy, **kwargs)
         if resume_from is None:
-            chosen = self._resolve_backend(backend, nproc, statement_hook, routine_name)
+            chosen = self._resolve_backend(name, nproc, statement_hook, routine_name)
         if (
             checkpoint_every
             and checkpoint_dir
@@ -838,9 +833,9 @@ class Engine:
                 equivalent trees share one cache entry and the caller
                 keeps ownership of its own AST.
             transform: Nest transform to apply — ``"none"`` (default),
-                ``"flatten"``, ``"simdize"``, ``"coalesce"`` or
-                ``"spmd"``; legacy spellings are accepted with a
-                DeprecationWarning.
+                ``"flatten"``, ``"simdize"``, ``"coalesce"``,
+                ``"spmd"``, ``"fission"`` or ``"interchange"``; any
+                other spelling raises :class:`TransformError`.
             variant: Flattening strength for ``transform="flatten"``.
             simd: Derive the F90simd form when flattening.
             assume_min_trips: Paper condition 2 assertion.
@@ -1143,7 +1138,8 @@ _default_lock = threading.Lock()
 
 
 def default_engine() -> Engine:
-    """The process-wide shared Engine behind the legacy free functions."""
+    """The process-wide shared Engine behind the ``repro.compile`` /
+    ``repro.run`` facade, the CLI and the bundled kernels."""
     global _default_engine
     with _default_lock:
         if _default_engine is None:

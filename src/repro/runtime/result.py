@@ -8,15 +8,15 @@ final environment, the :class:`~repro.exec.counters.ExecutionCounters`,
 and the provenance of the run (backend used, cache hit/miss, wall
 time, per-stage timings).
 
-For backward compatibility a :class:`RunResult` *unpacks* like the
-legacy two-tuple::
+Read the outcome by name::
 
-    env, counters = program.run(bindings, nproc=8)
+    result = program.run(bindings, nproc=8)
+    env, counters = result.env, result.counters
 
-and, when produced by the MIMD backend (where ``env`` and ``counters``
-hold per-processor lists), it answers the :class:`MIMDResult`
-aggregate queries (``envs``, ``time_steps``, ``call_counts``,
-``time_calls``) unchanged.
+A result is not a tuple and does not unpack.  When produced by the
+MIMD backends (where ``env`` and ``counters`` hold per-processor
+lists), it answers the :class:`MIMDResult` aggregate queries
+(``envs``, ``time_steps``, ``call_counts``, ``time_calls``) unchanged.
 """
 
 from __future__ import annotations
@@ -77,18 +77,6 @@ class RunResult:
     attempts: list = field(default_factory=list)
     events: list = field(default_factory=list)
     resumed_from_step: int | None = None
-
-    # -- legacy (env, counters) tuple protocol ------------------------------
-
-    def __iter__(self):
-        yield self.env
-        yield self.counters
-
-    def __len__(self) -> int:
-        return 2
-
-    def __getitem__(self, index):
-        return (self.env, self.counters)[index]
 
     # -- MIMD aggregate queries (mirror MIMDResult) -------------------------
 

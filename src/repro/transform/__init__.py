@@ -29,7 +29,6 @@ from .pipeline import (
     find_loop_sites,
     find_nest_sites,
     fission_program,
-    flatten_program,
     interchange_program,
     naive_simd_program,
     spmd_program,
@@ -66,7 +65,6 @@ __all__ = [
     "NestSite",
     "fission_loop",
     "fission_program",
-    "flatten_program",
     "interchange_loops",
     "interchange_program",
     "naive_simd_program",

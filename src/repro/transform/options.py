@@ -1,9 +1,8 @@
 """One shared vocabulary for transformation options.
 
 Every user-facing knob of the transformation pipeline funnels through
-this module so that ``flatten_program``, ``simdize_nest``,
-``coalesce_nest``, the CLI, and :class:`repro.runtime.Engine` all
-speak the same names:
+this module so that ``simdize_nest``, ``coalesce_nest``, the CLI,
+and :class:`repro.runtime.Engine` all speak the same names:
 
 ``transform``
     Which rewrite to apply to the located loop nest:
@@ -29,15 +28,13 @@ speak the same names:
     Data distribution for SIMDization: ``"block"`` (CM-2 style
     contiguous slices) or ``"cyclic"`` (DECmpp style cut-and-stack).
 
-Legacy spellings from earlier revisions of the API (and from the
-paper's figure numbering, which early callers used directly) are
-accepted but emit a :class:`DeprecationWarning` naming the canonical
-replacement.
+Each option has exactly one accepted spelling per value (matched
+case-insensitively, surrounding blanks ignored); anything else raises
+:class:`~repro.lang.errors.TransformError` listing the canonical
+choices.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from ..lang.errors import TransformError
 
@@ -58,69 +55,29 @@ TRANSFORMS = (
     "interchange",
 )
 
-#: Deprecated spelling -> canonical variant.
-_VARIANT_ALIASES = {
-    "fig10": "general",
-    "conservative": "general",
-    "fig11": "optimized",
-    "opt": "optimized",
-    "fig12": "done",
-    "done-guard": "done",
-    "best": "auto",
-}
 
-#: Deprecated spelling -> canonical layout.
-_LAYOUT_ALIASES = {
-    "blockwise": "block",
-    "cm2": "block",
-    "cut-and-stack": "cyclic",
-    "cutstack": "cyclic",
-    "decmpp": "cyclic",
-}
-
-#: Deprecated spelling -> canonical transform.
-_TRANSFORM_ALIASES = {
-    "flattened": "flatten",
-    "naive": "simdize",
-    "naive-simd": "simdize",
-    "coalesced": "coalesce",
-    "flatten-spmd": "spmd",
-    "partition": "spmd",
-    "distribute": "fission",
-    "swap": "interchange",
-}
-
-
-def _normalize(value, what: str, canonical: tuple, aliases: dict) -> str:
+def _normalize(value, what: str, canonical: tuple) -> str:
     if not isinstance(value, str):
         raise TransformError(f"{what} must be a string, got {type(value).__name__}")
     name = value.strip().lower()
     if name in canonical:
         return name
-    if name in aliases:
-        replacement = aliases[name]
-        warnings.warn(
-            f"{what} {value!r} is deprecated; use {replacement!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replacement
     choices = ", ".join(repr(c) for c in canonical)
     raise TransformError(f"unknown {what} {value!r} (choose from {choices})")
 
 
 def normalize_variant(variant: str) -> str:
     """Resolve a flattening-variant spelling to its canonical name."""
-    return _normalize(variant, "flattening variant", VARIANTS, _VARIANT_ALIASES)
+    return _normalize(variant, "flattening variant", VARIANTS)
 
 
 def normalize_layout(layout: str) -> str:
     """Resolve a data-layout spelling to its canonical name."""
-    return _normalize(layout, "layout", LAYOUTS, _LAYOUT_ALIASES)
+    return _normalize(layout, "layout", LAYOUTS)
 
 
 def normalize_transform(transform: str | None) -> str:
     """Resolve a nest-transform spelling to its canonical name."""
     if transform is None:
         return "none"
-    return _normalize(transform, "transform", TRANSFORMS, _TRANSFORM_ALIASES)
+    return _normalize(transform, "transform", TRANSFORMS)

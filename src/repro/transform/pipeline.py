@@ -103,57 +103,6 @@ def _locate_nest(
     return structured, sites[nest_index]
 
 
-def flatten_program(
-    source: ast.SourceFile,
-    variant: str = "auto",
-    assume_min_trips: bool = False,
-    simd: bool = False,
-    routine: str | None = None,
-    nest_index: int = 0,
-) -> ast.SourceFile:
-    """Flatten one loop nest of a program.
-
-    .. deprecated::
-        Use :func:`repro.compile` (``repro.compile(source,
-        transform="flatten", ...).tree``) or an explicit
-        :class:`repro.Engine`.  This shim will be removed in
-        version 2.0.
-
-    Args:
-        source: Input program (GOTO loops are structurized first).
-        variant: Flattening strength (see
-            :func:`repro.transform.flatten.flatten_loop_nest`).
-        assume_min_trips: Caller-asserted "inner loop runs at least
-            once per outer iteration".
-        simd: Also derive the F90simd form of the flattened region
-            (WHILE→WHILE ANY, IF→WHERE).
-        routine: Restrict the nest search to this routine.
-        nest_index: Which nest (in program order) to flatten.
-
-    Returns:
-        A new :class:`~repro.lang.ast.SourceFile`; the input is unchanged.
-    """
-    import warnings
-
-    warnings.warn(
-        "flatten_program() is deprecated; use repro.compile(source, "
-        "transform='flatten', ...).tree — removal planned for 2.0",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..runtime.engine import default_engine
-
-    return default_engine().compile(
-        source,
-        transform="flatten",
-        variant=variant,
-        assume_min_trips=assume_min_trips,
-        simd=simd,
-        routine=routine,
-        nest_index=nest_index,
-    ).tree
-
-
 def _flatten_program_uncached(
     source: ast.SourceFile,
     variant: str = "auto",
@@ -162,7 +111,10 @@ def _flatten_program_uncached(
     routine: str | None = None,
     nest_index: int = 0,
 ) -> ast.SourceFile:
-    """The flattening pipeline itself (no caching) — Engine internals."""
+    """Flatten one loop nest of a program: the Engine's uncached
+    ``transform="flatten"`` pass (callers use ``repro.compile``).
+    ``simd`` also derives the F90simd form of the flattened region;
+    the input tree is unchanged."""
     structured, site = _locate_nest(source, routine, nest_index, "flattenable")
     replacement = flatten_loop_nest(
         site.stmt, variant=variant, assume_min_trips=assume_min_trips
@@ -246,7 +198,7 @@ def spmd_program(
 ) -> ast.SourceFile:
     """Partition + flatten + SIMDize one parallel nest (Fig. 15 pipeline).
 
-    Unlike :func:`flatten_program` (which keeps the outer iteration
+    Unlike plain flattening (which keeps the outer iteration
     uniform across the PEs), this bakes a ``nproc``-way partition of
     the outer iterations into the text, so each lane genuinely
     advances through *different* iterations — the shape under which

@@ -14,10 +14,10 @@ silently computes the wrong answer.
 
 import pytest
 
+import repro
 from repro.analysis import evaluate_flattening
 from repro.lang import parse_source, parse_statements
 from repro.lang.errors import TransformError
-from repro.transform import flatten_program
 from repro.transform.pipeline import spmd_program
 
 
@@ -63,7 +63,9 @@ class TestInnerTripRejection:
             "    ENDDO\n  ENDDO\nEND"
         )
         with pytest.raises(TransformError, match="[Ss]ec. 4|at least once"):
-            flatten_program(src, variant="optimized")
+            repro.compile(
+                src, transform="flatten", variant="optimized", simd=False
+            ).tree
 
     def test_assertion_overrides_even_false_ones(self):
         # a false caller assertion is the caller's responsibility
@@ -73,7 +75,13 @@ class TestInnerTripRejection:
             "  DO i = 1, k\n    DO j = 1, 0\n      x(i, j) = i\n"
             "    ENDDO\n  ENDDO\nEND"
         )
-        flatten_program(src, variant="optimized", assume_min_trips=True)
+        repro.compile(
+            src,
+            transform="flatten",
+            variant="optimized",
+            assume_min_trips=True,
+            simd=False,
+        ).tree
 
 
 class TestOuterDependenceRejection:

@@ -1,7 +1,5 @@
 """Multi-variable affine subscript forms (`repro.analysis.dep.affine`)."""
 
-import pytest
-
 from repro.analysis.dep import AffineExpr, parse_affine, parse_affine_expr
 from repro.lang import parse_expression
 
@@ -83,25 +81,3 @@ class TestAffineExprAlgebra:
     def test_str_is_readable(self):
         expr = AffineExpr.variable("i").scale(2) + AffineExpr.constant(-1)
         assert str(expr) == "2*i - 1"
-
-
-class TestLegacyShim:
-    """`repro.analysis.dependence` stays importable but warns (PR 6 rule)."""
-
-    def test_parse_affine_warns(self):
-        from repro.analysis import dependence
-
-        with pytest.warns(DeprecationWarning, match="2.0"):
-            term = dependence.parse_affine(parse_expression("i + 1"), "i")
-        assert (term.coeff, term.const) == (1, 1)
-
-    def test_analyze_warns_and_matches_new_api(self):
-        from repro.analysis import dependence
-        from repro.analysis.dep import analyze_outer_parallelism
-        from repro.lang import parse_statements
-
-        [loop] = parse_statements("DO i = 2, 9\n  x(i) = x(i - 1)\nENDDO")
-        with pytest.warns(DeprecationWarning, match="2.0"):
-            old_style = dependence.analyze_outer_parallelism(loop)
-        new_style = analyze_outer_parallelism(loop)
-        assert old_style.parallel == new_style.parallel is False

@@ -6,7 +6,7 @@ single-index-variable owner-computes test.  The new framework may be
 seeded generator corpus (plus the bundled kernels) it must never call
 a loop parallel that the legacy algorithm serialized.  The legacy
 algorithm below is copied verbatim from the pre-PR
-``repro.analysis.dependence`` so the comparison cannot drift.
+``analysis/dependence.py`` module so the comparison cannot drift.
 """
 
 from dataclasses import dataclass, field

@@ -2,19 +2,20 @@
 
 import numpy as np
 
-from repro.exec import MIMDSimulator, run_mimd_program
+import repro
+from repro.exec import MIMDSimulator
 from repro.lang import parse_source
 
 
 def test_private_name_spaces():
     source = parse_source("PROGRAM p\n  x = myproc * 10\nEND")
-    result = run_mimd_program(source, 3)
+    result = repro.run(source, nproc=3, backend="mimd")
     assert [env["x"] for env in result.envs] == [10, 20, 30]
 
 
 def test_nproc_binding():
     source = parse_source("PROGRAM p\n  x = nproc\nEND")
-    result = run_mimd_program(source, 4)
+    result = repro.run(source, nproc=4, backend="mimd")
     assert all(env["x"] == 4 for env in result.envs)
 
 
@@ -23,8 +24,11 @@ def test_bindings_for_gives_local_data():
         "PROGRAM p\n  INTEGER lloc(2)\n  s = lloc(1) + lloc(2)\nEND"
     )
     data = np.array([1, 2, 3, 4])
-    result = run_mimd_program(
-        source, 2, bindings_for=lambda p: {"lloc": data[(p - 1) * 2 : p * 2]}
+    result = repro.run(
+        source,
+        nproc=2,
+        bindings_for=lambda p: {"lloc": data[(p - 1) * 2 : p * 2]},
+        backend="mimd",
     )
     assert [env["s"] for env in result.envs] == [3, 7]
 
@@ -33,7 +37,9 @@ def test_time_is_max_over_processors():
     source = parse_source(
         "PROGRAM p\n  s = 0\n  DO i = 1, n\n    s = s + i\n  ENDDO\nEND"
     )
-    result = run_mimd_program(source, 2, bindings_for=lambda p: {"n": 10 * p})
+    result = repro.run(
+        source, nproc=2, bindings_for=lambda p: {"n": 10 * p}, backend="mimd"
+    )
     slow = result.counters[1].total_steps
     assert result.time_steps() == slow
 

@@ -5,7 +5,8 @@ import pytest
 
 import dataclasses
 
-from repro.exec import ScalarInterpreter, run_program
+import repro
+from repro.exec import ScalarInterpreter
 from repro.lang import ast, parse_source
 from repro.lang.errors import InterpreterError
 from repro.reliability import OutOfBoundsFault
@@ -13,7 +14,10 @@ from repro.runtime.engine import Engine
 
 
 def run(text, bindings=None, externals=None):
-    return run_program(parse_source(text), bindings=bindings, externals=externals)
+    result = repro.run(
+        parse_source(text), bindings, externals=externals, backend="scalar"
+    )
+    return result.env, result.counters
 
 
 class TestBasics:

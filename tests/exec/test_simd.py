@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.exec import SIMDInterpreter, run_simd_program
+import repro
+from repro.exec import SIMDInterpreter
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
 
 
 def run(text, nproc, bindings=None, externals=None):
-    return run_simd_program(parse_source(text), nproc, bindings=bindings, externals=externals)
+    result = repro.run(
+        parse_source(text),
+        bindings,
+        nproc=nproc,
+        externals=externals,
+        backend="interpreter",
+    )
+    return result.env, result.counters
 
 
 class TestReplication:

@@ -11,13 +11,19 @@ as a language error, not crash the backend with a raw numpy error.
 import numpy as np
 import pytest
 
-from repro.exec import run_simd_program
+import repro
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
 from repro.vm import run_bytecode
 
+
+def run_interpreter(source, nproc, bindings=None):
+    result = repro.run(source, bindings, nproc=nproc, backend="interpreter")
+    return result.env, result.counters
+
+
 BACKENDS = [
-    pytest.param(run_simd_program, id="interpreter"),
+    pytest.param(run_interpreter, id="interpreter"),
     pytest.param(run_bytecode, id="vm"),
 ]
 

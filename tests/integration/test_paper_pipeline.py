@@ -9,9 +9,9 @@ including their lockstep step counts.
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import evaluate_flattening
 from repro.eval.timing import time_mimd, time_simd_naive
-from repro.exec import run_mimd_program, run_program, run_simd_program
 from repro.kernels import example as ex
 from repro.lang import ast
 from repro.transform import naive_simd_program
@@ -44,10 +44,17 @@ class TestDerivedVersions:
 
     def test_derived_naive_simd_equals_handwritten_p4(self, p1, expected):
         derived = naive_simd_program(p1, nproc=2, layout="block")
-        env_d, counters_d = run_simd_program(derived, 2, bindings=ex.example_bindings())
-        env_h, counters_h = run_simd_program(
-            ex.parse_example(ex.P4_NAIVE_SIMD), 2, bindings=ex.example_bindings()
+        result = repro.run(
+            derived, nproc=2, bindings=ex.example_bindings(), backend="interpreter"
         )
+        env_d, counters_d = result.env, result.counters
+        result = repro.run(
+            ex.parse_example(ex.P4_NAIVE_SIMD),
+            nproc=2,
+            bindings=ex.example_bindings(),
+            backend="interpreter",
+        )
+        env_h, counters_h = result.env, result.counters
         assert (env_d["x"].data == expected).all()
         assert (env_h["x"].data == expected).all()
         # identical useful-work step counts (Eq. 2's 12 steps)
@@ -59,10 +66,17 @@ class TestDerivedVersions:
             loop, nproc=2, layout="block", variant="done", assume_min_trips=True
         )
         derived = splice(p1, flat)
-        env_d, counters_d = run_simd_program(derived, 2, bindings=ex.example_bindings())
-        env_h, counters_h = run_simd_program(
-            ex.parse_example(ex.P5_FLATTENED_SIMD), 2, bindings=ex.example_bindings()
+        result = repro.run(
+            derived, nproc=2, bindings=ex.example_bindings(), backend="interpreter"
         )
+        env_d, counters_d = result.env, result.counters
+        result = repro.run(
+            ex.parse_example(ex.P5_FLATTENED_SIMD),
+            nproc=2,
+            bindings=ex.example_bindings(),
+            backend="interpreter",
+        )
+        env_h, counters_h = result.env, result.counters
         assert (env_d["x"].data == expected).all()
         assert (env_h["x"].data == expected).all()
         assert counters_d.events["scatter"] == counters_h.events["scatter"] == 8
@@ -73,8 +87,11 @@ class TestDerivedVersions:
         assert time_simd_naive(trips) == 12
 
     def test_mimd_simulation_matches_equation_1(self, expected):
-        result = run_mimd_program(
-            ex.parse_example(ex.P3_MIMD), 2, bindings_for=ex.mimd_bindings
+        result = repro.run(
+            ex.parse_example(ex.P3_MIMD),
+            nproc=2,
+            bindings_for=ex.mimd_bindings,
+            backend="mimd",
         )
         assert result.time_calls("force") == 0  # no calls in EXAMPLE
         per_proc_stores = [c.events["store"] for c in result.counters]
@@ -96,7 +113,9 @@ class TestDustyDeck:
         index = tree.main.body.index(loop)
         body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
         prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
-        env, _ = run_simd_program(prog, 2, bindings=ex.example_bindings())
+        env = repro.run(
+            prog, nproc=2, bindings=ex.example_bindings(), backend="interpreter"
+        ).env
         assert (env["x"].data == expected).all()
 
     def test_structurized_goto_nest_becomes_counted_dos(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_mimd_program, run_program, run_simd_program
+import repro
 from repro.kernels import example as ex
 from repro.lang import check_source
 
@@ -27,44 +27,59 @@ class TestPrograms:
             check_source(tree)
 
     def test_p1_sequential(self, expected):
-        env, _ = run_program(
-            ex.parse_example(ex.P1_SEQUENTIAL), bindings=ex.example_bindings()
-        )
+        env = repro.run(
+            ex.parse_example(ex.P1_SEQUENTIAL),
+            bindings=ex.example_bindings(),
+            backend="scalar",
+        ).env
         assert (env["x"].data == expected).all()
 
     def test_p2_fortran_d_runs_sequentially(self, expected):
-        env, _ = run_program(
-            ex.parse_example(ex.P2_FORTRAN_D), bindings=ex.example_bindings()
-        )
+        env = repro.run(
+            ex.parse_example(ex.P2_FORTRAN_D),
+            bindings=ex.example_bindings(),
+            backend="scalar",
+        ).env
         assert (env["x"].data == expected).all()
 
     def test_p3_mimd(self, expected):
-        result = run_mimd_program(
-            ex.parse_example(ex.P3_MIMD), ex.EXAMPLE_P, bindings_for=ex.mimd_bindings
+        result = repro.run(
+            ex.parse_example(ex.P3_MIMD),
+            nproc=ex.EXAMPLE_P,
+            bindings_for=ex.mimd_bindings,
+            backend="mimd",
         )
         stacked = np.vstack([env["xloc"].data for env in result.envs])
         assert (stacked == expected).all()
 
     def test_p4_naive_simd(self, expected):
-        env, counters = run_simd_program(
-            ex.parse_example(ex.P4_NAIVE_SIMD), ex.EXAMPLE_P,
+        result = repro.run(
+            ex.parse_example(ex.P4_NAIVE_SIMD),
+            nproc=ex.EXAMPLE_P,
             bindings=ex.example_bindings(),
+            backend="interpreter",
         )
+        env, counters = result.env, result.counters
         assert (env["x"].data == expected).all()
         assert counters.events["scatter"] == 12  # Equation 2
 
     def test_p5_flattened_simd(self, expected):
-        env, counters = run_simd_program(
-            ex.parse_example(ex.P5_FLATTENED_SIMD), ex.EXAMPLE_P,
+        result = repro.run(
+            ex.parse_example(ex.P5_FLATTENED_SIMD),
+            nproc=ex.EXAMPLE_P,
             bindings=ex.example_bindings(),
+            backend="interpreter",
         )
+        env, counters = result.env, result.counters
         assert (env["x"].data == expected).all()
         assert counters.events["scatter"] == 8  # Equation 1
 
     def test_p1_goto_variant(self, expected):
-        env, _ = run_program(
-            ex.parse_example(ex.P1_GOTO), bindings=ex.example_bindings()
-        )
+        env = repro.run(
+            ex.parse_example(ex.P1_GOTO),
+            bindings=ex.example_bindings(),
+            backend="scalar",
+        ).env
         assert (env["x"].data == expected).all()
 
 

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import evaluate_flattening
-from repro.exec import run_program
 from repro.kernels.region_growing import (
     parse_kernel,
     run_sequential,
     synthesize_regions,
 )
 from repro.lang import ast
-from repro.transform import flatten_program
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,10 @@ class TestKernel:
     def test_flattened_kernel_matches(self, regions):
         rings, ring_sizes = regions
         tree = parse_kernel()
-        flat = flatten_program(tree, variant="done", assume_min_trips=True)
-        env, _ = run_program(
+        flat = repro.compile(
+            tree, transform="flatten", variant="done", assume_min_trips=True, simd=False
+        ).tree
+        env = repro.run(
             flat,
             bindings={
                 "nregions": int(rings.size),
@@ -71,5 +72,6 @@ class TestKernel:
                 "rings": rings,
                 "ring": ring_sizes,
             },
-        )
+            backend="scalar",
+        ).env
         assert np.array_equal(env["area"].data, ring_sizes.sum(axis=1))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import evaluate_flattening
-from repro.exec import run_program
 from repro.kernels.spmv import (
     parse_kernel,
     random_csr,
@@ -12,7 +12,6 @@ from repro.kernels.spmv import (
     run_sequential,
 )
 from repro.lang import ast
-from repro.transform import flatten_program
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +55,10 @@ class TestKernel:
     def test_flattened_matches(self, matrix):
         rowptr, rowlen, col, a, x = matrix
         tree = parse_kernel()
-        flat = flatten_program(tree, variant="done", assume_min_trips=True)
-        env, _ = run_program(
+        flat = repro.compile(
+            tree, transform="flatten", variant="done", assume_min_trips=True, simd=False
+        ).tree
+        env = repro.run(
             flat,
             bindings={
                 "nrows": int(len(rowlen)),
@@ -68,5 +69,6 @@ class TestKernel:
                 "a": a,
                 "x": x,
             },
-        )
+            backend="scalar",
+        ).env
         assert np.allclose(env["y"].data, reference_spmv(*matrix))

@@ -104,13 +104,6 @@ class TestSelection:
         result = engine.compile(P1_SEQUENTIAL).run(example_bindings())
         assert result.backend == "scalar" and result.nproc == 0
 
-    def test_backend_aliases(self, engine):
-        program = engine.compile(P5_FLATTENED_SIMD)
-        assert program.run(example_bindings(), nproc=2,
-                           backend="tree").backend == "interpreter"
-        assert program.run(example_bindings(), nproc=2,
-                           backend="bytecode").backend == "vm"
-
     def test_unknown_backend_rejected(self, engine):
         with pytest.raises(InterpreterError, match="unknown backend"):
             engine.compile(P5_FLATTENED_SIMD).run(

@@ -147,16 +147,6 @@ class TestDefaultEngine:
         reset_default_engine()
         assert default_engine() is not shared
 
-    def test_legacy_shims_share_the_default_engine(self):
-        from repro import run_program
-
-        reset_default_engine()
-        run_program(parse_source(P1_SEQUENTIAL), bindings=example_bindings())
-        run_program(parse_source(P1_SEQUENTIAL), bindings=example_bindings())
-        stats = default_engine().stats
-        assert stats.hits == 1 and stats.misses == 1
-        reset_default_engine()
-
 
 class TestStats:
     def test_hit_rate_and_snapshot(self, engine):
@@ -190,7 +180,7 @@ class TestFailedCompiles:
         program = engine.compile(P1_SEQUENTIAL, transform="simdize", width=2)
         assert not program.cache_hit
         assert len(engine) == 1
-        env, _ = program.run(example_bindings(), nproc=2)
+        env = program.run(example_bindings(), nproc=2).env
         np.testing.assert_allclose(env["x"].data, expected_x())
 
     def test_refailing_compile_raises_every_time(self, engine):

@@ -1,11 +1,9 @@
 """The top-level API facade: repro.compile/run/lint, BackendConfig
-threading, RunResult.steps, and the deprecation contract on the
-historical free functions."""
+threading and RunResult.steps."""
 
 import warnings
 
 import numpy as np
-import pytest
 
 import repro
 from repro import BackendConfig
@@ -33,8 +31,6 @@ class TestFacade:
     def test_run_one_call(self):
         result = repro.run(PROGRAM, {"n": 4}, nproc=4)
         assert result.env["y"].data.tolist() == [0, 0, 30, 40]
-        env, counters = result  # legacy tuple shape still unpacks
-        assert env is result.env and counters is result.counters
 
     def test_lint_without_execution(self):
         report = repro.lint(PROGRAM)
@@ -61,10 +57,6 @@ class TestRunResultSteps:
     def test_wall_seconds_populated(self):
         result = repro.run(PROGRAM, {"n": 4}, nproc=4)
         assert result.wall_seconds > 0
-
-    def test_tuple_protocol_still_length_two(self):
-        result = repro.run(PROGRAM, {"n": 4}, nproc=4)
-        assert len(result) == 2
 
 
 class TestBackendConfig:
@@ -119,38 +111,8 @@ class TestBackendConfig:
 
 
 class TestDeprecatedShims:
-    def _tree(self):
-        return repro.parse_source(PROGRAM)
-
-    def test_run_program_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            env, _ = repro.run_program(
-                repro.parse_source("PROGRAM p\n  x = 1 + 2\nEND")
-            )
-        assert env["x"] == 3
-
-    def test_run_simd_program_warns(self):
-        with pytest.warns(DeprecationWarning, match="removal planned for 2.0"):
-            env, _ = repro.run_simd_program(self._tree(), 4, bindings={"n": 4})
-        assert env["y"].data.tolist() == [0, 0, 30, 40]
-
-    def test_run_mimd_program_warns(self):
-        tree = repro.parse_source(
-            "PROGRAM p\n  s = 0\n  DO i = 1, 5\n    s = s + i\n  ENDDO\nEND"
-        )
-        with pytest.warns(DeprecationWarning, match="backend='mimd'"):
-            envs, _ = repro.run_mimd_program(tree, 2)
-        assert len(envs) == 2
-
-    def test_flatten_program_warns(self):
-        nest = (
-            "PROGRAM p\n  INTEGER i, j, n, l(n), x(n, 4)\n"
-            "  DO i = 1, n\n    DO j = 1, l(i)\n      x(i, j) = i\n"
-            "    ENDDO\n  ENDDO\nEND"
-        )
-        with pytest.warns(DeprecationWarning, match="transform='flatten'"):
-            tree = repro.flatten_program(repro.parse_source(nest))
-        assert tree is not None
+    """The deprecated free functions are gone; the facade that replaced
+    them must not warn."""
 
     def test_facade_is_warning_free(self):
         with warnings.catch_warnings():

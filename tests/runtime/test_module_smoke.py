@@ -1,6 +1,7 @@
 """``python -m repro`` smoke test — the CLI rides the Engine path."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,14 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert repro.__version__ in proc.stdout
 
+    def test_version_matches_pyproject(self):
+        pyproject = Path(SRC_ROOT).parent / "pyproject.toml"
+        match = re.search(
+            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert match is not None
+        assert match.group(1) == repro.__version__
+
     def test_run_sequential(self, source):
         proc = run_module("run", source, "--bind", "l=4,1,2,1,1,3,1,3",
                           "--show", "x")
@@ -58,7 +67,7 @@ class TestModuleEntry:
         assert flat.returncode == 0, flat.stderr
         path = tmp_path / "flat.f"
         path.write_text(flat.stdout)
-        proc = run_module("run", str(path), "-p", "2", "--engine", "auto",
+        proc = run_module("run", str(path), "-p", "2", "--backend", "auto",
                           "--bind", "l=4,1,2,1,1,3,1,3")
         assert proc.returncode == 0, proc.stderr
         # autoselection picks the bytecode VM for this routine
@@ -70,9 +79,9 @@ class TestModuleEntry:
         path = tmp_path / "flat.f"
         path.write_text(flat.stdout)
         outputs = [
-            run_module("run", str(path), "-p", "2", "--engine", engine,
+            run_module("run", str(path), "-p", "2", "--backend", backend,
                        "--bind", "l=4,1,2,1,1,3,1,3", "--show", "x").stdout
-            for engine in ("auto", "interp")
+            for backend in ("auto", "interpreter")
         ]
         strip = [
             [line for line in out.splitlines() if not line.startswith("ran ")]

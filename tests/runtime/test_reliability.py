@@ -7,6 +7,7 @@ import pytest
 
 from repro.lang.errors import InterpreterError
 from repro.reliability import (
+    BACKENDS,
     Attempt,
     BackendFault,
     Budget,
@@ -236,6 +237,21 @@ class TestFallbackChain:
         assert [(a.backend, a.ok) for a in result.attempts] == [
             ("vm", True), ("interpreter", True),
         ]
+
+    def test_misspelled_chain_entry_cannot_switch_off_verify(self, engine):
+        # A typo used to resolve to nothing inside the verify pass, so
+        # the run "succeeded" with no cross-check at all.
+        with pytest.raises(ValueError, match="'interpretr'.*choose from") as info:
+            engine.run(
+                WHERE_PROGRAM, nproc=4,
+                policy=FallbackPolicy(chain=("vm", "interpretr"), verify=True),
+            )
+        assert all(name in str(info.value) for name in BACKENDS)
+
+    def test_chain_is_canonicalised(self):
+        assert FallbackPolicy(chain=(" VM", "Interpreter")).chain == (
+            "vm", "interpreter",
+        )
 
     def test_attempts_serialize(self, engine):
         plan = FaultPlan(fail_backends=("vm",))

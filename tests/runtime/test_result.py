@@ -21,22 +21,13 @@ def engine():
 
 
 class TestTupleProtocol:
-    def test_unpacks_like_the_legacy_pair(self, engine):
+    def test_does_not_unpack(self, engine):
         result = engine.compile(P5_FLATTENED_SIMD).run(
             example_bindings(), nproc=2
         )
-        env, counters = result
-        assert env is result.env
-        assert counters is result.counters
-        assert isinstance(counters, ExecutionCounters)
-
-    def test_len_and_indexing(self, engine):
-        result = engine.compile(P5_FLATTENED_SIMD).run(
-            example_bindings(), nproc=2
-        )
-        assert len(result) == 2
-        assert result[0] is result.env
-        assert result[1] is result.counters
+        assert isinstance(result.counters, ExecutionCounters)
+        with pytest.raises(TypeError):
+            env, counters = result
 
     def test_single_backend_aggregates(self, engine):
         result = engine.compile(P5_FLATTENED_SIMD).run(
@@ -63,11 +54,12 @@ class TestMIMDParity:
         assert result.time_calls("force") == reference.time_calls("force")
 
     def test_mimd_env_unpacking_gives_lists(self, engine):
-        envs, counters = engine.compile(P3_MIMD).run(
+        result = engine.compile(P3_MIMD).run(
             nproc=EXAMPLE_P, backend="mimd", bindings_for=mimd_bindings
         )
-        assert isinstance(envs, list) and len(envs) == EXAMPLE_P
-        assert isinstance(counters, list) and len(counters) == EXAMPLE_P
+        assert isinstance(result.env, list) and len(result.env) == EXAMPLE_P
+        assert isinstance(result.counters, list)
+        assert len(result.counters) == EXAMPLE_P
 
 
 class TestProvenance:

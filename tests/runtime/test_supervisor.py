@@ -76,6 +76,25 @@ class FakeWorker:
         pass
 
 
+class LateDoneWorker(FakeWorker):
+    """A worker whose ``done`` becomes visible only on the poll after
+    its last ``proc`` (the message is still in flight on the pipe)."""
+
+    def __init__(self, worker_id, behavior):
+        super().__init__(worker_id, behavior)
+        self.held = False
+
+    def poll(self):
+        if self.inbox and self.inbox[0]["type"] == "done" and not self.held:
+            self.held = True
+            return False
+        return bool(self.inbox)
+
+    def recv(self):
+        self.held = False
+        return super().recv()
+
+
 def succeed(worker, task):
     shard, attempt = task["shard"], task["attempt"]
     for proc in task["procs"]:
@@ -101,7 +120,7 @@ def fail_with(dump):
     return behavior
 
 
-def make_supervisor(behaviors, nworkers=2, policy=None):
+def make_supervisor(behaviors, nworkers=2, policy=None, worker=FakeWorker):
     """Supervisor over fake workers; ``behaviors`` feeds the factory.
 
     ``behaviors`` may be a single behavior (every worker) or a list
@@ -113,9 +132,9 @@ def make_supervisor(behaviors, nworkers=2, policy=None):
 
     def factory(worker_id):
         behavior = scripted[min(len(spawned), len(scripted) - 1)]
-        worker = FakeWorker(worker_id, behavior)
-        spawned.append(worker)
-        return worker
+        handle = worker(worker_id, behavior)
+        spawned.append(handle)
+        return handle
 
     supervisor = WorkerSupervisor(
         factory,
@@ -137,6 +156,14 @@ class TestHappyPath:
         assert sorted(outcome.results) == [1, 2, 3, 4, 5]
         assert outcome.recoveries == 0
         assert outcome.speculations == 0
+
+    def test_late_done_of_the_last_shard_is_collected(self):
+        supervisor, _, _ = make_supervisor(succeed, worker=LateDoneWorker)
+        outcome = supervisor.run(SHARDS)
+        assert sorted(outcome.results) == [1, 2, 3, 4, 5]
+        completed = [e for e in outcome.events if e["event"] == "shard-complete"]
+        assert len(completed) == len(SHARDS) == 3
+        assert outcome.recoveries == 0
 
     def test_event_log_tells_the_story(self):
         supervisor, _, _ = make_supervisor(succeed)

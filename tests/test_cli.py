@@ -137,10 +137,59 @@ class TestCommands:
                      "--assume-min-trips", "-p", "2"]) == 0
         flat = tmp_path / "flat.f"
         flat.write_text(capsys.readouterr().out)
-        code = main(["run", str(flat), "-p", "2", "--engine", "vm",
+        code = main(["run", str(flat), "-p", "2", "--backend", "vm",
                      "--bind", "l=4,1,2,1,1,3,1,3"])
         assert code == 0
         assert "bytecode VM" in capsys.readouterr().out
+
+    def test_run_with_nproc_defaults_to_vm(self, source, capsys):
+        argv = ["run", source, "-p", "2", "--bind", "l=4,1,2,1,1,3,1,3",
+                "--show", "x"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--backend", "interpreter"]) == 0
+        interpreter = capsys.readouterr().out.splitlines()
+        assert default[0] == "ran on 2 lockstep PEs (bytecode VM)"
+        assert interpreter[0] == "ran on 2 lockstep PEs"
+        assert default[1:] == interpreter[1:]
+        assert any(line.startswith("lockstep steps") for line in default)
+        assert any(line.startswith("x = ") for line in default)
+
+
+class TestRemovedFlags:
+    # argparse accepts any unambiguous prefix of a long option, so
+    # "--eng" is rejected only if no engine flag exists at all.
+    @pytest.mark.parametrize("flags", [
+        ["--backend", "interp"],
+        ["--eng", "vm"],
+        ["--eng", "interp"],
+    ], ids=["backend-interp", "engine-vm", "engine-interp"])
+    def test_usage_error(self, source, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", source, "-p", "2", *flags])
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "FILE", "-p", "2"],
+        ["serve", "--port", "0"],
+    ], ids=["run", "serve"])
+    def test_misspelled_fallback_backend_is_a_usage_error(
+        self, source, command, capsys, monkeypatch
+    ):
+        import repro.serve
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("the service must not start")
+
+        monkeypatch.setattr(repro.serve, "serve", no_server)
+        argv = [source if arg == "FILE" else arg for arg in command]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--fallback", "vm,interpretr"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'interpretr'" in err
+        assert "interpreter" in err and "pmimd" in err
 
 
 SPIN = """PROGRAM p
@@ -184,7 +233,7 @@ class TestRunGuards:
 
         dump_path = tmp_path / "dump.json"
         assert main([
-            "run", spin, "-p", "2", "--engine", "vm",
+            "run", spin, "-p", "2", "--backend", "vm",
             "--max-steps", "500", "--crash-dump", str(dump_path),
         ]) == 1
         dump = json.loads(dump_path.read_text())
@@ -269,11 +318,6 @@ class TestParallelBackends:
         out = capsys.readouterr().out
         assert "attempts       : 1" in out
         assert "1. pmimd" in out
-
-    def test_backend_overrides_engine(self, spmd, capsys):
-        assert main(["run", spmd, "-p", "2", "--engine", "vm",
-                     "--backend", "mimd", "--bind", "n=8"]) == 0
-        assert "SPMD processors (mimd" in capsys.readouterr().out
 
     def test_scalar_backend_explicit(self, spmd, capsys):
         assert main(["run", spmd, "--backend", "scalar",

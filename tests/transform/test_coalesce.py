@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_program
+import repro
 from repro.lang import ast, parse_statements
 from repro.lang.errors import TransformError
 from repro.transform import coalesce_nest
@@ -20,7 +20,8 @@ def run_body(stmts, bindings=None):
             )
         ]
     )
-    env, counters = run_program(prog, bindings=bindings or {})
+    result = repro.run(prog, bindings=bindings or {}, backend="scalar")
+    env, counters = result.env, result.counters
     return env, counters
 
 

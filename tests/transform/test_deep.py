@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import run_program, run_simd_program
+import repro
 from repro.lang import ast, parse_source
 from repro.lang.errors import TransformError
 from repro.transform import flatten_deep, simdize_structured
@@ -33,7 +33,7 @@ def workload():
     l = rng.integers(1, 4, 4)
     m = rng.integers(1, 6, (4, 3))
     src = parse_source(THREE_LEVEL)
-    env, _ = run_program(src, bindings={"l": l, "m": m})
+    env = repro.run(src, bindings={"l": l, "m": m}, backend="scalar").env
     return l, m, env["x"].data.copy()
 
 
@@ -50,7 +50,9 @@ class TestFlattenDeep:
         src = parse_source(THREE_LEVEL)
         loop = next(s for s in src.main.body if isinstance(s, ast.Do))
         flat = flatten_deep(loop, variant=variant, assume_min_trips=True)
-        env, _ = run_program(splice(src, flat), bindings={"l": l, "m": m})
+        env = repro.run(
+            splice(src, flat), bindings={"l": l, "m": m}, backend="scalar"
+        ).env
         assert (env["x"].data == ref).all()
 
     def test_optimized_output_is_a_single_loop(self, workload):
@@ -71,7 +73,9 @@ class TestFlattenDeep:
         flat = simdize_structured(
             flatten_deep(loop, variant="done", assume_min_trips=True)
         )
-        env, _ = run_simd_program(splice(src, flat), 1, bindings={"l": l, "m": m})
+        env = repro.run(
+            splice(src, flat), nproc=1, bindings={"l": l, "m": m}, backend="interpreter"
+        ).env
         assert (env["x"].data == ref).all()
 
     def test_two_level_nest_delegates(self, workload):
@@ -105,9 +109,12 @@ class TestDeepSPMD:
         flat = flatten_spmd(
             loop, nproc=nproc, layout=layout, variant="done", assume_min_trips=True
         )
-        env, _ = run_simd_program(
-            splice(src, flat), nproc, bindings={"l": l, "m": m}
-        )
+        env = repro.run(
+            splice(src, flat),
+            nproc=nproc,
+            bindings={"l": l, "m": m},
+            backend="interpreter",
+        ).env
         assert (env["x"].data == ref).all()
 
     def test_deep_flattened_reaches_work_bound(self, workload):
@@ -120,9 +127,12 @@ class TestDeepSPMD:
             loop, nproc=nproc, layout="cyclic", variant="done",
             assume_min_trips=True,
         )
-        _, counters = run_simd_program(
-            splice(src, flat), nproc, bindings={"l": l, "m": m}
-        )
+        counters = repro.run(
+            splice(src, flat),
+            nproc=nproc,
+            bindings={"l": l, "m": m},
+            backend="interpreter",
+        ).counters
         per_lane = []
         for lane in range(nproc):
             total = 0
@@ -157,7 +167,7 @@ END
 """
     src = parse_source(text)
     bindings = {"l": np.array(l), "m": m}
-    env0, _ = run_program(src, bindings=dict(bindings))
+    env0 = repro.run(src, bindings=dict(bindings), backend="scalar").env
     ref = env0["x"].data.copy()
     loop = next(s for s in src.main.body if isinstance(s, ast.Do))
     flat = flatten_spmd(
@@ -166,5 +176,7 @@ END
     prog = ast.SourceFile(
         [ast.Routine("program", "p", [], src.main.body[:1] + flat)]
     )
-    env, _ = run_simd_program(prog, nproc, bindings=dict(bindings))
+    env = repro.run(
+        prog, nproc=nproc, bindings=dict(bindings), backend="interpreter"
+    ).env
     assert (env["x"].data == ref).all()

@@ -113,13 +113,3 @@ class TestRejections:
         tree = parse_source("PROGRAM p\nINTEGER s\ns = 1\nEND\n")
         with pytest.raises(TransformError, match="no distributable loop"):
             fission_program(tree)
-
-
-class TestOptionsIntegration:
-    def test_distribute_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="fission"):
-            program = repro.compile(CHAIN, transform="distribute")
-        loops = [
-            s for s in program.tree.units[0].body if isinstance(s, ast.Do)
-        ]
-        assert len(loops) == 3

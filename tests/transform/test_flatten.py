@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_program
+import repro
 from repro.lang import ast, parse_source, parse_statements
 from repro.lang.errors import TransformError
 from repro.transform import (
@@ -47,7 +47,8 @@ def run_body(stmts, bindings):
             )
         ]
     )
-    env, counters = run_program(prog, bindings=bindings)
+    result = repro.run(prog, bindings=bindings, backend="scalar")
+    env, counters = result.env, result.counters
     return env, counters
 
 

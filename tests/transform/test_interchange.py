@@ -106,18 +106,3 @@ class TestRejections:
         )
         [outer] = interchange_loops(loop)
         assert outer.var == "j"
-
-
-class TestOptionsIntegration:
-    def test_swap_alias_warns(self):
-        source = (
-            "PROGRAM p\nINTEGER i, j\nINTEGER x(6, 6)\n"
-            "DO i = 1, 6\n  DO j = 1, 6\n"
-            "    x(i, j) = i + j\n  ENDDO\nENDDO\nEND\n"
-        )
-        with pytest.warns(DeprecationWarning, match="interchange"):
-            program = repro.compile(source, transform="swap")
-        [outer] = [
-            s for s in program.tree.units[0].body if isinstance(s, ast.Do)
-        ]
-        assert outer.var == "j"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_program
+import repro
 from repro.lang import ast, parse_source, parse_statements
 from repro.lang.errors import TransformError
 from repro.transform import normalize_loop, raise_goto_loops
@@ -60,7 +60,7 @@ class TestNormalizeDo:
         norm = normalize_loop(stmts[1])
         rebuilt = [stmts[0]] + norm.materialize()
         prog = ast.SourceFile([ast.Routine("program", "p", [], rebuilt)])
-        env, _ = run_program(prog)
+        env = repro.run(prog, backend="scalar").env
         assert env["s"] == 15
 
 
@@ -110,7 +110,7 @@ class TestGotoStructurization:
         tree = parse_source(text)
         body = raise_goto_loops(tree.main.body)
         prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
-        env, _ = run_program(prog)
+        env = repro.run(prog, backend="scalar").env
         assert env["s"] == 10
 
     def test_posttest_goto_loop_peeled(self):
@@ -131,7 +131,7 @@ class TestGotoStructurization:
         tree = parse_source(text)
         body = raise_goto_loops(tree.main.body)
         prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
-        env, _ = run_program(prog)
+        env = repro.run(prog, backend="scalar").env
         assert env["s"] == 10
 
     def test_nested_goto_loops(self):
@@ -142,7 +142,7 @@ class TestGotoStructurization:
         body = raise_goto_loops(tree.main.body)
         assert not any(isinstance(s, ast.Goto) for s in ast.walk_body(body))
         prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
-        env, _ = run_program(prog, bindings=example_bindings())
+        env = repro.run(prog, bindings=example_bindings(), backend="scalar").env
         assert (env["x"].data == expected_x()).all()
 
     def test_unrelated_gotos_left_alone(self):

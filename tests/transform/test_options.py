@@ -1,12 +1,12 @@
-"""The shared option vocabulary and its deprecation shims."""
+"""The shared option vocabulary: one accepted spelling per value."""
 
 import warnings
 
 import pytest
 
 from repro.kernels.example import P1_SEQUENTIAL
-from repro.lang.errors import TransformError
-from repro.lang.parser import parse_source
+from repro.lang.errors import InterpreterError, TransformError
+from repro.reliability import BACKENDS
 from repro.runtime import Engine
 from repro.transform.options import (
     LAYOUTS,
@@ -45,51 +45,45 @@ class TestCanonical:
         assert normalize_layout("Block") == "block"
 
 
-class TestDeprecatedSpellings:
-    @pytest.mark.parametrize("legacy, canonical", [
-        ("fig10", "general"),
-        ("fig11", "optimized"),
-        ("fig12", "done"),
-        ("best", "auto"),
-    ])
-    def test_variant_aliases_warn(self, legacy, canonical):
-        with pytest.warns(DeprecationWarning, match=canonical):
-            assert normalize_variant(legacy) == canonical
+#: Every spelling the option tables and the backend table used to
+#: accept with a DeprecationWarning: 4 backend, 7 variant, 5 layout and
+#: 8 transform aliases.
+FORMER_ALIASES = [
+    *(("backend", name) for name in ("interp", "tree", "bytecode", "sequential")),
+    *(("variant", name) for name in (
+        "fig10", "conservative", "fig11", "opt", "fig12", "done-guard", "best",
+    )),
+    *(("layout", name) for name in (
+        "blockwise", "cm2", "cut-and-stack", "cutstack", "decmpp",
+    )),
+    *(("transform", name) for name in (
+        "flattened", "naive", "naive-simd", "coalesced", "flatten-spmd",
+        "partition", "distribute", "swap",
+    )),
+]
 
-    @pytest.mark.parametrize("legacy, canonical", [
-        ("cm2", "block"),
-        ("cut-and-stack", "cyclic"),
-        ("decmpp", "cyclic"),
-    ])
-    def test_layout_aliases_warn(self, legacy, canonical):
-        with pytest.warns(DeprecationWarning, match=canonical):
-            assert normalize_layout(legacy) == canonical
 
-    @pytest.mark.parametrize("legacy, canonical", [
-        ("flattened", "flatten"),
-        ("naive", "simdize"),
-        ("coalesced", "coalesce"),
-    ])
-    def test_transform_aliases_warn(self, legacy, canonical):
-        with pytest.warns(DeprecationWarning, match=canonical):
-            assert normalize_transform(legacy) == canonical
-
-    def test_legacy_spelling_reaches_the_same_cache_entry(self):
-        engine = Engine()
-        canonical = engine.compile(P1_SEQUENTIAL, transform="flatten",
-                                   variant="done", assume_min_trips=True)
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.compile(P1_SEQUENTIAL, transform="flatten",
-                                    variant="fig12", assume_min_trips=True)
-        assert legacy is canonical
-        assert engine.stats.hits == 1
-
-    def test_flatten_program_accepts_legacy_variant(self):
-        from repro.transform import flatten_program
-
-        tree = parse_source(P1_SEQUENTIAL)
-        with pytest.warns(DeprecationWarning):
-            flatten_program(tree, variant="fig12", assume_min_trips=True)
+class TestRemovedSpellings:
+    @pytest.mark.parametrize(
+        "kind, spelling", FORMER_ALIASES, ids=[f"{k}-{s}" for k, s in FORMER_ALIASES]
+    )
+    def test_former_alias_is_rejected(self, kind, spelling):
+        if kind == "backend":
+            program = Engine().compile(P1_SEQUENTIAL)
+            with pytest.raises(InterpreterError) as info:
+                program.run(nproc=2, backend=spelling)
+            canonical = BACKENDS
+        else:
+            normalize, canonical = {
+                "variant": (normalize_variant, VARIANTS),
+                "layout": (normalize_layout, LAYOUTS),
+                "transform": (normalize_transform, TRANSFORMS),
+            }[kind]
+            with pytest.raises(TransformError) as info:
+                normalize(spelling)
+        message = str(info.value)
+        assert repr(spelling) in message
+        assert all(name in message for name in canonical)
 
 
 class TestRejections:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_program, run_simd_program
+import repro
 from repro.lang import ast, parse_source, parse_statements
 from repro.lang.errors import TransformError
 from repro.transform.parallel import flatten_spmd, partition_outer
@@ -32,7 +32,7 @@ def build_program(tree, replacement):
 
 def reference_x():
     tree = parse_source(P1)
-    env, _ = run_program(tree, bindings={"l": L})
+    env = repro.run(tree, bindings={"l": L}, backend="scalar").env
     return env["x"].data.copy()
 
 
@@ -72,7 +72,7 @@ class TestFlattenSPMD:
             loop, nproc=nproc, layout=layout, variant=variant, assume_min_trips=True
         )
         prog = build_program(tree, flat)
-        env, _ = run_simd_program(prog, nproc, bindings={"l": L})
+        env = repro.run(prog, nproc=nproc, bindings={"l": L}, backend="interpreter").env
         assert (env["x"].data == reference_x()).all(), (layout, variant, nproc)
 
     def test_flattened_step_count_reaches_mimd_bound(self):
@@ -84,7 +84,9 @@ class TestFlattenSPMD:
                 loop, nproc=2, layout=layout, variant="done", assume_min_trips=True
             )
             prog = build_program(tree, flat)
-            _, counters = run_simd_program(prog, 2, bindings={"l": L})
+            counters = repro.run(
+                prog, nproc=2, bindings={"l": L}, backend="interpreter"
+            ).counters
             assert counters.events["scatter"] == expected
 
     def test_more_lanes_than_iterations(self):
@@ -95,7 +97,7 @@ class TestFlattenSPMD:
             loop, nproc=16, layout="cyclic", variant="done", assume_min_trips=True
         )
         prog = build_program(tree, flat)
-        env, _ = run_simd_program(prog, 16, bindings={"l": L})
+        env = repro.run(prog, nproc=16, bindings={"l": L}, backend="interpreter").env
         assert (env["x"].data == reference_x()).all()
 
     def test_imperfect_nest_with_pre_statement(self):
@@ -109,7 +111,7 @@ class TestFlattenSPMD:
             loop, nproc=3, layout="cyclic", variant="done", assume_min_trips=True
         )
         prog = build_program(src, flat)
-        env, _ = run_simd_program(prog, 3, bindings={"l": L})
+        env = repro.run(prog, nproc=3, bindings={"l": L}, backend="interpreter").env
         expected = np.array([l * (l + 1) / 2 for l in L], dtype=float)
         assert np.allclose(env["f"].data, expected)
 
@@ -122,7 +124,7 @@ class TestFlattenSPMD:
         )
         assert not any(isinstance(s, ast.Where) for s in ast.walk_body(flat))
         prog = build_program(tree, flat)
-        env, _ = run_program(prog, bindings={"l": L})
+        env = repro.run(prog, bindings={"l": L}, backend="scalar").env
         assert (env["x"].data == reference_x()).all()
 
     def test_unknown_variant_rejected(self):

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_program, run_simd_program
+import repro
 from repro.lang import parse_source
 from repro.lang.errors import TransformError
 from repro.transform import (
     find_nest_sites,
-    flatten_program,
     naive_simd_program,
     structurize_program,
 )
@@ -42,24 +41,34 @@ def test_find_nest_sites_skips_flat_loops():
 def test_flatten_program_preserves_input():
     tree = parse_source(P1)
     before = parse_source(P1)
-    flatten_program(tree, variant="done", assume_min_trips=True)
+    repro.compile(
+        tree, transform="flatten", variant="done", assume_min_trips=True, simd=False
+    ).tree
     assert tree == before
 
 
 def test_flatten_program_sequential_equivalence():
     tree = parse_source(P1)
-    env0, _ = run_program(tree, bindings={"l": L})
+    env0 = repro.run(tree, bindings={"l": L}, backend="scalar").env
     for variant in ("general", "optimized", "done"):
-        flat = flatten_program(tree, variant=variant, assume_min_trips=True)
-        env, _ = run_program(flat, bindings={"l": L})
+        flat = repro.compile(
+            tree,
+            transform="flatten",
+            variant=variant,
+            assume_min_trips=True,
+            simd=False,
+        ).tree
+        env = repro.run(flat, bindings={"l": L}, backend="scalar").env
         assert (env["x"].data == env0["x"].data).all()
 
 
 def test_flatten_program_simd_form_runs_on_one_pe():
     tree = parse_source(P1)
-    env0, _ = run_program(tree, bindings={"l": L})
-    flat = flatten_program(tree, variant="done", assume_min_trips=True, simd=True)
-    env, _ = run_simd_program(flat, 1, bindings={"l": L})
+    env0 = repro.run(tree, bindings={"l": L}, backend="scalar").env
+    flat = repro.compile(
+        tree, transform="flatten", variant="done", assume_min_trips=True, simd=True
+    ).tree
+    env = repro.run(flat, nproc=1, bindings={"l": L}, backend="interpreter").env
     assert (env["x"].data == env0["x"].data).all()
 
 
@@ -67,21 +76,23 @@ def test_flatten_program_on_goto_source():
     from repro.kernels.example import P1_GOTO
 
     tree = parse_source(P1_GOTO)
-    env0, _ = run_program(parse_source(P1), bindings={"l": L})
-    flat = flatten_program(tree, variant="general")
-    env, _ = run_program(flat, bindings={"l": L})
+    env0 = repro.run(parse_source(P1), bindings={"l": L}, backend="scalar").env
+    flat = repro.compile(tree, transform="flatten", variant="general", simd=False).tree
+    env = repro.run(flat, bindings={"l": L}, backend="scalar").env
     assert (env["x"].data == env0["x"].data).all()
 
 
 def test_flatten_program_no_nest_raises():
     src = parse_source("PROGRAM p\n  x = 1\nEND")
     with pytest.raises(TransformError):
-        flatten_program(src)
+        repro.compile(src, transform="flatten", simd=False).tree
 
 
 def test_flatten_program_bad_index_raises():
     with pytest.raises(TransformError):
-        flatten_program(parse_source(P1), nest_index=3)
+        repro.compile(
+            parse_source(P1), transform="flatten", nest_index=3, simd=False
+        ).tree
 
 
 def test_flatten_program_routine_filter():
@@ -89,16 +100,18 @@ def test_flatten_program_routine_filter():
         P1 + "\nSUBROUTINE other()\n  INTEGER y(4, 4), m(4)\n"
         "  DO a = 1, 4\n    DO b = 1, m(a)\n      y(a, b) = a\n    ENDDO\n  ENDDO\nEND"
     )
-    flat = flatten_program(src, routine="other", variant="general")
+    flat = repro.compile(
+        src, transform="flatten", routine="other", variant="general", simd=False
+    ).tree
     # the main program's nest is untouched
     assert flat.main == src.main
 
 
 def test_naive_simd_program_driver():
     tree = parse_source(P1)
-    env0, _ = run_program(tree, bindings={"l": L})
+    env0 = repro.run(tree, bindings={"l": L}, backend="scalar").env
     naive = naive_simd_program(tree, nproc=4, layout="cyclic")
-    env, _ = run_simd_program(naive, 4, bindings={"l": L})
+    env = repro.run(naive, nproc=4, bindings={"l": L}, backend="interpreter").env
     assert (env["x"].data == env0["x"].data).all()
 
 

@@ -13,10 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.eval.timing import time_mimd, time_simd_naive
-from repro.exec import run_program, run_simd_program
 from repro.lang import ast, parse_source
-from repro.transform import flatten_program, naive_simd_program
+from repro.transform import naive_simd_program
 from repro.transform.parallel import flatten_spmd
 
 #: Trip-count vectors with at least one iteration per outer iteration.
@@ -61,8 +61,14 @@ def test_flatten_preserves_semantics_all_variants(trips, abc):
     bindings = {"l": np.array(trips, dtype=np.int64)}
     expected = reference(k, trips, a, b, c)
     for variant in ("general", "optimized", "done"):
-        flat = flatten_program(tree, variant=variant, assume_min_trips=True)
-        env, _ = run_program(flat, bindings=dict(bindings))
+        flat = repro.compile(
+            tree,
+            transform="flatten",
+            variant=variant,
+            assume_min_trips=True,
+            simd=False,
+        ).tree
+        env = repro.run(flat, bindings=dict(bindings), backend="scalar").env
         assert (env["x"].data == expected).all(), variant
 
 
@@ -72,8 +78,10 @@ def test_general_flattening_handles_zero_trips(trips, abc):
     a, b, c = abc
     k = len(trips)
     tree = make_source(k, a, b, c)
-    flat = flatten_program(tree, variant="general")
-    env, _ = run_program(flat, bindings={"l": np.array(trips, dtype=np.int64)})
+    flat = repro.compile(tree, transform="flatten", variant="general", simd=False).tree
+    env = repro.run(
+        flat, bindings={"l": np.array(trips, dtype=np.int64)}, backend="scalar"
+    ).env
     assert (env["x"].data == reference(k, trips, a, b, c)).all()
 
 
@@ -96,7 +104,9 @@ def test_spmd_flattening_matches_sequential(trips, abc, nproc, layout, variant):
     index = tree.main.body.index(loop)
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
-    env, _ = run_simd_program(prog, nproc, bindings={"l": np.array(trips)})
+    env = repro.run(
+        prog, nproc=nproc, bindings={"l": np.array(trips)}, backend="interpreter"
+    ).env
     assert (env["x"].data == reference(k, trips, a, b, c)).all()
 
 
@@ -115,7 +125,9 @@ def test_step_count_laws(trips, nproc):
     per_lane = [np.array(trips[lane::nproc], dtype=np.int64) for lane in range(nproc)]
 
     naive = naive_simd_program(tree, nproc=nproc, layout="cyclic")
-    _, naive_counters = run_simd_program(naive, nproc, bindings=dict(bindings))
+    naive_counters = repro.run(
+        naive, nproc=nproc, bindings=dict(bindings), backend="interpreter"
+    ).counters
     assert naive_counters.events["scatter"] == time_simd_naive(per_lane)
 
     loop = next(s for s in tree.main.body if isinstance(s, ast.Do))
@@ -125,7 +137,9 @@ def test_step_count_laws(trips, nproc):
     index = tree.main.body.index(loop)
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
-    _, flat_counters = run_simd_program(prog, nproc, bindings=dict(bindings))
+    flat_counters = repro.run(
+        prog, nproc=nproc, bindings=dict(bindings), backend="interpreter"
+    ).counters
     assert flat_counters.events["scatter"] == time_mimd(per_lane)
 
 

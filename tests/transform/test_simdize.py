@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_program, run_simd_program
+import repro
 from repro.lang import ast, parse_source, parse_statements
 from repro.lang.errors import TransformError
 from repro.transform import naive_simd_program, simdize_nest, simdize_structured
@@ -71,16 +71,20 @@ class TestSimdizeNest:
     @pytest.mark.parametrize("nproc", [1, 2, 4, 8])
     def test_naive_simd_matches_sequential(self, layout, nproc):
         tree = parse_source(P1)
-        env0, _ = run_program(tree, bindings={"l": L})
+        env0 = repro.run(tree, bindings={"l": L}, backend="scalar").env
         naive = naive_simd_program(tree, nproc=nproc, layout=layout)
-        env, _ = run_simd_program(naive, nproc, bindings={"l": L})
+        env = repro.run(
+            naive, nproc=nproc, bindings={"l": L}, backend="interpreter"
+        ).env
         assert (env["x"].data == env0["x"].data).all()
 
     def test_step_count_is_sum_of_maxima(self):
         """Equation 2: the naive SIMD body runs Σ_i max_p L times."""
         tree = parse_source(P1)
         naive = naive_simd_program(tree, nproc=2, layout="block")
-        _, counters = run_simd_program(naive, 2, bindings={"l": L})
+        counters = repro.run(
+            naive, nproc=2, bindings={"l": L}, backend="interpreter"
+        ).counters
         # block partition: procs get L[0:4], L[4:8]
         expected = sum(max(L[i], L[i + 4]) for i in range(4))
         assert counters.events["scatter"] == expected == 12
@@ -126,7 +130,9 @@ class TestSimdizeNest:
             "  DO i = 1, 5\n    DO j = 1, l(i)\n      x(i, j) = i\n    ENDDO\n  ENDDO\nEND"
         )
         trips = np.array([2, 1, 2, 1, 1])
-        env0, _ = run_program(src, bindings={"l": trips})
+        env0 = repro.run(src, bindings={"l": trips}, backend="scalar").env
         naive = naive_simd_program(src, nproc=3, layout="cyclic")
-        env, _ = run_simd_program(naive, 3, bindings={"l": trips})
+        env = repro.run(
+            naive, nproc=3, bindings={"l": trips}, backend="interpreter"
+        ).env
         assert (env["x"].data == env0["x"].data).all()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import run_program
+import repro
 from repro.lang import ast, format_expr, parse_expression, parse_source, parse_statements
 from repro.transform.simplify import simplify_expr, simplify_program, simplify_stmts
 
@@ -152,6 +152,8 @@ END
 """
     tree = parse_source(text)
     bindings = {"l": np.array(trips, dtype=np.int64)}
-    env_plain, _ = run_program(tree, bindings=dict(bindings))
-    env_simple, _ = run_program(simplify_program(tree), bindings=dict(bindings))
+    env_plain = repro.run(tree, bindings=dict(bindings), backend="scalar").env
+    env_simple = repro.run(
+        simplify_program(tree), bindings=dict(bindings), backend="scalar"
+    ).env
     assert (env_plain["x"].data == env_simple["x"].data).all()

@@ -11,10 +11,9 @@ cannot prove it they must refuse to compile — never miscompile.
 import numpy as np
 import pytest
 
-from repro.exec import run_program, run_simd_program
+import repro
 from repro.lang import parse_source
 from repro.lang.errors import TransformError
-from repro.transform import flatten_program
 from repro.vm import run_bytecode
 
 SRC = """
@@ -50,7 +49,7 @@ def _bindings(k, l):
 
 
 def _reference(k, l):
-    env, _ = run_program(parse_source(SRC), bindings=_bindings(k, l))
+    env = repro.run(parse_source(SRC), bindings=_bindings(k, l), backend="scalar").env
     return env
 
 
@@ -64,21 +63,29 @@ class TestGeneralVariant:
 
     @pytest.mark.parametrize("name,k,l", DATASETS, ids=[d[0] for d in DATASETS])
     def test_f77_form(self, name, k, l):
-        flat = flatten_program(parse_source(SRC), variant="general")
-        env, _ = run_program(flat, bindings=_bindings(k, l))
+        flat = repro.compile(
+            parse_source(SRC), transform="flatten", variant="general", simd=False
+        ).tree
+        env = repro.run(flat, bindings=_bindings(k, l), backend="scalar").env
         _assert_matches(env, _reference(k, l), name)
 
     @pytest.mark.parametrize("name,k,l", DATASETS, ids=[d[0] for d in DATASETS])
     def test_simd_form_interpreter(self, name, k, l):
-        flat = flatten_program(parse_source(SRC), variant="general", simd=True)
-        env, _ = run_simd_program(flat, NPROC, bindings=_bindings(k, l))
+        flat = repro.compile(
+            parse_source(SRC), transform="flatten", variant="general", simd=True
+        ).tree
+        env = repro.run(
+            flat, nproc=NPROC, bindings=_bindings(k, l), backend="interpreter"
+        ).env
         _assert_matches(env, _reference(k, l), name)
 
     @pytest.mark.parametrize("name,k,l", DATASETS, ids=[d[0] for d in DATASETS])
     def test_simd_form_vm(self, name, k, l):
         # regression: zero-trip lanes must clamp gather addresses, not
         # trap, even though the masked loads discard the loaded value
-        flat = flatten_program(parse_source(SRC), variant="general", simd=True)
+        flat = repro.compile(
+            parse_source(SRC), transform="flatten", variant="general", simd=True
+        ).tree
         env, _ = run_bytecode(flat, NPROC, bindings=_bindings(k, l))
         _assert_matches(env, _reference(k, l), name)
 
@@ -90,13 +97,17 @@ class TestOptimizedRejects:
     @pytest.mark.parametrize("variant", ["optimized", "done"])
     def test_rejected_without_assumption(self, variant):
         with pytest.raises(TransformError, match="at least once"):
-            flatten_program(parse_source(SRC), variant=variant)
+            repro.compile(
+                parse_source(SRC), transform="flatten", variant=variant, simd=False
+            ).tree
 
     @pytest.mark.parametrize("variant", ["optimized", "done"])
     def test_zero_literal_bound_rejected(self, variant):
         src = SRC.replace("DO j = 1, l(i)", "DO j = 1, 0")
         with pytest.raises(TransformError):
-            flatten_program(parse_source(src), variant=variant)
+            repro.compile(
+                parse_source(src), transform="flatten", variant=variant, simd=False
+            ).tree
 
 
 class TestOptimizedWithAssertion:
@@ -111,15 +122,25 @@ class TestOptimizedWithAssertion:
     )
     def test_scalar_and_simd(self, variant, name, k, l):
         ref = _reference(k, l)
-        flat = flatten_program(
-            parse_source(SRC), variant=variant, assume_min_trips=True
-        )
-        env, _ = run_program(flat, bindings=_bindings(k, l))
+        flat = repro.compile(
+            parse_source(SRC),
+            transform="flatten",
+            variant=variant,
+            assume_min_trips=True,
+            simd=False,
+        ).tree
+        env = repro.run(flat, bindings=_bindings(k, l), backend="scalar").env
         _assert_matches(env, ref, f"{variant}/f77/{name}")
-        flat_simd = flatten_program(
-            parse_source(SRC), variant=variant, assume_min_trips=True, simd=True
-        )
-        env, _ = run_simd_program(flat_simd, NPROC, bindings=_bindings(k, l))
+        flat_simd = repro.compile(
+            parse_source(SRC),
+            transform="flatten",
+            variant=variant,
+            assume_min_trips=True,
+            simd=True,
+        ).tree
+        env = repro.run(
+            flat_simd, nproc=NPROC, bindings=_bindings(k, l), backend="interpreter"
+        ).env
         _assert_matches(env, ref, f"{variant}/simd/{name}")
         env, _ = run_bytecode(flat_simd, NPROC, bindings=_bindings(k, l))
         _assert_matches(env, ref, f"{variant}/vm/{name}")
@@ -131,6 +152,10 @@ class TestAutoVariant:
 
     @pytest.mark.parametrize("name,k,l", DATASETS, ids=[d[0] for d in DATASETS])
     def test_auto_without_assertion_is_safe(self, name, k, l):
-        flat = flatten_program(parse_source(SRC), variant="auto", simd=True)
-        env, _ = run_simd_program(flat, NPROC, bindings=_bindings(k, l))
+        flat = repro.compile(
+            parse_source(SRC), transform="flatten", variant="auto", simd=True
+        ).tree
+        env = repro.run(
+            flat, nproc=NPROC, bindings=_bindings(k, l), backend="interpreter"
+        ).env
         _assert_matches(env, _reference(k, l), name)

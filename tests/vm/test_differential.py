@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import run_simd_program
+import repro
 from repro.kernels import example as ex
 from repro.kernels.nbforce import NBFORCE_FLAT
 from repro.lang import ast, parse_source
@@ -24,9 +24,14 @@ from repro.vm import run_bytecode
 
 
 def both(tree, nproc, bindings, externals=None):
-    env_i, c_i = run_simd_program(
-        tree, nproc, bindings=dict(bindings), externals=externals
+    result = repro.run(
+        tree,
+        nproc=nproc,
+        bindings=dict(bindings),
+        externals=externals,
+        backend="interpreter",
     )
+    env_i, c_i = result.env, result.counters
     env_v, c_v = run_bytecode(
         tree, nproc, bindings=dict(bindings), externals=externals
     )
