@@ -27,13 +27,7 @@ from .lang import check_source, format_source, parse_source
 from .lang.errors import MiniFError
 from .reliability import BACKENDS
 from .runtime.engine import default_engine
-from .transform import (
-    find_nest_sites,
-    naive_simd_program,
-    simplify_program,
-    structurize_program,
-)
-from .transform.parallel import flatten_spmd
+from .transform import find_nest_sites, simplify_program, structurize_program
 
 
 def _load(path: str):
@@ -166,51 +160,37 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _print_program(tree, simplify: bool) -> int:
+    if simplify:
+        tree = simplify_program(tree)
+    print(format_source(tree), end="")
+    return 0
+
+
 def cmd_flatten(args) -> int:
-    tree = _load(args.file)
-    if args.nproc:
-        structured = structurize_program(tree)
-        sites = find_nest_sites(structured)
-        if not sites:
-            print("no flattenable loop nest found", file=sys.stderr)
-            return 1
-        site = sites[args.nest]
-        replacement = flatten_spmd(
-            site.stmt,
-            nproc=args.nproc,
-            layout=args.layout,
-            variant=args.variant,
-            assume_min_trips=args.assume_min_trips,
-            simd=not args.no_simd,
-        )
-        unit = structured.unit(site.routine)
-        unit.body[site.index:site.index + 1] = replacement
-        if args.simplify:
-            structured = simplify_program(structured)
-        print(format_source(structured), end="")
-        return 0
-    out = default_engine().compile(
-        tree,
-        transform="flatten",
+    options = dict(
         variant=args.variant,
         assume_min_trips=args.assume_min_trips,
         simd=not args.no_simd,
         nest_index=args.nest,
-    ).tree
-    if args.simplify:
-        out = simplify_program(out)
-    print(format_source(out), end="")
-    return 0
+    )
+    if args.nproc:
+        options.update(transform="spmd", width=args.nproc, layout=args.layout)
+    else:
+        options.update(transform="flatten")
+    program = default_engine().compile(_load(args.file), **options)
+    return _print_program(program.tree, args.simplify)
 
 
 def cmd_simdize(args) -> int:
-    out = naive_simd_program(
-        _load(args.file), nproc=args.nproc, layout=args.layout, nest_index=args.nest
+    program = default_engine().compile(
+        _load(args.file),
+        transform="simdize",
+        width=args.nproc,
+        layout=args.layout,
+        nest_index=args.nest,
     )
-    if args.simplify:
-        out = simplify_program(out)
-    print(format_source(out), end="")
-    return 0
+    return _print_program(program.tree, args.simplify)
 
 
 def _parse_chain(text: str) -> tuple[str, ...]:

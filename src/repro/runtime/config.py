@@ -1,12 +1,15 @@
-"""Unified backend construction: :class:`BackendConfig`.
+"""Run settings: :class:`BackendConfig` and the folded :class:`RunSpec`.
 
 The four execution backends historically grew four different
 constructor signatures (the scalar interpreter has no ``nproc``, the
 MIMD simulator takes no ``counters``, the VM adds ``fuse``...).
 :class:`BackendConfig` is the one bag of settings every backend knows
-how to consume via its ``from_config`` classmethod, and the shape the
-Engine threads through :meth:`CompiledProgram.run` →
-``CompiledProgram._execute`` → backend construction.
+how to consume via its ``from_config`` classmethod.
+
+:meth:`CompiledProgram.run` folds its keywords over the caller's
+config exactly once, into a frozen :class:`RunSpec`, refusing every
+contradictory argument combination before any backend runs.
+Resolution, execution and the fallback loop all read that one spec.
 
 Fields a backend does not support are simply ignored by its
 ``from_config`` (e.g. ``vm_fuse`` outside the VM), so one config can
@@ -15,7 +18,7 @@ drive a whole fallback chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,36 @@ class BackendConfig:
     checkpoint_every: int | None = None
     checkpoint_dir: str | None = None
 
-    def with_nproc(self, nproc: int) -> "BackendConfig":
-        """This config with a different machine width."""
-        return replace(self, nproc=nproc)
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run request, folded and validated once by
+    :meth:`CompiledProgram.run`.
+
+    Attributes:
+        config: The merged :class:`BackendConfig` every backend of the
+            run is built from.
+        backend: Canonical requested backend; for a resumed run, the
+            checkpoint's own backend (``"vm"`` or ``"scalar"``).
+        policy: The caller's :class:`~repro.reliability.FallbackPolicy`
+            (with ``verify`` switched on when asked), or None for a
+            plain run — the one-backend chain ``(backend,)`` with no
+            retries and no attempt log.
+        bindings, statement_hook, routine_name, bindings_for,
+        statement_hook_for, checkpoint_sink, resume_from: The per-call
+            pieces of :meth:`CompiledProgram.run`, unchanged.
+    """
+
+    config: BackendConfig
+    backend: str
+    policy: object | None
+    bindings: dict | None
+    statement_hook: object
+    routine_name: str | None
+    bindings_for: object
+    statement_hook_for: object
+    checkpoint_sink: object
+    resume_from: object
 
 
-__all__ = ["BackendConfig"]
+__all__ = ["BackendConfig", "RunSpec"]

@@ -2,8 +2,8 @@
 
 The reproduction's pipeline — parse → structurize → flatten/simdize →
 bytecode — is deterministic in the source text and the transform
-options, yet every legacy entry point re-ran it per call.  The
-:class:`Engine` memoizes it the way operator-caching DSL compilers do:
+options.  The :class:`Engine` memoizes it the way operator-caching DSL
+compilers do:
 
 * :meth:`Engine.compile` returns a :class:`CompiledProgram` keyed by
   the SHA-256 of the source text plus the normalized transform
@@ -16,8 +16,12 @@ options, yet every legacy entry point re-ran it per call.  The
   otherwise (trace hooks and named-routine runs always take the
   tree-walker, which supports them).  ``"scalar"`` and ``"mimd"``
   expose the sequential and per-processor execution levels.
-* every run returns a :class:`~repro.runtime.result.RunResult` with
-  the environment, counters, chosen backend, cache provenance, and
+* every run — plain, under a
+  :class:`~repro.reliability.FallbackPolicy`, or ``verify=True`` —
+  folds its settings into one :class:`~repro.runtime.config.RunSpec`
+  and goes through the same resolve → execute → result loop, and
+  returns a :class:`~repro.runtime.result.RunResult` with the
+  environment, counters, chosen backend, cache provenance, and
   wall/stage timings.
 
 The VM and the interpreter are maintained in exact observational
@@ -33,7 +37,7 @@ import pickle
 import threading
 import time
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..lang import ast
 from ..lang.errors import InterpreterError, MiniFError, TransformError
@@ -53,7 +57,7 @@ from ..transform.options import (
     normalize_transform,
     normalize_variant,
 )
-from .config import BackendConfig
+from .config import BackendConfig, RunSpec
 from .result import RunResult
 
 
@@ -121,6 +125,20 @@ class EngineStats:
             "store_saves": self.store_saves,
             "runs": dict(self.runs),
         }
+
+
+#: The policy a plain run executes under: its one backend, no retries.
+_PLAIN_RUNS = {name: FallbackPolicy(chain=(name,), retries=0) for name in BACKENDS}
+
+
+def _check_width(backend: str, nproc: int) -> None:
+    """Refuse canonical ``backend`` at a machine width it cannot run."""
+    if backend == "scalar" and nproc:
+        raise InterpreterError("backend='scalar' runs with nproc=0")
+    if backend in ("vm", "interpreter", "pmimd") and nproc < 1:
+        raise InterpreterError(
+            f"backend={backend!r} needs nproc >= 1 (got {nproc})"
+        )
 
 
 class CompiledProgram:
@@ -230,39 +248,38 @@ class CompiledProgram:
 
     # -- backend selection ---------------------------------------------------
 
-    def _resolve_backend(
-        self, name: str, nproc: int, statement_hook, routine_name
-    ) -> str:
+    def _resolve_backend(self, name: str, spec: RunSpec) -> str:
         """The backend that runs canonical ``name`` for this run shape."""
-        if name == "pmimd":
-            if nproc < 1:
-                raise InterpreterError(
-                    f"backend='pmimd' needs nproc >= 1 (got {nproc})"
-                )
-            return name
-        if name == "mimd":
-            return name
-        if not nproc:
-            if name in ("vm", "interpreter"):
-                raise InterpreterError(
-                    f"backend={name!r} needs nproc >= 1 (got {nproc})"
-                )
-            return "scalar"
-        if name == "scalar":
-            raise InterpreterError("backend='scalar' runs with nproc=0")
+        if spec.resume_from is not None:
+            return name  # the checkpoint's own backend, fixed by the spec
+        nproc = spec.config.nproc
+        _check_width(name, nproc)
+        chosen = name
         if name == "auto":
             # The VM supports neither trace hooks nor named-routine
             # entry; otherwise it runs whenever the routine lowers
             # cleanly to the linear ISA.
-            if statement_hook is None and routine_name is None and self.bytecode():
-                return "vm"
-            return "interpreter"
-        if name == "vm" and self.bytecode() is None:
+            if not nproc:
+                chosen = "scalar"
+            elif (
+                spec.statement_hook is None
+                and spec.routine_name is None
+                and self.bytecode()
+            ):
+                chosen = "vm"
+            else:
+                chosen = "interpreter"
+        elif name == "vm" and self.bytecode() is None:
             raise TransformError(
                 f"backend='vm': routine does not compile to bytecode "
                 f"({self._bytecode_error})"
             )
-        return name
+        if chosen == "interpreter" and spec.checkpoint_sink is not None:
+            raise InterpreterError(
+                "the lockstep tree-walker does not support checkpoint "
+                "capture/resume; use backend='vm' or 'scalar'"
+            )
+        return chosen
 
     # -- execution -----------------------------------------------------------
 
@@ -337,10 +354,12 @@ class CompiledProgram:
                 replays resume instead of rerunning).
             checkpoint_dir: On-disk
                 :class:`~repro.reliability.checkpoint.CheckpointStore`
-                root.  vm/scalar captures are saved under the key
-                ``"run"`` stamped with this program's source SHA.
+                root.  Every vm/scalar attempt — fallback and
+                verification runs included — saves its captures under
+                the key ``"run"`` stamped with this program's source SHA.
             checkpoint_sink: Callable receiving each captured
                 checkpoint (vm/scalar; wins over ``checkpoint_dir``).
+                Incompatible with ``policy`` chains.
             resume_from: A checkpoint to continue from instead of
                 starting at step 0.  The backend is chosen from the
                 checkpoint (vm or scalar), the final env/counters are
@@ -354,27 +373,17 @@ class CompiledProgram:
                 f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
             )
         if config is not None:
-            nproc = nproc if nproc else config.nproc
-            externals = externals if externals is not None else config.externals
-            budget = budget if budget is not None else config.budget
-            fault_plan = fault_plan if fault_plan is not None else config.fault_plan
-            if checkpoint_every is None:
-                checkpoint_every = config.checkpoint_every
-            if checkpoint_dir is None:
-                checkpoint_dir = config.checkpoint_dir
+            nproc = nproc or config.nproc
         if verify:
             if policy is not None:
-                if not policy.verify:
-                    import dataclasses
-
-                    policy = dataclasses.replace(policy, verify=True)
+                policy = replace(policy, verify=True)
+            elif nproc < 1 or name in ("scalar", "mimd", "pmimd"):
+                raise InterpreterError(
+                    "verify=True cross-checks the lockstep backends; "
+                    "it needs nproc >= 1 and backend "
+                    "'auto'/'vm'/'interpreter'"
+                )
             else:
-                if nproc < 1 or name in ("scalar", "mimd", "pmimd"):
-                    raise InterpreterError(
-                        "verify=True cross-checks the lockstep backends; "
-                        "it needs nproc >= 1 and backend "
-                        "'auto'/'vm'/'interpreter'"
-                    )
                 chain = (
                     ("interpreter", "vm")
                     if name == "interpreter"
@@ -404,229 +413,56 @@ class CompiledProgram:
                 )
             if chosen == "vm" and not nproc:
                 nproc = resume_from.nproc
-        kwargs = dict(
-            bindings=bindings,
+            name = chosen
+        elif policy is None:
+            _check_width(name, nproc)
+        if checkpoint_sink is not None and name == "pmimd":
+            raise InterpreterError(
+                "backend='pmimd' cannot deliver checkpoints to an "
+                "in-process sink; set checkpoint_dir so workers save "
+                "per-processor checkpoints to the on-disk store"
+            )
+        chain = policy.chain if policy is not None else (name,)
+        if statement_hook_for is not None and "pmimd" in chain:
+            raise InterpreterError(
+                "backend='pmimd' cannot install statement hooks across "
+                "process boundaries; use backend='mimd'"
+            )
+        settings = dict(
             nproc=nproc,
             externals=externals,
+            budget=budget,
+            fault_plan=fault_plan,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+        )
+        if config is None:
+            config = BackendConfig(**settings)
+        else:
+            config = replace(
+                config,
+                **{key: value for key, value in settings.items() if value is not None},
+            )
+        spec = RunSpec(
+            config=config,
+            backend=name,
+            policy=policy,
+            bindings=bindings,
             statement_hook=statement_hook,
             routine_name=routine_name,
             bindings_for=bindings_for,
             statement_hook_for=statement_hook_for,
-            budget=budget,
-            fault_plan=fault_plan,
-            config=config,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
             checkpoint_sink=checkpoint_sink,
             resume_from=resume_from,
         )
-        if policy is not None:
-            return self._run_with_policy(policy, **kwargs)
-        if resume_from is None:
-            chosen = self._resolve_backend(name, nproc, statement_hook, routine_name)
-        if (
-            checkpoint_every
-            and checkpoint_dir
-            and checkpoint_sink is None
-            and chosen in ("vm", "scalar")
-        ):
-            # Durable execution by default: captures land in an on-disk
-            # store under one well-known key, stamped with the program
-            # identity so a later --resume refuses a source mismatch.
-            from ..reliability.checkpoint import CheckpointStore
+        return self._run(spec)
 
-            store = CheckpointStore(checkpoint_dir)
+    def _run(self, spec: RunSpec) -> RunResult:
+        """Try the spec's backend chain, recording every attempt.
 
-            def checkpoint_sink(ckpt, _store=store, _sha=self.source_sha):
-                ckpt.meta["source_sha"] = _sha
-                _store.save("run", ckpt)
-
-            kwargs["checkpoint_sink"] = checkpoint_sink
-        start = time.perf_counter()
-        env, counters, statements, events = self._execute(chosen, **kwargs)
-        wall = time.perf_counter() - start
-        return self._result(
-            chosen,
-            nproc,
-            env,
-            counters,
-            statements,
-            wall,
-            events=events,
-            resumed_from_step=None if resume_from is None else resume_from.step,
-        )
-
-    def _execute(
-        self,
-        chosen: str,
-        *,
-        bindings,
-        nproc,
-        externals,
-        statement_hook,
-        routine_name,
-        bindings_for,
-        statement_hook_for,
-        budget,
-        fault_plan,
-        config=None,
-        checkpoint_every=None,
-        checkpoint_dir=None,
-        checkpoint_sink=None,
-        resume_from=None,
-    ):
-        """Run one already-resolved backend.
-
-        Returns ``(env, counters, statements, events)`` — ``events``
-        is the supervision log for the pmimd backend and empty for the
-        single-process ones.  Backend construction is uniform: the
-        resolved run settings are folded into one
-        :class:`BackendConfig` and each backend is built via its
-        ``from_config`` classmethod.
-        """
-        import dataclasses
-
-        if config is None:
-            config = BackendConfig(
-                nproc=nproc,
-                externals=externals,
-                budget=budget,
-                fault_plan=fault_plan,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-            )
-        else:
-            # Explicit run() kwargs already won the merge; refold them
-            # so counters/max_instructions/vm_fuse survive from the
-            # caller's config.
-            config = dataclasses.replace(
-                config,
-                nproc=nproc,
-                externals=externals,
-                budget=budget,
-                fault_plan=fault_plan,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-            )
-        if chosen == "vm":
-            from ..vm.machine import SIMDVirtualMachine
-
-            vm = SIMDVirtualMachine.from_config(config)
-            vm.checkpoint_sink = checkpoint_sink
-            raw = vm.run(
-                self.bytecode(),
-                bindings=dict(bindings or {}),
-                resume_from=resume_from,
-            )
-            env = {k: v for k, v in raw.items() if not k.startswith("__")}
-            return env, vm.counters, vm.executed, []
-        if chosen == "interpreter":
-            from ..exec.simd import SIMDInterpreter
-
-            if resume_from is not None or checkpoint_sink is not None:
-                raise InterpreterError(
-                    "the lockstep tree-walker does not support checkpoint "
-                    "capture/resume; use backend='vm' or 'scalar'"
-                )
-            interp = SIMDInterpreter.from_config(self._tree, config)
-            interp.statement_hook = statement_hook
-            env = interp.run(routine_name=routine_name, bindings=bindings)
-            return env, interp.counters, interp.executed_statements, []
-        if chosen == "scalar":
-            from ..exec.scalar import ScalarInterpreter
-
-            interp = ScalarInterpreter.from_config(self._tree, config)
-            interp.statement_hook = statement_hook
-            interp.checkpoint_sink = checkpoint_sink
-            env = interp.run(
-                routine_name=routine_name,
-                bindings=bindings,
-                resume_from=resume_from,
-            )
-            return env, interp.counters, interp.executed_statements, []
-        if chosen == "pmimd":
-            from ..exec.pmimd import PMIMDExecutor
-
-            if statement_hook_for is not None:
-                raise InterpreterError(
-                    "backend='pmimd' cannot install statement hooks across "
-                    "process boundaries; use backend='mimd'"
-                )
-            if checkpoint_sink is not None:
-                raise InterpreterError(
-                    "backend='pmimd' cannot deliver checkpoints to an "
-                    "in-process sink; set checkpoint_dir so workers save "
-                    "per-processor checkpoints to the on-disk store"
-                )
-            if resume_from is not None:
-                raise InterpreterError(
-                    "backend='pmimd' resumes from its per-processor "
-                    "checkpoint store automatically; resume_from takes a "
-                    "single vm/scalar checkpoint"
-                )
-            executor = PMIMDExecutor.from_config(self._tree, config)
-            res = executor.run(
-                bindings=dict(bindings) if bindings else None,
-                bindings_for=bindings_for,
-                routine_name=routine_name,
-            )
-            return res.envs, res.counters, res.statements, res.events
-        # mimd
-        from ..exec.mimd import MIMDSimulator
-
-        if bindings_for is None and bindings:
-            # A pmimd-style plain-bindings run degrading to mimd:
-            # every processor gets a private deep copy, matching the
-            # worker-side replication.
-            from ..exec.pmimd import replicate_bindings
-
-            base = dict(bindings)
-            bindings_for = lambda p: replicate_bindings(base)  # noqa: E731
-        sim = MIMDSimulator.from_config(self._tree, config)
-        mimd = sim.run(
-            bindings_for=bindings_for,
-            routine_name=routine_name,
-            statement_hook_for=statement_hook_for,
-        )
-        return mimd.envs, mimd.counters, mimd.statements, []
-
-    def _result(
-        self,
-        chosen,
-        nproc,
-        env,
-        counters,
-        statements,
-        wall,
-        attempts=None,
-        events=None,
-        resumed_from_step=None,
-    ) -> RunResult:
-        self._engine.stats.runs[chosen] += 1
-        if isinstance(counters, list):
-            # MIMD: parallel completion time — max over processors.
-            steps = max((c.total_steps for c in counters), default=0)
-        else:
-            steps = int(counters.total_steps)
-        return RunResult(
-            env=env,
-            counters=counters,
-            backend=chosen,
-            nproc=nproc,
-            cache_hit=self.cache_hit,
-            wall_seconds=wall,
-            steps=steps,
-            stage_seconds={**self.stage_seconds, "run": wall},
-            statements=statements,
-            attempts=attempts if attempts is not None else [],
-            events=events if events is not None else [],
-            resumed_from_step=resumed_from_step,
-        )
-
-    def _run_with_policy(self, policy: FallbackPolicy, **kwargs) -> RunResult:
-        """Try the policy's backend chain, recording every attempt.
-
-        Semantics:
+        A plain run is the one-backend chain ``(spec.backend,)`` with no
+        retries: it goes through the same loop, but returns no attempt
+        log and raises its errors without one.  Under a policy:
 
         * A backend that will not even resolve for this program/run
           shape (e.g. ``"vm"`` when the routine has no bytecode form)
@@ -641,17 +477,12 @@ class CompiledProgram:
         * With ``policy.verify`` the rest of the chain runs after a
           success and must agree on env + counters.
         """
-        nproc = kwargs["nproc"]
+        policy = spec.policy or _PLAIN_RUNS[spec.backend]
+        logged = spec.policy is not None
         attempts: list[Attempt] = []
-        last_error: Exception | None = None
         for backend in policy.chain:
             try:
-                chosen = self._resolve_backend(
-                    backend,
-                    nproc,
-                    kwargs["statement_hook"],
-                    kwargs["routine_name"],
-                )
+                chosen = self._resolve_backend(backend, spec)
             except MiniFError as error:
                 attempts.append(
                     Attempt(
@@ -667,9 +498,7 @@ class CompiledProgram:
             for _try in range(1 + policy.retries):
                 start = time.perf_counter()
                 try:
-                    env, counters, statements, events = self._execute(
-                        chosen, **kwargs
-                    )
+                    env, counters, statements, events = self._execute(chosen, spec)
                 except ReliabilityError as error:
                     wall = time.perf_counter() - start
                     snapshot = error.snapshot
@@ -690,7 +519,8 @@ class CompiledProgram:
                     )
                     last_error = error
                     if not policy.is_retryable(error):
-                        error.attempts = attempts
+                        if logged:
+                            error.attempts = attempts
                         raise
                     continue
                 wall = time.perf_counter() - start
@@ -700,35 +530,144 @@ class CompiledProgram:
                     )
                 )
                 if policy.verify:
-                    self._verify_rest(policy, chosen, env, counters, attempts, kwargs)
+                    self._verify_rest(policy, chosen, env, counters, attempts, spec)
                 return self._result(
                     chosen,
-                    nproc,
+                    spec,
                     env,
                     counters,
                     statements,
                     wall,
-                    attempts,
-                    events=events,
+                    attempts if logged else [],
+                    events,
                 )
-        if last_error is not None:
+        if logged:
             last_error.attempts = attempts
-            raise last_error
-        raise InterpreterError(
-            f"fallback chain {policy.chain!r} resolved no backend"
+        raise last_error
+
+    def _checkpoint_sink(self, spec: RunSpec):
+        """Where a vm/scalar attempt delivers its captures.
+
+        The caller's ``checkpoint_sink`` wins; otherwise, with
+        ``checkpoint_every`` and ``checkpoint_dir`` set, captures land
+        in an on-disk store under one well-known key, stamped with the
+        program identity so a later resume refuses a source mismatch.
+        """
+        config = spec.config
+        if spec.checkpoint_sink is not None or not (
+            config.checkpoint_every and config.checkpoint_dir
+        ):
+            return spec.checkpoint_sink
+        from ..reliability.checkpoint import CheckpointStore
+
+        store = CheckpointStore(config.checkpoint_dir)
+
+        def save(ckpt):
+            ckpt.meta["source_sha"] = self.source_sha
+            store.save("run", ckpt)
+
+        return save
+
+    def _execute(self, chosen: str, spec: RunSpec):
+        """Run one already-resolved backend, built from ``spec.config``.
+
+        Returns ``(env, counters, statements, events)`` — ``events``
+        is the supervision log for the pmimd backend and empty for the
+        single-process ones.
+        """
+        config, bindings = spec.config, spec.bindings
+        if chosen == "vm":
+            from ..vm.machine import SIMDVirtualMachine
+
+            vm = SIMDVirtualMachine.from_config(config)
+            vm.checkpoint_sink = self._checkpoint_sink(spec)
+            raw = vm.run(
+                self.bytecode(),
+                bindings=dict(bindings or {}),
+                resume_from=spec.resume_from,
+            )
+            env = {k: v for k, v in raw.items() if not k.startswith("__")}
+            return env, vm.counters, vm.executed, []
+        if chosen == "interpreter":
+            from ..exec.simd import SIMDInterpreter
+
+            interp = SIMDInterpreter.from_config(self._tree, config)
+            interp.statement_hook = spec.statement_hook
+            env = interp.run(routine_name=spec.routine_name, bindings=bindings)
+            return env, interp.counters, interp.executed_statements, []
+        if chosen == "scalar":
+            from ..exec.scalar import ScalarInterpreter
+
+            interp = ScalarInterpreter.from_config(self._tree, config)
+            interp.statement_hook = spec.statement_hook
+            interp.checkpoint_sink = self._checkpoint_sink(spec)
+            env = interp.run(
+                routine_name=spec.routine_name,
+                bindings=bindings,
+                resume_from=spec.resume_from,
+            )
+            return env, interp.counters, interp.executed_statements, []
+        if chosen == "pmimd":
+            from ..exec.pmimd import PMIMDExecutor
+
+            executor = PMIMDExecutor.from_config(self._tree, config)
+            res = executor.run(
+                bindings=dict(bindings) if bindings else None,
+                bindings_for=spec.bindings_for,
+                routine_name=spec.routine_name,
+            )
+            return res.envs, res.counters, res.statements, res.events
+        # mimd
+        from ..exec.mimd import MIMDSimulator
+
+        bindings_for = spec.bindings_for
+        if bindings_for is None and bindings:
+            # A pmimd-style plain-bindings run degrading to mimd:
+            # every processor gets a private deep copy, matching the
+            # worker-side replication.
+            from ..exec.pmimd import replicate_bindings
+
+            base = dict(bindings)
+            bindings_for = lambda p: replicate_bindings(base)  # noqa: E731
+        sim = MIMDSimulator.from_config(self._tree, config)
+        mimd = sim.run(
+            bindings_for=bindings_for,
+            routine_name=spec.routine_name,
+            statement_hook_for=spec.statement_hook_for,
+        )
+        return mimd.envs, mimd.counters, mimd.statements, []
+
+    def _result(
+        self, chosen, spec, env, counters, statements, wall, attempts, events
+    ) -> RunResult:
+        self._engine.stats.runs[chosen] += 1
+        if isinstance(counters, list):
+            # MIMD: parallel completion time — max over processors.
+            steps = max((c.total_steps for c in counters), default=0)
+        else:
+            steps = int(counters.total_steps)
+        resume_from = spec.resume_from
+        return RunResult(
+            env=env,
+            counters=counters,
+            backend=chosen,
+            nproc=spec.config.nproc,
+            cache_hit=self.cache_hit,
+            wall_seconds=wall,
+            steps=steps,
+            stage_seconds={**self.stage_seconds, "run": wall},
+            statements=statements,
+            attempts=attempts,
+            events=events,
+            resumed_from_step=None if resume_from is None else resume_from.step,
         )
 
-    def _verify_rest(self, policy, chosen, env, counters, attempts, kwargs) -> None:
+    def _verify_rest(self, policy, chosen, env, counters, attempts, spec) -> None:
         """Differential check: run the rest of the chain, demand agreement."""
         seen = {chosen}
         for other in policy.chain:
             try:
-                resolved = self._resolve_backend(
-                    other,
-                    kwargs["nproc"],
-                    kwargs["statement_hook"],
-                    kwargs["routine_name"],
-                )
+                resolved = self._resolve_backend(other, spec)
             except MiniFError:
                 continue
             if resolved in seen:
@@ -737,7 +676,7 @@ class CompiledProgram:
             start = time.perf_counter()
             try:
                 env_b, counters_b, statements_b, _events_b = self._execute(
-                    resolved, **kwargs
+                    resolved, spec
                 )
             except ReliabilityError as error:
                 attempts.append(

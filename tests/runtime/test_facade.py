@@ -92,11 +92,6 @@ class TestBackendConfig:
         assert calls == [[1, 2, 3, 4]]
         assert result.env["w"].tolist() == [1, 2, 3, 4]
 
-    def test_with_nproc_returns_new_config(self):
-        config = BackendConfig(nproc=2)
-        wider = config.with_nproc(8)
-        assert wider.nproc == 8 and config.nproc == 2
-
     def test_fuse_flag_observable_equivalence(self):
         fused = Engine().compile(PROGRAM).run(
             {"n": 4}, nproc=4, backend="vm",

@@ -1,0 +1,172 @@
+"""One run path: ``run()``'s folded settings and the shared attempt loop.
+
+A plain run, a :class:`FallbackPolicy` run and a ``verify=True`` run
+all execute through the same resolve → execute → result loop, so a
+setting honoured on one of them is honoured on all.  The durable
+``checkpoint_dir`` sink is the case that used to drift: only the plain
+path wired it, and every chained run silently dropped its captures.
+"""
+
+import numpy as np
+import pytest
+
+from repro.lang.errors import InterpreterError
+from repro.reliability import CheckpointStore, FaultPlan
+from repro.reliability.budget import Budget
+from repro.reliability.errors import BudgetExceeded
+from repro.runtime import BackendConfig, Engine, FallbackPolicy
+from repro.runtime.engine import CompiledProgram
+
+SOURCE = """PROGRAM ckpt
+  INTEGER i
+  REAL s, x(64)
+  s = 0.0
+  DO i = 1, 48
+    x(i) = i * 1.5
+    s = s + x(i)
+  ENDDO
+END
+"""
+
+
+@pytest.fixture(scope="module")
+def program():
+    return Engine().compile(SOURCE)
+
+
+def _values(env):
+    return {
+        name: np.asarray(getattr(value, "data", value)).tolist()
+        for name, value in env.items()
+    }
+
+
+def _assert_same_run(result, reference):
+    assert _values(result.env) == _values(reference.env)
+    assert result.counters.total_steps == reference.counters.total_steps
+    assert dict(result.counters.events) == dict(reference.counters.events)
+
+
+class TestDurableChains:
+    @pytest.mark.parametrize(
+        "nproc, settings",
+        [
+            (4, dict(policy=FallbackPolicy(chain=("vm", "interpreter")))),
+            (4, dict(verify=True)),
+            (0, dict(policy=FallbackPolicy(chain=("scalar",)))),
+        ],
+        ids=["fallback-chain", "verify", "scalar-chain"],
+    )
+    def test_chained_run_saves_resumable_checkpoints(
+        self, program, tmp_path, nproc, settings
+    ):
+        reference = program.run(nproc=nproc)
+        result = program.run(
+            nproc=nproc,
+            checkpoint_every=5,
+            checkpoint_dir=str(tmp_path),
+            **settings,
+        )
+        _assert_same_run(result, reference)
+        ckpt = CheckpointStore(str(tmp_path)).load_latest("run")
+        assert ckpt is not None, "the chained run saved no checkpoint"
+        assert ckpt.meta["source_sha"] == program.source_sha
+        resumed = program.run(resume_from=ckpt)
+        assert resumed.resumed_from_step == ckpt.step
+        _assert_same_run(resumed, reference)
+
+    def test_chain_degrading_to_interpreter_runs(self, program, tmp_path):
+        # The tree-walker does not checkpoint, so a durable chain that
+        # lands on it still runs instead of refusing.  The faulted vm
+        # attempt's captures stay in the store and resume exactly.
+        result = program.run(
+            nproc=4,
+            fault_plan=FaultPlan(op_faults=(60,), backends=("vm",)),
+            policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+            checkpoint_every=5,
+            checkpoint_dir=str(tmp_path),
+        )
+        assert result.backend == "interpreter"
+        assert [(a.backend, a.ok) for a in result.attempts] == [
+            ("vm", False),
+            ("interpreter", True),
+        ]
+        reference = program.run(nproc=4)
+        _assert_same_run(result, reference)
+        ckpt = CheckpointStore(str(tmp_path)).load_latest("run")
+        assert ckpt is not None and ckpt.backend == "vm" and ckpt.step < 60
+        # fault injection runs the VM unfused, and so did its captures
+        unfused = BackendConfig(vm_fuse=False)
+        _assert_same_run(program.run(resume_from=ckpt, config=unfused), reference)
+
+
+class TestPlainRun:
+    def test_records_no_attempts(self, program):
+        assert program.run(nproc=4, backend="vm").attempts == []
+
+    def test_errors_carry_no_attempt_log(self, program):
+        with pytest.raises(BudgetExceeded) as info:
+            program.run(nproc=4, backend="vm", budget=Budget(max_steps=10))
+        assert not hasattr(info.value, "attempts")
+
+    def test_resolution_error_raised_unchanged(self, program):
+        with pytest.raises(InterpreterError, match="needs nproc >= 1") as info:
+            program.run(backend="vm")
+        assert not hasattr(info.value, "attempts")
+
+
+class TestFold:
+    def test_explicit_keywords_win_over_config(self, program):
+        captured = []
+        result = program.run(
+            nproc=4,
+            backend="vm",
+            checkpoint_sink=captured.append,
+            config=BackendConfig(nproc=2, vm_fuse=False, checkpoint_every=3),
+        )
+        assert result.nproc == 4
+        assert captured and all(c.nproc == 4 for c in captured)
+        # vm_fuse and checkpoint_every come through from the config
+        assert all(c.meta["fuse"] is False for c in captured)
+        assert captured[0].step == 3
+
+    def test_verify_switches_policy_verify_on(self, program):
+        result = program.run(
+            nproc=4,
+            policy=FallbackPolicy(chain=("vm", "interpreter")),
+            verify=True,
+        )
+        assert [(a.backend, a.ok) for a in result.attempts] == [
+            ("vm", True),
+            ("interpreter", True),
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(backend="scalar", nproc=4), "nproc=0"),
+            (dict(backend="pmimd", nproc=2, checkpoint_sink=print), "in-process sink"),
+            (
+                dict(
+                    nproc=2,
+                    statement_hook_for=lambda p: None,
+                    policy=FallbackPolicy(chain=("pmimd", "mimd")),
+                ),
+                "statement hooks",
+            ),
+            (
+                dict(nproc=2, checkpoint_sink=print, policy=FallbackPolicy()),
+                "FallbackPolicy",
+            ),
+        ],
+        ids=["scalar-nproc", "pmimd-sink", "pmimd-hooks", "policy-sink"],
+    )
+    def test_argument_refusals_raise_before_any_backend(
+        self, program, monkeypatch, kwargs, message
+    ):
+        def no_backend(*args):
+            raise AssertionError("a backend ran before the refusal")
+
+        monkeypatch.setattr(CompiledProgram, "_execute", no_backend)
+        with pytest.raises(InterpreterError, match=message):
+            program.run(**kwargs)

@@ -67,8 +67,8 @@ class TestVerifyFlag:
         # disagree, and assert the oracle refuses the answer
         original = CompiledProgram._execute
 
-        def corrupting(self, chosen, **kwargs):
-            env, counters, statements, events = original(self, chosen, **kwargs)
+        def corrupting(self, chosen, spec):
+            env, counters, statements, events = original(self, chosen, spec)
             if chosen == "interpreter":
                 env["y"].data[0] += 1
             return env, counters, statements, events

@@ -156,6 +156,71 @@ class TestCommands:
         assert any(line.startswith("x = ") for line in default)
 
 
+SERIAL = """PROGRAM serial
+  INTEGER i, j, x(9)
+  DO i = 1, 8
+    DO j = 1, 3
+      x(i + 1) = x(i) + j
+    ENDDO
+  ENDDO
+END
+"""
+
+
+class TestTransformRefusals:
+    """``flatten -p`` and ``simdize`` compile through the engine, so
+    they refuse what ``repro.compile`` refuses."""
+
+    def test_flatten_spmd_refuses_serial_nest(self, tmp_path, capsys):
+        path = tmp_path / "serial.f"
+        path.write_text(SERIAL)
+        assert main(["flatten", str(path), "-p", "4"]) == 1
+        assert "not provably parallel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nest", ["5", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["flatten"],
+        ["flatten", "-p", "4"],
+        ["simdize", "-p", "4"],
+    ], ids=["flatten", "flatten-spmd", "simdize"])
+    def test_nest_out_of_range(self, source, command, nest, capsys):
+        assert main([command[0], source, *command[1:], "--nest", nest]) == 1
+        assert "out of range" in capsys.readouterr().err
+
+
+CKPT = """PROGRAM ckpt
+  INTEGER i
+  REAL s, x(64)
+  s = 0.0
+  DO i = 1, 48
+    x(i) = i * 1.5
+    s = s + x(i)
+  ENDDO
+END
+"""
+
+
+class TestDurableRun:
+    def test_fallback_run_checkpoints_and_resumes(self, tmp_path, capsys):
+        from repro.reliability import CheckpointStore
+
+        path = tmp_path / "ckpt.f"
+        path.write_text(CKPT)
+        store = str(tmp_path / "store")
+        base = ["run", str(path), "-p", "8", "--show", "s"]
+        assert main(base) == 0
+        reference = capsys.readouterr().out.splitlines()
+        assert main([*base, "--fallback", "vm,interpreter",
+                     "--checkpoint-every", "5", "--checkpoint-dir", store]) == 0
+        capsys.readouterr()
+        ckpt = CheckpointStore(store).load_latest("run")
+        assert ckpt is not None, "the --fallback run saved no checkpoint"
+        assert main([*base, "--checkpoint-dir", store, "--resume"]) == 0
+        captured = capsys.readouterr()
+        assert f"resuming from checkpoint at step {ckpt.step}" in captured.err
+        assert captured.out.splitlines() == reference
+
+
 class TestRemovedFlags:
     # argparse accepts any unambiguous prefix of a long option, so
     # "--eng" is rejected only if no engine flag exists at all.
