@@ -52,45 +52,9 @@ from ..reliability import (
     crash_dump_for,
 )
 from ..reliability.policy import canonical_backend
-from ..transform.options import (
-    normalize_layout,
-    normalize_transform,
-    normalize_variant,
-)
+from ..transform.options import OPTION_FIELDS, CompileOptions
 from .config import BackendConfig, RunSpec
 from .result import RunResult
-
-
-@dataclass(frozen=True)
-class CompileOptions:
-    """Normalized, hashable transform options — the cache key's second half.
-
-    Attributes:
-        transform: ``"none"``, ``"flatten"``, ``"simdize"`` or
-            ``"coalesce"`` (see :mod:`repro.transform.options`).
-        variant: Flattening strength (``flatten`` only).
-        simd: Derive the F90simd form of the flattened region.
-        assume_min_trips: Caller-asserted paper condition 2.
-        assume_parallel: Caller-asserted outer-loop parallelism
-            (``spmd`` only — overrides the Section 6 dependence test).
-        routine: Restrict the nest search to one routine.
-        nest_index: Which nest (program order) to transform.
-        layout: Data distribution (``simdize`` and ``spmd``).
-        width: PE count baked into the SIMDized program text
-            (``simdize`` and ``spmd``, required there — partitioned
-            texts hard-code the machine width into the generated
-            per-PE loop bounds).
-    """
-
-    transform: str = "none"
-    variant: str = "auto"
-    simd: bool = True
-    assume_min_trips: bool = False
-    assume_parallel: bool = False
-    routine: str | None = None
-    nest_index: int = 0
-    layout: str = "block"
-    width: int | None = None
 
 
 @dataclass
@@ -753,16 +717,8 @@ class Engine:
         self,
         source: ast.SourceFile | str,
         *,
-        transform: str | None = None,
-        variant: str = "auto",
-        simd: bool = True,
-        assume_min_trips: bool = False,
-        assume_parallel: bool = False,
-        routine: str | None = None,
-        nest_index: int = 0,
-        layout: str = "block",
-        width: int | None = None,
         strict: bool = False,
+        **options,
     ) -> CompiledProgram:
         """Compile (or fetch) the program for the given options.
 
@@ -771,26 +727,20 @@ class Engine:
                 tree is keyed by its canonical printed form, so
                 equivalent trees share one cache entry and the caller
                 keeps ownership of its own AST.
-            transform: Nest transform to apply — ``"none"`` (default),
-                ``"flatten"``, ``"simdize"``, ``"coalesce"``,
-                ``"spmd"``, ``"fission"`` or ``"interchange"``; any
-                other spelling raises :class:`TransformError`.
-            variant: Flattening strength for ``transform="flatten"``.
-            simd: Derive the F90simd form when flattening.
-            assume_min_trips: Paper condition 2 assertion.
-            assume_parallel: Outer-loop parallelism assertion
-                (``transform="spmd"`` only).
-            routine: Restrict the nest search to this routine.
-            nest_index: Which nest (program order) to transform.
-            layout: Data distribution for ``transform="simdize"``.
-            width: PE count baked into the SIMDized text
-                (``transform="simdize"`` only, required there).
             strict: Fail the compile when static analysis finds
                 error-severity diagnostics — raises
                 :class:`~repro.lang.errors.CompileError` carrying the
                 findings.  Not part of the cache key: the same
                 artifact serves strict and lax callers, the check runs
                 against its (cached) diagnostics report.
+            **options: :class:`~repro.transform.options.CompileOptions`
+                fields (``transform``, ``variant``, ``width``, ...),
+                folded once by :meth:`CompileOptions.fold`.  The pass
+                table :data:`repro.transform.pipeline.PASSES` says
+                which fields each transform reads and requires (e.g.
+                ``width`` for ``simdize`` and ``spmd``); the others do
+                not reach the cache key.  A bad value raises
+                :class:`TransformError`.
 
         Returns:
             A cached :class:`CompiledProgram`; its ``cache_hit``
@@ -798,18 +748,9 @@ class Engine:
             ``cache_tier`` which tier served it
             (``"memory"``/``"disk"``/``"miss"``).
         """
-        text, sha, options = self._normalize(
-            source,
-            transform=transform,
-            variant=variant,
-            simd=simd,
-            assume_min_trips=assume_min_trips,
-            assume_parallel=assume_parallel,
-            routine=routine,
-            nest_index=nest_index,
-            layout=layout,
-            width=width,
-        )
+        if not isinstance(strict, bool):
+            raise TransformError(f"strict must be a bool, got {type(strict).__name__}")
+        text, sha, options = self._normalize(source, options)
         key = (sha, options)
         with self._lock:
             self.stats.compiles += 1
@@ -840,31 +781,10 @@ class Engine:
         return self._checked(winner, strict)
 
     def _normalize(
-        self,
-        source: ast.SourceFile | str,
-        *,
-        transform=None,
-        variant="auto",
-        simd=True,
-        assume_min_trips=False,
-        assume_parallel=False,
-        routine=None,
-        nest_index=0,
-        layout="block",
-        width=None,
+        self, source: ast.SourceFile | str, options: dict
     ) -> tuple[str, str, CompileOptions]:
-        """``(text, source SHA, normalized options)`` of a compile request."""
-        options = CompileOptions(
-            transform=normalize_transform(transform),
-            variant=normalize_variant(variant),
-            simd=bool(simd),
-            assume_min_trips=bool(assume_min_trips),
-            assume_parallel=bool(assume_parallel),
-            routine=routine,
-            nest_index=int(nest_index),
-            layout=normalize_layout(layout),
-            width=None if width is None else int(width),
-        )
+        """``(text, source SHA, folded options)`` of a compile request."""
+        options = CompileOptions.fold(**options)
         if isinstance(source, str):
             text = source
         elif isinstance(source, ast.SourceFile):
@@ -887,7 +807,7 @@ class Engine:
         """
         from .store import artifact_digest
 
-        _text, sha, normalized = self._normalize(source, **options)
+        _text, sha, normalized = self._normalize(source, options)
         return artifact_digest(sha, normalized)
 
     def _load_from_store(self, sha, key, options) -> "CompiledProgram | None":
@@ -971,51 +891,26 @@ class Engine:
         source: ast.SourceFile | str,
         bindings: dict | None = None,
         *,
-        transform: str | None = None,
-        variant: str = "auto",
-        simd: bool = True,
-        assume_min_trips: bool = False,
-        assume_parallel: bool = False,
-        routine: str | None = None,
-        nest_index: int = 0,
-        layout: str = "block",
-        width: int | None = None,
         strict: bool = False,
-        **run_kwargs,
+        **kwargs,
     ) -> RunResult:
         """Compile (cached) and run in one call.
 
-        Compile keywords are those of :meth:`compile` (including
-        ``strict``); everything else (``nproc``, ``backend``,
-        ``externals``, ``budget``, ``fault_plan``, ``policy``, ...) is
-        forwarded to :meth:`CompiledProgram.run`.
+        Keywords naming a
+        :class:`~repro.transform.options.CompileOptions` field (and
+        ``strict``) go to :meth:`compile`; everything else
+        (``nproc``, ``backend``, ``externals``, ``budget``,
+        ``fault_plan``, ``policy``, ...) is forwarded to
+        :meth:`CompiledProgram.run`.
         """
-        program = self.compile(
-            source,
-            transform=transform,
-            variant=variant,
-            simd=simd,
-            assume_min_trips=assume_min_trips,
-            assume_parallel=assume_parallel,
-            routine=routine,
-            nest_index=nest_index,
-            layout=layout,
-            width=width,
-            strict=strict,
-        )
-        return program.run(bindings, **run_kwargs)
+        options = {name: kwargs.pop(name) for name in OPTION_FIELDS if name in kwargs}
+        program = self.compile(source, strict=strict, **options)
+        return program.run(bindings, **kwargs)
 
     def _build(
         self, text: str, sha: str, key: tuple, options: CompileOptions
     ) -> CompiledProgram:
-        from ..transform.pipeline import (
-            _flatten_program_uncached,
-            coalesce_program,
-            fission_program,
-            interchange_program,
-            naive_simd_program,
-            spmd_program,
-        )
+        from ..transform.pipeline import apply_pass
 
         stage_seconds: dict = {}
         start = time.perf_counter()
@@ -1023,51 +918,7 @@ class Engine:
         stage_seconds["parse"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        if options.transform == "flatten":
-            tree = _flatten_program_uncached(
-                tree,
-                variant=options.variant,
-                assume_min_trips=options.assume_min_trips,
-                simd=options.simd,
-                routine=options.routine,
-                nest_index=options.nest_index,
-            )
-        elif options.transform == "simdize":
-            if options.width is None:
-                raise TransformError("transform='simdize' needs width=<PE count>")
-            tree = naive_simd_program(
-                tree,
-                options.width,
-                layout=options.layout,
-                routine=options.routine,
-                nest_index=options.nest_index,
-            )
-        elif options.transform == "spmd":
-            if options.width is None:
-                raise TransformError("transform='spmd' needs width=<PE count>")
-            tree = spmd_program(
-                tree,
-                options.width,
-                layout=options.layout,
-                variant=options.variant,
-                assume_min_trips=options.assume_min_trips,
-                assume_parallel=options.assume_parallel,
-                simd=options.simd,
-                routine=options.routine,
-                nest_index=options.nest_index,
-            )
-        elif options.transform == "coalesce":
-            tree = coalesce_program(
-                tree, routine=options.routine, nest_index=options.nest_index
-            )
-        elif options.transform == "fission":
-            tree = fission_program(
-                tree, routine=options.routine, nest_index=options.nest_index
-            )
-        elif options.transform == "interchange":
-            tree = interchange_program(
-                tree, routine=options.routine, nest_index=options.nest_index
-            )
+        tree = apply_pass(tree, options)
         stage_seconds["transform"] = time.perf_counter() - start
         return CompiledProgram(self, key, tree, options, sha, stage_seconds)
 

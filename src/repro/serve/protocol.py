@@ -17,25 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..exec.values import FArray
+from ..transform.options import OPTION_FIELDS
 
 
 class ProtocolError(Exception):
     """Malformed request body (maps to HTTP 400)."""
 
 
-#: Body keys forwarded to ``Engine.compile`` verbatim.
-COMPILE_OPTION_KEYS = (
-    "transform",
-    "variant",
-    "simd",
-    "assume_min_trips",
-    "assume_parallel",
-    "routine",
-    "nest_index",
-    "layout",
-    "width",
-    "strict",
-)
+#: Body keys forwarded to ``Engine.compile`` verbatim: the
+#: :class:`~repro.transform.options.CompileOptions` fields and ``strict``.
+COMPILE_OPTION_KEYS = (*OPTION_FIELDS, "strict")
 
 #: Body keys that belong to the run shape, not the compile identity.
 RUN_KEYS = ("bindings", "nproc", "backend", "workers", "routine_name")

@@ -4,18 +4,23 @@ Applies the paper's passes to whole MiniF programs: locate a loop
 nest, normalize/structurize, flatten at the requested strength, and
 optionally derive the F90simd form — the "compiler repertoire"
 pipeline of Section 6.
+
+:data:`PASSES` is the one table of nest transforms: each entry names
+the :class:`~repro.transform.options.CompileOptions` fields its pass
+reads and requires, how it finds its site, and the whole-program
+function :func:`apply_pass` calls.  The transform modules are imported
+where they are used: they import :mod:`.options`, which imports this
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..lang import ast
 from ..lang.errors import TransformError
-from .coalesce import coalesce_nest
-from .flatten import flatten_loop_nest
 from .normalize import is_loop, raise_counted_loops, raise_goto_loops
-from .simdize import simdize_nest, simdize_structured
 
 
 @dataclass
@@ -84,21 +89,33 @@ def structurize_program(source: ast.SourceFile) -> ast.SourceFile:
     return ast.SourceFile(units)
 
 
+#: What a site finder calls one site: its rejection noun and index unit.
+_SITE_NOUNS = {
+    find_nest_sites: ("loop nest", "nest"),
+    find_loop_sites: ("loop", "loop"),
+}
+
+
 def _locate_nest(
     source: ast.SourceFile,
+    transform: str,
     routine: str | None,
     nest_index: int,
-    what: str,
 ) -> tuple[ast.SourceFile, NestSite]:
+    """Structurize ``source`` and pick the ``nest_index``-th site (in
+    program order, optionally restricted to ``routine``) of the
+    ``transform`` pass's site finder."""
+    entry = PASSES[transform]
+    noun, unit = _SITE_NOUNS[entry.sites]
     structured = structurize_program(source)
-    sites = find_nest_sites(structured)
+    sites = entry.sites(structured)
     if routine is not None:
         sites = [site for site in sites if site.routine == routine]
     if not sites:
-        raise TransformError(f"no {what} loop nest found")
+        raise TransformError(f"no {entry.what} {noun} found")
     if not 0 <= nest_index < len(sites):
         raise TransformError(
-            f"nest index {nest_index} out of range (found {len(sites)} nests)"
+            f"{unit} index {nest_index} out of range (found {len(sites)} {unit}s)"
         )
     return structured, sites[nest_index]
 
@@ -115,7 +132,10 @@ def _flatten_program_uncached(
     ``transform="flatten"`` pass (callers use ``repro.compile``).
     ``simd`` also derives the F90simd form of the flattened region;
     the input tree is unchanged."""
-    structured, site = _locate_nest(source, routine, nest_index, "flattenable")
+    from .flatten import flatten_loop_nest
+    from .simdize import simdize_structured
+
+    structured, site = _locate_nest(source, "flatten", routine, nest_index)
     replacement = flatten_loop_nest(
         site.stmt, variant=variant, assume_min_trips=assume_min_trips
     )
@@ -130,7 +150,9 @@ def coalesce_program(
     nest_index: int = 0,
 ) -> ast.SourceFile:
     """Coalesce one loop nest (the related-work baseline transform)."""
-    structured, site = _locate_nest(source, routine, nest_index, "coalescible")
+    from .coalesce import coalesce_nest
+
+    structured, site = _locate_nest(source, "coalesce", routine, nest_index)
     replacement = coalesce_nest(site.stmt)
     return _replace_stmt(structured, site.routine, site.index, replacement)
 
@@ -150,17 +172,7 @@ def fission_program(
     """
     from .fission import fission_loop
 
-    structured = structurize_program(source)
-    sites = find_loop_sites(structured)
-    if routine is not None:
-        sites = [site for site in sites if site.routine == routine]
-    if not sites:
-        raise TransformError("no distributable loop found")
-    if not 0 <= nest_index < len(sites):
-        raise TransformError(
-            f"loop index {nest_index} out of range (found {len(sites)} loops)"
-        )
-    site = sites[nest_index]
+    structured, site = _locate_nest(source, "fission", routine, nest_index)
     replacement = fission_loop(site.stmt)
     return _replace_stmt(structured, site.routine, site.index, replacement)
 
@@ -178,9 +190,7 @@ def interchange_program(
     """
     from .interchange import interchange_loops
 
-    structured, site = _locate_nest(
-        source, routine, nest_index, "interchangeable"
-    )
+    structured, site = _locate_nest(source, "interchange", routine, nest_index)
     replacement = interchange_loops(site.stmt)
     return _replace_stmt(structured, site.routine, site.index, replacement)
 
@@ -213,7 +223,7 @@ def spmd_program(
     from ..analysis import analyze_outer_parallelism
     from .parallel import flatten_spmd
 
-    structured, site = _locate_nest(source, routine, nest_index, "partitionable")
+    structured, site = _locate_nest(source, "spmd", routine, nest_index)
     if not assume_parallel:
         parallelism = analyze_outer_parallelism(site.stmt)
         problems = list(parallelism.reasons)
@@ -248,6 +258,63 @@ def naive_simd_program(
     nest_index: int = 0,
 ) -> ast.SourceFile:
     """Naively SIMDize one parallel loop nest (the Section 3 baseline)."""
-    structured, site = _locate_nest(source, routine, nest_index, "SIMDizable")
+    from .simdize import simdize_nest
+
+    structured, site = _locate_nest(source, "simdize", routine, nest_index)
     replacement = simdize_nest(site.stmt, nproc, layout)
     return _replace_stmt(structured, site.routine, site.index, replacement)
+
+
+@dataclass(frozen=True)
+class Pass:
+    """One nest transform of the compile pipeline."""
+
+    name: str  #: the ``transform`` option value
+    #: this module's whole-program function, looked up at call time so a
+    #: wrapper on the module attribute sees every call (None: run as written)
+    function: str | None = None
+    what: str = ""  #: adjective of the "no ... found" rejection
+    #: CompileOptions fields passed to ``function``; the others are reset
+    #: to their defaults, so requests differing only there share an artifact
+    reads: tuple[str, ...] = ()
+    requires: tuple[str, ...] = ()  #: fields that must not be None
+    sites: Callable = find_nest_sites  #: the site finder of :func:`_locate_nest`
+
+
+_SITE = ("routine", "nest_index")
+_SIMD = ("width", "layout")
+_FLATTEN = ("variant", "assume_min_trips", "simd")
+
+#: Every nest transform the Engine and CLI understand, by name.
+PASSES = {
+    entry.name: entry
+    for entry in (
+        Pass("none"),
+        Pass("flatten", "_flatten_program_uncached", "flattenable", _FLATTEN + _SITE),
+        Pass("simdize", "naive_simd_program", "SIMDizable", _SIMD + _SITE, ("width",)),
+        Pass("coalesce", "coalesce_program", "coalescible", _SITE),
+        Pass(
+            "spmd", "spmd_program", "partitionable",
+            _SIMD + _FLATTEN + ("assume_parallel",) + _SITE, ("width",),
+        ),
+        Pass("fission", "fission_program", "distributable", _SITE,
+             sites=find_loop_sites),
+        Pass("interchange", "interchange_program", "interchangeable", _SITE),
+    )
+}
+
+#: Option fields whose pass-function parameter has another name.
+_PARAMETERS = {"width": "nproc"}
+
+
+def apply_pass(source: ast.SourceFile, options) -> ast.SourceFile:
+    """Apply the pass ``options.transform`` names to a parsed program,
+    passing it the option fields its table entry reads."""
+    entry = PASSES[options.transform]
+    if entry.function is None:
+        return source
+    function = globals()[entry.function]
+    arguments = {
+        _PARAMETERS.get(name, name): getattr(options, name) for name in entry.reads
+    }
+    return function(source, **arguments)

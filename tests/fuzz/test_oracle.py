@@ -11,6 +11,7 @@ import pytest
 
 from repro.fuzz.generator import ProgramGenerator
 from repro.fuzz.oracle import DifferentialOracle
+from repro.transform.pipeline import PASSES
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,13 @@ class TestCleanTree:
                     skipped_somewhere = True
                     assert not verdict.program.min_trips_ok
         assert skipped_somewhere
+
+    def test_every_pass_has_a_leg(self, verdicts):
+        """A new pass-table entry cannot land without differential
+        coverage: its name is a component of some leg label."""
+        labels = {leg.label for verdict in verdicts for leg in verdict.legs}
+        parts = {part for label in labels for part in label.split("/")}
+        assert set(PASSES) - {"none"} <= parts
 
     def test_check_leg_returns_none_on_clean_program(self, oracle):
         prog = ProgramGenerator(seed=99).generate(0)

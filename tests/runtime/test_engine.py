@@ -77,6 +77,21 @@ class TestCacheKeys:
             assert (result.env["x"].data == expected_x()).all()
         assert engine.stats.compiles == 1 and engine.stats.misses == 1
 
+    def test_options_the_pass_never_reads_share_one_entry(self, engine):
+        plain = engine.compile(P1_SEQUENTIAL)
+        assert engine.compile(P1_SEQUENTIAL, variant="done") is plain
+        assert engine.compile(P1_SEQUENTIAL, simd=False) is plain
+        assert engine.stats.misses == 1 and engine.stats.hits == 2
+
+    def test_width_never_reaches_the_flatten_key(self, engine):
+        flat = engine.compile(P1_SEQUENTIAL, transform="flatten")
+        again = engine.compile(P1_SEQUENTIAL, transform="flatten", width=4)
+        assert again is flat and again.cache_tier == "memory"
+        assert flat.options.width is None
+        assert engine.cache_key(
+            P1_SEQUENTIAL, transform="flatten", layout="cyclic"
+        ) == engine.cache_key(P1_SEQUENTIAL, transform="flatten")
+
     def test_simdize_requires_width(self, engine):
         with pytest.raises(TransformError, match="width"):
             engine.compile(P1_SEQUENTIAL, transform="simdize")
@@ -189,3 +204,40 @@ class TestFailedCompiles:
                 engine.compile(P1_SEQUENTIAL, transform="simdize")
         assert engine.stats.hits == 0
         assert len(engine) == 0
+
+
+CARRIED = """
+PROGRAM carried
+  INTEGER i, j
+  REAL a(8)
+  DO i = 2, 8
+    DO j = 1, 2
+      a(i) = a(i-1) + j
+    ENDDO
+  ENDDO
+END
+"""
+
+
+class TestOptionValidation:
+    """Compile options cross a trust boundary: no truthiness, no int()."""
+
+    @pytest.mark.parametrize("name", ["assume_parallel", "simd", "assume_min_trips"])
+    @pytest.mark.parametrize("value", ["false", "", 0, 1, None])
+    def test_boolean_options_need_a_real_bool(self, engine, name, value):
+        with pytest.raises(TransformError, match=f"{name} must be a bool"):
+            engine.compile(CARRIED, transform="spmd", width=4, **{name: value})
+
+    def test_string_false_never_skips_the_dependence_test(self, engine):
+        with pytest.raises(TransformError, match="assume_parallel must be a bool"):
+            engine.run(CARRIED, transform="spmd", width=4, assume_parallel="false")
+        with pytest.raises(TransformError, match="not provably parallel"):
+            engine.compile(CARRIED, transform="spmd", width=4, assume_parallel=False)
+
+    def test_strict_needs_a_real_bool(self, engine):
+        with pytest.raises(TransformError, match="strict must be a bool"):
+            engine.compile(P1_SEQUENTIAL, strict="false")
+
+    def test_unknown_option_is_a_type_error(self, engine):
+        with pytest.raises(TypeError, match="varient"):
+            engine.compile(P1_SEQUENTIAL, varient="done")

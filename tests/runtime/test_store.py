@@ -40,6 +40,29 @@ class TestAddressing:
             sha, CompileOptions(transform="flatten")
         )
 
+    #: Store digests of P1_SEQUENTIAL under each transform's default
+    #: options (width 4 where required), as written by earlier
+    #: releases: existing store entries must keep hitting.
+    DEFAULT_DIGESTS = {
+        "none": "281241beaa088ca7c3a9cf3bef5d13b6879453e5a3ed4711be1e5db2f26fee8d",
+        "flatten": "d4813d4ae3b378223b1cfd382b51707494cb23c203cfb50ed837d72be9d30332",
+        "simdize": "59883e3c9edfb3968e93965624671054737afc9d27a5f7f351a2361f9f495d95",
+        "coalesce": "ae81b4e190c40ee5f72d93bcf53d3a303fe685d30334b5385e9df7bc8637ca1c",
+        "spmd": "ebfafa90f2eaad133ac6d8889956f5a8ebed392472daa2e3e003c4506d77d8c4",
+        "fission": "4085890780f34346edded5401e4d08595afc286fe24e190baf860b9294025c79",
+        "interchange": (
+            "5196102499ede4e1a21851d6f4b67263e88873b04de1b1f130d7b0fcebb9a749"
+        ),
+    }
+
+    @pytest.mark.parametrize("transform", sorted(DEFAULT_DIGESTS))
+    def test_default_option_digests_are_stable(self, transform):
+        options = {"transform": transform}
+        if transform in ("simdize", "spmd"):
+            options["width"] = 4
+        digest = Engine().cache_key(P1_SEQUENTIAL, **options)
+        assert digest == self.DEFAULT_DIGESTS[transform]
+
     def test_two_level_shard_layout(self, store):
         digest = "abcdef" + "0" * 58
         path = store.path_for(digest)

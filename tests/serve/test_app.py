@@ -213,6 +213,46 @@ class TestErrorPaths:
 
         with_app(body)
 
+    def test_string_boolean_options_400(self):
+        carried = (
+            "PROGRAM carried\n  INTEGER i, j\n  REAL a(8)\n  DO i = 2, 8\n"
+            "    DO j = 1, 2\n      a(i) = a(i-1) + j\n    ENDDO\n  ENDDO\nEND\n"
+        )
+
+        async def body(app):
+            for option in ("assume_parallel", "simd", "strict"):
+                status, out = await request(
+                    app.port, "POST", "/v1/compile",
+                    {"source": carried, "transform": "spmd", "width": 4,
+                     option: "false"},
+                )
+                assert status == 400, (option, out)
+                assert out["error"]["type"] == "TransformError"
+                assert f"{option} must be a bool" in out["error"]["message"]
+            assert app.engine.stats.misses == 0
+
+        with_app(body)
+
+    def test_non_integer_options_400(self):
+        bad = [
+            {"nest_index": "x"}, {"nest_index": None}, {"nest_index": True},
+            {"nest_index": 1.7}, {"nest_index": -1}, {"width": []},
+            {"width": 2.5}, {"width": 0}, {"width": -2},
+        ]
+
+        async def body(app):
+            for options in bad:
+                status, out = await request(
+                    app.port, "POST", "/v1/compile",
+                    {"source": P1_SEQUENTIAL, "transform": "simdize", "width": 2,
+                     **options},
+                )
+                assert status == 400, (options, out)
+                assert out["error"]["type"] == "TransformError"
+            assert app.engine.stats.misses == 0
+
+        with_app(body)
+
     def test_compile_error_is_client_fault_400(self):
         async def body(app):
             status, out = await request(

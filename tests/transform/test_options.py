@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.kernels.example import P1_SEQUENTIAL
@@ -102,3 +103,34 @@ class TestRejections:
     def test_non_string_rejected(self):
         with pytest.raises(TransformError, match="must be a string"):
             normalize_variant(12)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"transform": "flatten", "nest_index": "x"}, "nest_index must be an int"),
+            ({"transform": "flatten", "nest_index": None}, "nest_index must be an int"),
+            ({"transform": "flatten", "nest_index": True}, "nest_index must be an int"),
+            ({"transform": "flatten", "nest_index": 1.7}, "nest_index must be an int"),
+            ({"transform": "flatten", "nest_index": -1}, "out of range"),
+            ({"transform": "simdize", "width": []}, "width must be an int"),
+            ({"transform": "simdize", "width": 2.5}, "width must be an int"),
+            ({"transform": "simdize", "width": True}, "width must be an int"),
+            ({"transform": "simdize", "width": 0}, "width 0 out of range"),
+            ({"transform": "simdize", "width": -2}, "width -2 out of range"),
+            ({"transform": "spmd", "width": 0}, "width 0 out of range"),
+            ({"transform": "flatten", "routine": 3}, "routine must be a string"),
+        ],
+        ids=lambda value: str(value) if isinstance(value, dict) else None,
+    )
+    def test_integer_options_are_never_coerced(self, options, message):
+        with pytest.raises(TransformError, match=message):
+            Engine().compile(P1_SEQUENTIAL, **options)
+
+    def test_integer_options_accept_numpy_ints(self):
+        engine = Engine()
+        program = engine.compile(
+            P1_SEQUENTIAL, transform="simdize", width=np.int64(2),
+            nest_index=np.int32(0),
+        )
+        assert program is engine.compile(P1_SEQUENTIAL, transform="simdize", width=2)
+        assert type(program.options.width) is int

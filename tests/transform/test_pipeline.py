@@ -6,11 +6,14 @@ import pytest
 import repro
 from repro.lang import parse_source
 from repro.lang.errors import TransformError
+from repro.runtime import Engine
 from repro.transform import (
     find_nest_sites,
     naive_simd_program,
+    pipeline,
     structurize_program,
 )
+from repro.transform.options import OPTION_FIELDS, TRANSFORMS
 
 L = np.array([4, 1, 2, 1, 1, 3, 1, 3])
 
@@ -123,3 +126,63 @@ def test_structurize_program_clears_gotos():
     assert not any(
         isinstance(node, ast.Goto) for node in ast.walk_body(out.main.body)
     )
+
+
+class TestPassTable:
+    def test_transforms_are_the_table(self):
+        assert TRANSFORMS == tuple(pipeline.PASSES)
+        assert TRANSFORMS[0] == "none"
+
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_entry_is_consistent(self, name):
+        entry = pipeline.PASSES[name]
+        assert entry.name == name
+        assert set(entry.requires) <= set(entry.reads) <= set(OPTION_FIELDS)
+        assert "transform" not in entry.reads
+        if entry.function is not None:
+            assert callable(getattr(pipeline, entry.function))
+
+    @pytest.mark.parametrize(
+        "name", [name for name in TRANSFORMS if pipeline.PASSES[name].function]
+    )
+    def test_engine_calls_the_module_attribute(self, name, monkeypatch):
+        """A wrapper installed on the module attribute sees the compile."""
+        entry = pipeline.PASSES[name]
+        original = getattr(pipeline, entry.function)
+        seen = []
+
+        def wrapper(*args, **kwargs):
+            seen.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, entry.function, wrapper)
+        options = {"transform": name}
+        if "width" in entry.requires:
+            options["width"] = 4
+        try:
+            Engine().compile(P1, **options)
+        except TransformError:
+            pass
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("name", ["simdize", "spmd"])
+    def test_required_width_keeps_its_text(self, name):
+        with pytest.raises(TransformError) as info:
+            Engine().compile(P1, transform=name)
+        assert info.value.message == f"transform={name!r} needs width=<PE count>"
+
+    def test_fission_site_texts(self):
+        with pytest.raises(TransformError) as info:
+            Engine().compile("PROGRAM p\n  x = 1\nEND", transform="fission")
+        assert info.value.message == "no distributable loop found"
+        with pytest.raises(TransformError) as info:
+            Engine().compile(P1, transform="fission", nest_index=3)
+        assert info.value.message == "loop index 3 out of range (found 1 loops)"
+
+    def test_nest_site_texts(self):
+        with pytest.raises(TransformError) as info:
+            Engine().compile("PROGRAM p\n  x = 1\nEND", transform="interchange")
+        assert info.value.message == "no interchangeable loop nest found"
+        with pytest.raises(TransformError) as info:
+            Engine().compile(P1, transform="coalesce", nest_index=2)
+        assert info.value.message == "nest index 2 out of range (found 1 nests)"
