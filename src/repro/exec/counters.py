@@ -169,8 +169,13 @@ class ExecutionCounters:
         instructions under one unchanged mask accumulates their layer
         counts and applies them in a single vector update here.  The
         totals are exactly what per-event updates would have produced.
+        ``mask=None`` means every lane was active: a scalar add.
         """
-        if layers:
+        if not layers:
+            return
+        if mask is None:
+            self.lane_active_steps += layers
+        else:
             self.lane_active_steps += np.asarray(mask, dtype=np.int64) * layers
 
     def record_call(

@@ -118,6 +118,22 @@ def _values_agree(a, b) -> bool:
     return bool(np.array_equal(arr_a, arr_b))
 
 
+def _counter_difference(a, b):
+    """The differing part of one counter field as ``(a, b)``, or None
+    when the two values are equal: per-key entries for the breakdowns,
+    the whole vector (summarised) for per-lane activity."""
+    if isinstance(a, np.ndarray):
+        if np.array_equal(a, b):
+            return None
+        return tuple(np.array2string(np.asarray(v), threshold=8) for v in (a, b))
+    if isinstance(a, dict):
+        if a == b:
+            return None
+        keys = [k for k in {**a, **b} if a.get(k) != b.get(k)]
+        return {k: a.get(k) for k in keys}, {k: b.get(k) for k in keys}
+    return None if a == b else (a, b)
+
+
 def _visible(env: dict) -> dict:
     return {
         name: value
@@ -130,7 +146,8 @@ def check_agreement(env_a, counters_a, env_b, counters_b, backends=("a", "b")) -
     """Assert two successful runs observed the same program.
 
     Compares the visible (non-``__``) environments value by value and
-    the counters' lockstep step totals and event breakdowns; raises a
+    every counter accumulator (:meth:`ExecutionCounters.state_dict`,
+    per-lane activity included, lane count excluded); raises a
     non-retryable :class:`BackendFault` naming the first disagreement.
     """
     label = f"backends {backends[0]!r} and {backends[1]!r} disagree"
@@ -163,9 +180,12 @@ def check_agreement(env_a, counters_a, env_b, counters_b, backends=("a", "b")) -
     for ca, cb in zip(list_a, list_b):
         if ca is None or cb is None:
             continue
-        if ca.total_steps != cb.total_steps or dict(ca.events) != dict(cb.events):
-            raise BackendFault(
-                f"{label}: counters differ "
-                f"({ca.total_steps} vs {cb.total_steps} steps)",
-                retryable=False,
-            )
+        state_b = cb.state_dict()
+        for name, value in ca.state_dict().items():
+            diff = None if name == "nproc" else _counter_difference(value, state_b[name])
+            if diff is not None:
+                raise BackendFault(
+                    f"{label}: counters differ on '{name}' "
+                    f"({diff[0]} vs {diff[1]})",
+                    retryable=False,
+                )

@@ -22,10 +22,15 @@ Execution model (see DESIGN.md §10):
   loop with one budget tick, one trace extension and one batched
   counter flush per run (the activity mask is constant inside a run
   by construction);
-* **mask pool** — WHERE/ELSEWHERE mask narrowing writes into
-  preallocated per-depth buffers instead of allocating, and the lane
-  mask / all-active / any-active reductions are cached per mask
-  transition instead of being recomputed per instruction.
+* **mask pool and per-scope epochs** — WHERE/ELSEWHERE mask narrowing
+  writes into preallocated per-depth buffers instead of allocating.
+  Each mask is reduced once when it is installed (one
+  ``count_nonzero`` gives the active count and the all/any flags) and
+  the result is kept as the scope's *epoch* together with its pending
+  per-lane layers.  A WHERE saves the enclosing epoch on a stack that
+  runs parallel to the mask stack and END WHERE resumes it as it was,
+  so entering and leaving a scope never re-reduces or re-flushes the
+  enclosing mask.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 from ..exec.counters import ExecutionCounters
 from ..exec.intrinsics import call_intrinsic, coerce, is_reduction_call
 from ..exec.ops import apply_binop, apply_unop, op_event_kind
-from ..exec.simd import SIMDInterpreter, _align_mask, _lane_mask
+from ..exec.simd import SIMDInterpreter, _align_mask
 from ..exec.values import FArray
 from ..lang import ast
 from ..lang.errors import InterpreterError, MiniFError
@@ -75,6 +80,43 @@ from .isa import CodeObject, Instr, Op
 
 #: Sentinel next-pc returned by HALT (terminates the dispatch loop).
 _HALT_PC = -1
+
+
+class _Epoch:
+    """One installed activity mask: its reductions, computed once, and
+    the per-lane layers charged to it but not yet applied.
+
+    Vector events add their layer count to ``pending`` of the epoch
+    they ran under; :meth:`flush` applies it to
+    ``counters.lane_active_steps`` before the mask's pooled buffer can
+    be reused.  Integer adds commute, so totals are exact.
+    """
+
+    __slots__ = ("mask", "lanes", "active", "any_active", "all_active", "pending")
+
+    def __init__(self, mask: np.ndarray, nproc: int):
+        if mask.ndim == 1:
+            lanes = mask
+        elif mask.size == nproc:
+            lanes = mask.reshape(nproc)  # (P, 1, ...): a view, no reduction
+        else:
+            lanes = mask.any(axis=tuple(range(1, mask.ndim)))
+        active = int(np.count_nonzero(lanes))
+        self.mask = mask
+        self.lanes = lanes
+        self.active = active
+        self.any_active = active > 0
+        self.all_active = active == nproc and (mask.size == nproc or bool(mask.all()))
+        self.pending = 0
+
+    def flush(self, counters: ExecutionCounters) -> None:
+        layers = self.pending
+        if layers:
+            self.pending = 0
+            if self.active == self.lanes.size:
+                counters.add_lane_steps(None, layers)
+            elif self.active:
+                counters.add_lane_steps(self.lanes, layers)
 
 
 class SIMDVirtualMachine:
@@ -138,9 +180,8 @@ class SIMDVirtualMachine:
         self._env: dict = {}
         self._last_pc = 0
         self._last_loc = None
-        self._mask_stack: list[tuple[np.ndarray, np.ndarray]] = []
         self._mask_pool: dict = {}
-        self._set_mask(np.ones(nproc, dtype=bool))
+        self._reset_mask()
         # a shadow interpreter provides assign_to for external writebacks
         self._shadow = SIMDInterpreter(
             ast.SourceFile([ast.Routine("program", "__vm__", [], [])]),
@@ -190,12 +231,12 @@ class SIMDVirtualMachine:
 
     def snapshot(self) -> MachineSnapshot:
         """The machine's state right now (for crash dumps)."""
-        self._flush_lane_epoch()
+        self._flush_open_epochs()
         return MachineSnapshot(
             backend="vm",
             pc=self._last_pc,
             steps=self.executed,
-            mask=render_mask(self._mask),
+            mask=render_mask(self._epoch.mask),
             mask_stack=[render_mask(outer) for outer, _ in self._mask_stack],
             env=snapshot_env(self._env),
             last_ops=[
@@ -208,69 +249,43 @@ class SIMDVirtualMachine:
 
     @property
     def mask(self) -> np.ndarray:
-        return self._mask_value
+        return self._epoch.mask
 
     @property
     def lanes_active(self) -> np.ndarray:
-        return self._lanes
+        return self._epoch.lanes
 
     @property
     def _mask(self) -> np.ndarray:
-        return self._mask_value
+        return self._epoch.mask
 
     @_mask.setter
     def _mask(self, value) -> None:
         # Keep the cached lane reductions coherent for any direct poke.
-        self._set_mask(np.asarray(value))
+        self._epoch.flush(self.counters)
+        self._epoch = _Epoch(np.asarray(value), self.nproc)
 
-    # Deferred per-lane accounting: all vector events recorded under one
-    # mask epoch accumulate their layer counts here and are applied to
-    # ``counters.lane_active_steps`` in a single update at the next mask
-    # transition (or at run exit / snapshot).  Class-level defaults so
-    # the first ``_set_mask`` during __init__ sees them.
-    _epoch_layers = 0
-    _active_cached: int | None = None
+    # The current epoch is ``_epoch``; each open WHERE scope's enclosing
+    # epoch waits on ``_epochs`` (parallel to ``_mask_stack``) with its
+    # pending layers until END WHERE resumes it.
 
-    def _set_mask(self, mask: np.ndarray) -> None:
-        """Install a new activity mask and refresh the cached reductions."""
-        if self._epoch_layers:
-            self._flush_lane_epoch()
-        self._mask_value = mask
-        if mask.ndim == 1:
-            lanes = mask
-        else:
-            lanes = mask.any(axis=tuple(range(1, mask.ndim)))
-        self._lanes = lanes
-        self._all_active = bool(mask.all())
-        self._any_active = bool(lanes.any())
-        self._active_cached = None
+    def _reset_mask(self) -> None:
+        """All lanes active, no WHERE scope open."""
+        self._mask_stack: list[tuple[np.ndarray, np.ndarray]] = []
+        self._epochs: list[_Epoch] = []
+        self._epoch = _Epoch(np.ones(self.nproc, dtype=bool), self.nproc)
 
-    def _active(self) -> int:
-        """Active-lane count of the current mask epoch (cached)."""
-        count = self._active_cached
-        if count is None:
-            count = self._active_cached = int(np.count_nonzero(self._lanes))
-        return count
-
-    def _flush_lane_epoch(self) -> None:
-        """Apply the epoch's deferred per-lane activity to the counters.
-
-        Must run before ``self._lanes`` is rebound or its pooled buffer
-        reused — i.e. at every mask transition and at run exit.
-        """
-        layers = self._epoch_layers
-        if layers:
-            self._epoch_layers = 0
-            self.counters.add_lane_steps(self._lanes, layers)
+    def _flush_open_epochs(self) -> None:
+        """Flush the current epoch and every saved one (exit paths)."""
+        self._epoch.flush(self.counters)
+        for epoch in self._epochs:
+            epoch.flush(self.counters)
 
     def _record(self, kind: str, layers: int = 1) -> None:
         """Record one vector event under the current mask epoch."""
-        self._epoch_layers += self.counters.record(
-            kind,
-            width=self.nproc,
-            layers=layers,
-            active=self._active(),
-            defer_lanes=True,
+        epoch = self._epoch
+        epoch.pending += self.counters.record(
+            kind, width=self.nproc, layers=layers, active=epoch.active, defer_lanes=True
         )
 
     def _buffer(self, key, shape) -> np.ndarray:
@@ -296,7 +311,9 @@ class SIMDVirtualMachine:
             nbuf = self._buffer((depth, 2), cond.shape)
             np.logical_not(cond, out=nbuf)
             cond = nbuf
-        shape = np.broadcast_shapes(base.shape, cond.shape)
+        shape = base.shape
+        if shape != cond.shape:
+            shape = np.broadcast_shapes(shape, cond.shape)
         buf = self._buffer((depth, 1 if negate else 0), shape)
         np.logical_and(base, cond, out=buf)
         return buf
@@ -304,7 +321,7 @@ class SIMDVirtualMachine:
     def _uniform_bool(self, value) -> bool:
         value = coerce(value)
         if isinstance(value, np.ndarray) and value.ndim >= 1:
-            lanes = self._lanes
+            lanes = self._epoch.lanes
             selected = value[lanes] if value.shape[0] == self.nproc else value.ravel()
             if selected.size == 0:
                 return False
@@ -320,7 +337,7 @@ class SIMDVirtualMachine:
     def _uniform_int(self, value, what: str) -> int:
         value = coerce(value)
         if isinstance(value, np.ndarray) and value.ndim >= 1:
-            lanes = self._lanes
+            lanes = self._epoch.lanes
             selected = value[lanes] if value.shape[0] == self.nproc else value.ravel()
             if selected.size == 0:
                 raise InterpreterError(f"{what}: no active PEs")
@@ -365,12 +382,17 @@ class SIMDVirtualMachine:
         self._env = env
         self._meter = self.budget.meter()
         stack: list = []
+        if resume_from is None:
+            self._reset_mask()
         if self.fault_plan is not None:
             try:
                 self.fault_plan.check_backend("vm")
             except MiniFError as error:
                 raise attach_snapshot(error, self.snapshot())
-            self._set_mask(self._mask & self.fault_plan.dropout_mask(self.nproc, "vm"))
+            self._epoch = _Epoch(
+                self._epoch.mask & self.fault_plan.dropout_mask(self.nproc, "vm"),
+                self.nproc,
+            )
             run_code = code  # op faults need exact per-instruction stepping
             fused = False
         elif self.fuse:
@@ -410,7 +432,7 @@ class SIMDVirtualMachine:
         finally:
             # Deferred per-lane accounting settles on every exit path
             # (snapshot() also flushes, so crash dumps are exact).
-            self._flush_lane_epoch()
+            self._flush_open_epochs()
         if self._mask_stack:
             # Translation invariant: every PUSH_MASK is matched by a
             # POP_MASK on all paths — an unbalanced stack means the
@@ -431,14 +453,14 @@ class SIMDVirtualMachine:
         land inside a fused superinstruction — the restored machine is
         always in a state the unfused VM could also have reached.
         """
-        self._flush_lane_epoch()
+        self._flush_open_epochs()
         return Checkpoint(
             backend="vm",
             step=self.executed,
             pc=pc,
             env=env,
             stack=list(stack),
-            mask=self._mask_value,
+            mask=self._epoch.mask,
             mask_stack=list(self._mask_stack),
             counters=self.counters.state_dict(),
             meter_steps=self._meter.steps,
@@ -475,9 +497,13 @@ class SIMDVirtualMachine:
         env, stack, mask, mask_stack = copy.deepcopy(
             (ckpt.env, ckpt.stack, ckpt.mask, ckpt.mask_stack)
         )
-        self._epoch_layers = 0
+        # Each open scope's saved epoch is its enclosing mask with
+        # nothing pending (capture flushed every epoch).
         self._mask_stack = list(mask_stack)
-        self._set_mask(np.asarray(mask))
+        self._epochs = [
+            _Epoch(np.asarray(outer), self.nproc) for outer, _ in mask_stack
+        ]
+        self._epoch = _Epoch(np.asarray(mask), self.nproc)
         self.executed = ckpt.step
         self.counters.load_state(ckpt.counters)
         self._meter.steps = ckpt.meter_steps
@@ -564,7 +590,7 @@ class SIMDVirtualMachine:
         del stack[len(stack) - argc:]
         if is_reduction_call(name, argc):
             self._record("reduce")
-            stack.append(call_intrinsic(name, args, mask=self._lanes))
+            stack.append(call_intrinsic(name, args, mask=self._epoch.lanes))
         else:
             self._record("real_op")
             stack.append(call_intrinsic(name, args))
@@ -610,15 +636,24 @@ class SIMDVirtualMachine:
     def _op_push_mask(self, instr, pc, env, stack):
         self._tick1(instr, pc)
         cond = stack.pop()
-        # Recorded under the *enclosing* mask; the deferred epoch is
-        # flushed by the _set_mask below before the mask changes.
+        # Recorded under the *enclosing* mask, whose epoch is saved with
+        # its pending layers (no flush) and resumed by POP_MASK.
         self._record("mask")
-        outer = self._mask
+        outer = self._epoch
         cond_arr = np.asarray(coerce(cond))
-        self._mask_stack.append((outer, cond_arr))
-        self._set_mask(np.asarray(self._combine(outer, cond_arr)))
-        # Translation invariant: a WHERE can only narrow activity.
-        if self._any_active and np.any(self._lanes & ~_lane_mask(outer, self.nproc)):
+        self._mask_stack.append((outer.mask, cond_arr))
+        self._epochs.append(outer)
+        inner = self._epoch = _Epoch(
+            np.asarray(self._combine(outer.mask, cond_arr)), self.nproc
+        )
+        # Translation invariant: a WHERE can only narrow activity, i.e.
+        # every active lane is active in the enclosing mask (cannot fire
+        # when every enclosing lane is active).
+        if (
+            outer.active != self.nproc
+            and inner.any_active
+            and np.count_nonzero(inner.lanes & outer.lanes) != inner.active
+        ):
             raise InterpreterError(
                 "WHERE mask activates a lane outside the enclosing mask "
                 "(translation invariant violated)"
@@ -627,21 +662,23 @@ class SIMDVirtualMachine:
 
     def _combine(self, outer, cond):
         """``outer ∧ cond`` for a freshly pushed WHERE scope (pooled)."""
-        return self._narrow(
-            outer, np.asarray(coerce(cond)), len(self._mask_stack) - 1, negate=False
-        )
+        return self._narrow(outer, cond, len(self._mask_stack) - 1, negate=False)
 
     def _op_else_mask(self, instr, pc, env, stack):
         self._tick1(instr, pc)
         if not self._mask_stack:
             raise InterpreterError("ELSE_MASK with empty mask stack")
         outer, cond = self._mask_stack[-1]
-        # the ELSEWHERE mask op runs under the *enclosing* mask
-        self.counters.record(
-            "mask", width=self.nproc, mask=_lane_mask(outer, self.nproc)
+        # The ELSEWHERE mask op runs under the *enclosing* mask: charge
+        # it to the enclosing scope's saved epoch.
+        enclosing = self._epochs[-1]
+        enclosing.pending += self.counters.record(
+            "mask", width=self.nproc, active=enclosing.active, defer_lanes=True
         )
-        self._set_mask(
-            self._narrow(outer, cond, len(self._mask_stack) - 1, negate=True)
+        self._epoch.flush(self.counters)
+        self._epoch = _Epoch(
+            self._narrow(outer, cond, len(self._mask_stack) - 1, negate=True),
+            self.nproc,
         )
         return pc + 1
 
@@ -649,8 +686,9 @@ class SIMDVirtualMachine:
         self._tick1(instr, pc)
         if not self._mask_stack:
             raise InterpreterError("POP_MASK with empty mask stack")
-        outer, _ = self._mask_stack.pop()
-        self._set_mask(outer)
+        self._mask_stack.pop()
+        self._epoch.flush(self.counters)
+        self._epoch = self._epochs.pop()
         return pc + 1
 
     def _op_jump(self, instr, pc, env, stack):
@@ -758,7 +796,7 @@ class SIMDVirtualMachine:
                     if argc:
                         del stack[len(stack) - argc:]
                     events.append(("reduce", 1))
-                    append(call_intrinsic(name, args, mask=self._lanes))
+                    append(call_intrinsic(name, args, mask=self._epoch.lanes))
                 elif code == S_INTRINSIC_ELEM:
                     name, argc = a
                     args = stack[-argc:] if argc else []
@@ -793,8 +831,9 @@ class SIMDVirtualMachine:
         self.executed += count
         self._trace.extend(run.trace)
         if events:
-            self._epoch_layers += self.counters.record_block(
-                events, width=self.nproc, active=self._active(), defer_lanes=True
+            epoch = self._epoch
+            epoch.pending += self.counters.record_block(
+                events, width=self.nproc, active=epoch.active, defer_lanes=True
             )
         if run.last_loc is not None:
             self._last_loc = run.last_loc
@@ -816,8 +855,9 @@ class SIMDVirtualMachine:
         self._meter.add_silent(count)
         self._trace.extend(run.trace[:count])
         if events:
-            self._epoch_layers += self.counters.record_block(
-                events, width=self.nproc, active=self._active(), defer_lanes=True
+            epoch = self._epoch
+            epoch.pending += self.counters.record_block(
+                events, width=self.nproc, active=epoch.active, defer_lanes=True
             )
         self._last_pc = pc + count - 1
         for comp in reversed(run.instrs[:count]):
@@ -830,7 +870,7 @@ class SIMDVirtualMachine:
     # -- helpers -------------------------------------------------------------------
 
     def _sync_shadow(self) -> None:
-        self._shadow._mask = self._mask
+        self._shadow._mask = self._epoch.mask
 
     def _store(self, env: dict, name: str, value, events) -> None:
         """Masked store of ``value`` into variable ``name``.
@@ -846,7 +886,7 @@ class SIMDVirtualMachine:
         if isinstance(existing, FArray):
             layers = max(1, existing.size // max(1, nproc))
             self._account("store", layers, events)
-            if self._all_active:
+            if self._epoch.all_active:
                 existing.data[...] = value
                 return
             if existing.shape[0] != nproc:
@@ -854,11 +894,11 @@ class SIMDVirtualMachine:
                     f"masked whole-array assignment to '{name}' needs a "
                     f"leading dimension of {nproc}"
                 )
-            mask = _align_mask(self._mask, existing.data.ndim)
+            mask = _align_mask(self._epoch.mask, existing.data.ndim)
             existing.data[...] = np.where(mask, value, existing.data)
             return
         self._account("store", self._layers_of(value), events)
-        if self._all_active:
+        if self._epoch.all_active:
             env[name] = value
             return
         if existing is None:
@@ -873,7 +913,7 @@ class SIMDVirtualMachine:
             old = np.full(nproc, old.item())
         if new.ndim > old.ndim:
             old = np.broadcast_to(old[..., None], new.shape).copy()
-        mask = _align_mask(_lane_mask(self._mask, nproc), max(old.ndim, new.ndim))
+        mask = _align_mask(self._epoch.lanes, max(old.ndim, new.ndim))
         env[name] = np.where(mask, new, old)
 
     def _alloc(self, env: dict, stack: list, arg) -> None:
@@ -972,23 +1012,23 @@ class SIMDVirtualMachine:
             if any(isinstance(s, np.ndarray) for s in subs):
                 return self._gather(array, subs, events)
             # No active lane consumes this load; clamp instead of trap.
-            index = array.np_index(subs, clamp=not self._any_active)
+            index = array.np_index(subs, clamp=not self._epoch.any_active)
             result = array.data[index]
             return result.copy() if isinstance(result, np.ndarray) else result
         if isinstance(array, np.ndarray) and array.ndim == 1 and len(subs) == 1:
             sub = subs[0]
-            lanes = self._lanes
+            lanes = self._epoch.lanes
             if isinstance(sub, slice):
                 return array[sub].copy()
             arr = np.asarray(sub)
             if arr.ndim == 0:
                 arr = np.full(self.nproc, int(arr))
-            if self._all_active:
+            if self._epoch.all_active:
                 if np.any((arr < 1) | (arr > array.shape[0])):
                     raise OutOfBoundsFault(f"subscript out of bounds for '{name}'")
                 self._account("gather", 1, events)
                 return array[arr - 1]
-            if self._any_active:
+            if self._epoch.any_active:
                 active = arr[lanes]
                 if np.any((active < 1) | (active > array.shape[0])):
                     raise OutOfBoundsFault(f"subscript out of bounds for '{name}'")
@@ -998,9 +1038,10 @@ class SIMDVirtualMachine:
         raise InterpreterError(f"'{name}' is not an array")
 
     def _gather(self, array: FArray, subs: list, events):
-        lanes = self._lanes
+        lanes = self._epoch.lanes
         nproc = self.nproc
-        all_active = self._all_active
+        all_active = self._epoch.all_active
+        any_active = self._epoch.any_active
         index = []
         for dim, sub in enumerate(subs):
             if isinstance(sub, slice):
@@ -1020,26 +1061,31 @@ class SIMDVirtualMachine:
                 array.check_subscript(dim, arr)
                 index.append(arr - 1)
                 continue
-            extent = array.shape[dim]
-            if extent < 1:
-                if self._any_active:
-                    array.check_subscript(dim, arr[lanes])
-                index.append(np.zeros_like(arr))
-                continue
-            # Raw ufuncs beat np.clip's dispatch wrapper here, and the
-            # bounds check reuses the clamp: an active lane is out of
-            # bounds exactly when clamping changed its subscript.
-            clamped = np.minimum(np.maximum(arr, 1), extent)
-            if self._any_active:
-                bad = clamped != arr
+            # MiniF integers are already int64; bound-in arrays of other
+            # dtypes (bool False is subscript 0) cast once.
+            offset = arr.astype(np.int64, copy=False) - 1
+            if any_active:
+                # one unsigned compare: negative offsets wrap high
+                bad = offset.view(np.uint64) >= array.shape[dim]
                 if bad.ndim > 1:
                     bad = bad.any(axis=tuple(range(1, bad.ndim)))
                 np.logical_and(bad, lanes, out=bad)
                 if bad.any():
                     array.check_subscript(dim, arr[lanes])
-            index.append(clamped - 1)
+            index.append(offset)
         self._account("gather", 1, events)
-        return array.data[tuple(index)]
+        data = array.data
+        rank = len(index)
+        if all_active or 0 in data.shape[:rank]:
+            # A zero extent has nothing to clamp into: index as given, so
+            # an all-inactive gather fails like the interpreter's.
+            return data[tuple(index)]
+        # "clip" clamps each offset into its extent, so inactive lanes
+        # read the clamped element exactly as an eager clamp would.
+        if rank == 1:
+            return data.take(index[0], axis=0, mode="clip")
+        flat = np.ravel_multi_index(tuple(index), data.shape[:rank], mode="clip")
+        return data.reshape((-1,) + data.shape[rank:]).take(flat, axis=0)
 
     def _store_indexed(self, env: dict, stack: list, arg, events) -> None:
         name, spec = arg
@@ -1057,7 +1103,7 @@ class SIMDVirtualMachine:
             return
         # Issued with no active lane: the store writes nothing, so the
         # (possibly garbage) address must not trap — clamp, don't check.
-        index = array.np_index(subs, clamp=not self._any_active)
+        index = array.np_index(subs, clamp=not self._epoch.any_active)
         region = array.data[index]
         layers = self._layers_of(region)
         self._account("store", layers, events)
@@ -1071,8 +1117,8 @@ class SIMDVirtualMachine:
                     raise InterpreterError(
                         f"cannot store an array value into element of '{name}'"
                     )
-                lanes = self._lanes
-                active = varr[lanes] if self._any_active else varr
+                lanes = self._epoch.lanes
+                active = varr[lanes] if self._epoch.any_active else varr
                 if not np.all(active == active.flat[0]):
                     # The static R001 lint rule catches this at compile
                     # time; classify as a divergence fault either way.
@@ -1081,7 +1127,7 @@ class SIMDVirtualMachine:
                         f"'{name}'"
                     )
                 value = active.flat[0].item()
-        if self._all_active:
+        if self._epoch.all_active:
             array.data[index] = coerce(value)
             return
         if isinstance(region, np.ndarray) and region.ndim >= 1:
@@ -1090,16 +1136,16 @@ class SIMDVirtualMachine:
                     f"masked section assignment to '{name}' needs the "
                     f"leading extent to be {self.nproc}"
                 )
-            mask = _align_mask(self._mask, region.ndim)
+            mask = _align_mask(self._epoch.mask, region.ndim)
             array.data[index] = np.where(mask, coerce(value), region)
             return
-        if self._uniform_bool(self._mask):
+        if self._uniform_bool(self._epoch.mask):
             array.data[index] = coerce(value)
 
     def _scatter(self, array: FArray, subs: list, value, events) -> None:
-        lanes = self._lanes
+        lanes = self._epoch.lanes
         nproc = self.nproc
-        all_active = self._all_active
+        all_active = self._epoch.all_active
         index = []
         for dim, sub in enumerate(subs):
             if isinstance(sub, slice):
@@ -1113,9 +1159,10 @@ class SIMDVirtualMachine:
                 array.check_subscript(dim, arr)
                 index.append(arr - 1)
                 continue
-            if self._any_active:
-                array.check_subscript(dim, arr[lanes])
-            index.append(arr[lanes] - 1)
+            picked = arr[lanes]
+            if self._epoch.any_active:
+                array.check_subscript(dim, picked)
+            index.append(picked - 1)
         self._account("scatter", 1, events)
         new = np.asarray(coerce(value))
         if new.ndim == 0:
@@ -1137,10 +1184,11 @@ class SIMDVirtualMachine:
             else:
                 resolved.append(value)
         layers = max((self._layers_of(v) for v in resolved if v is not None), default=1)
-        self._epoch_layers += self.counters.record_call(
-            name, layers=layers, active=self._active(), defer_lanes=True
+        epoch = self._epoch
+        epoch.pending += self.counters.record_call(
+            name, layers=layers, active=epoch.active, defer_lanes=True
         )
-        external(self, list(arg_exprs), resolved, env, self._mask)
+        external(self, list(arg_exprs), resolved, env, epoch.mask)
 
     # -- external writeback --------------------------------------------------------
 

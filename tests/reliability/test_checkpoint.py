@@ -389,6 +389,103 @@ class TestExactResume:
         assert_counters_equal(resumed.counters, ref.counters)
 
 
+MASKED_SOURCE = """PROGRAM masked
+  INTEGER p, k, t
+  INTEGER v(p), w(p), idx(p)
+  REAL q(p, k), acc(p, k)
+  v = [1 : p]
+  idx = p + 1 - v
+  w = 0
+  q = 0.0
+  q(:, 2) = 1.0
+  acc = 0.0
+  DO t = 1, lim
+    WHERE (MOD(v + t, 3) == 0)
+      w = w + v(idx) * t
+      WHERE (v > t)
+        w = w * 2
+        q = q + 1.5
+      ELSEWHERE
+        w = w - idx(v + bad)
+      ENDWHERE
+    ELSEWHERE
+      WHERE (q > 2.0)
+        acc = acc + q
+      ELSEWHERE
+        acc = acc - 1.0
+      ENDWHERE
+    ENDWHERE
+  ENDDO
+END
+"""
+
+MASKED_NPROC = 6
+MASKED_BINDINGS = {"p": MASKED_NPROC, "k": 3, "lim": 6, "bad": 0}
+
+
+class TestResumeInsideWhere:
+    """Captures inside open WHERE scopes (mask-stack depth 1 and 2, a
+    (P, k) section mask at depth 2) resume to the uninterrupted run's
+    env and counters, per-lane activity included."""
+
+    @pytest.fixture(scope="class")
+    def code(self):
+        from repro.lang import parse_source
+        from repro.vm import compile_program
+
+        return compile_program(parse_source(MASKED_SOURCE))
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_resume_at_every_open_depth(self, code, fuse):
+        from repro.vm import SIMDVirtualMachine
+
+        captured = []
+        full = SIMDVirtualMachine(
+            MASKED_NPROC, fuse=fuse, checkpoint_every=3,
+            checkpoint_sink=captured.append,
+        )
+        ref_env = full.run(code, bindings=dict(MASKED_BINDINGS))
+        depths = {len(c.mask_stack) for c in captured}
+        assert {1, 2} <= depths
+        assert any(np.asarray(c.mask).ndim == 2 for c in captured)
+        for ckpt in captured:
+            if not ckpt.mask_stack:
+                continue
+            vm = SIMDVirtualMachine(MASKED_NPROC, fuse=fuse)
+            env = vm.run(code, resume_from=ckpt)
+            for name in ("w", "acc", "q"):
+                assert np.array_equal(
+                    np.asarray(getattr(env[name], "data", env[name])),
+                    np.asarray(getattr(ref_env[name], "data", ref_env[name])),
+                ), (ckpt.step, name)
+            assert_counters_equal(vm.counters, full.counters)
+
+    def test_fault_in_inner_scope_counts_alike_on_every_backend(self, code):
+        from repro.exec.simd import SIMDInterpreter
+        from repro.lang import parse_source
+        from repro.reliability import OutOfBoundsFault
+        from repro.vm import SIMDVirtualMachine
+
+        bindings = dict(MASKED_BINDINGS, bad=MASKED_NPROC)
+        machines = [
+            SIMDVirtualMachine(MASKED_NPROC, fuse=True),
+            SIMDVirtualMachine(MASKED_NPROC, fuse=False),
+        ]
+        messages = []
+        for vm in machines:
+            with pytest.raises(OutOfBoundsFault) as excinfo:
+                vm.run(code, bindings=dict(bindings))
+            messages.append(str(excinfo.value))
+            assert len(excinfo.value.snapshot.mask_stack) == 2
+        walker = SIMDInterpreter(parse_source(MASKED_SOURCE), MASKED_NPROC)
+        with pytest.raises(OutOfBoundsFault):
+            walker.run(bindings=dict(bindings))
+        assert messages[0] == messages[1]
+        assert machines[0].counters.total_steps > 0
+        for vm in machines:
+            assert_counters_equal(vm.counters, walker.counters)
+
+
 class TestRefusals:
     @pytest.fixture(scope="class")
     def vm_checkpoint(self, program):

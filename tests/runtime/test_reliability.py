@@ -287,6 +287,44 @@ class TestAgreement:
         with pytest.raises(BackendFault, match="counters differ"):
             check_agreement({}, a, {}, b)
 
+    @pytest.mark.parametrize(
+        "field, skew",
+        [
+            ("lane_active_steps", lambda c: c.add_lane_steps([True, False], 1)),
+            ("active_elements", lambda c: c.active_elements.update(store=1)),
+            ("element_ops", lambda c: c.element_ops.update(store=1)),
+            ("layer_steps", lambda c: c.layer_steps.update(store=1)),
+            ("calls", lambda c: c.calls.update(force=1)),
+        ],
+    )
+    def test_every_counter_field_is_compared(self, field, skew):
+        from repro.exec.counters import ExecutionCounters
+
+        a, b = ExecutionCounters(2), ExecutionCounters(2)
+        for counters in (a, b):
+            counters.record("store", width=2, mask=np.array([True, True]))
+        check_agreement({}, a, {}, b)
+        skew(b)
+        with pytest.raises(BackendFault, match=f"counters differ on '{field}'"):
+            check_agreement({}, a, {}, b)
+
+    def test_fault_shows_the_differing_values(self):
+        from repro.exec.counters import ExecutionCounters
+
+        a, b = ExecutionCounters(2), ExecutionCounters(2)
+        for counters in (a, b):
+            counters.record("store", width=2, mask=np.array([True, True]))
+        b.add_lane_steps([True, False], 1)
+        with pytest.raises(BackendFault) as excinfo:
+            check_agreement({}, a, {}, b)
+        assert "'lane_active_steps' ([1 1] vs [2 1])" in str(excinfo.value)
+        b = ExecutionCounters(2)
+        b.record("store", width=2, mask=np.array([True, True]))
+        b.layer_steps.update(store=1)
+        with pytest.raises(BackendFault) as excinfo:
+            check_agreement({}, a, {}, b)
+        assert "'layer_steps' ({'store': 1} vs {'store': 2})" in str(excinfo.value)
+
     def test_hidden_names_ignored(self):
         check_agreement({"__internal": 1, "x": 2}, None, {"x": 2}, None)
 

@@ -1,4 +1,4 @@
-"""External-call accounting on the VM's mask-epoch path.
+"""External-call and lane accounting on the VM's mask-epoch path.
 
 ``SIMDVirtualMachine._call`` records each ``CALL`` with the epoch's
 cached active-lane count and defers the per-lane activity update to
@@ -7,6 +7,9 @@ produces must be exactly those of the per-call ``mask=`` path: pinned
 below from the small Table-1 sweep as that path recorded it, and
 compared field by field against the tree-walking interpreter, which
 still takes the per-call path.
+
+Host time cannot gate on shared runners, so the number of full-width
+lane updates the VM pays on the same cells is pinned as a count.
 """
 
 import numpy as np
@@ -14,10 +17,12 @@ import pytest
 
 from repro.exec.counters import ExecutionCounters
 from repro.kernels import nbforce
+from repro.lang import parse_source
 from repro.md.molecule import synthetic_sod
 from repro.md.pairlist import build_pairlist
 from repro.runtime.engine import Engine
 from repro.simd.layout import DataDistribution
+from repro.vm import run_bytecode
 
 N_ATOMS, NPROC, NMAX = 400, 256, 512
 
@@ -107,3 +112,56 @@ def test_record_call_deferred_matches_immediate():
     assert not deferred.lane_active_steps.any()
     deferred.add_lane_steps(mask, layers)
     _assert_same_state(immediate, deferred)
+
+
+#: Full-width lane updates per cell as ``(vector, scalar)``: vector
+#: updates are ``add_lane_steps`` with a mask plus any immediate
+#: ``record(..., mask=)``; scalar ones are all-active epoch flushes.
+LANE_UPDATES = {"L_f": (53, 2), "Lu_l": (18, 2)}
+
+#: Upper bound on vector lane updates per loop iteration: one flush
+#: per WHERE/ELSEWHERE part that has an active lane.
+UPDATES_PER_ITERATION = {"L_f": 3, "Lu_l": 1}
+
+
+def _spy_lane_updates(monkeypatch):
+    updates = {"vector": 0, "scalar": 0}
+    add = ExecutionCounters.add_lane_steps
+    record = ExecutionCounters.record
+
+    def add_spy(self, mask, layers):
+        updates["scalar" if mask is None else "vector"] += 1
+        return add(self, mask, layers)
+
+    def record_spy(
+        self, kind, width=1, layers=1, mask=None, active=None, defer_lanes=False
+    ):
+        if mask is not None and not defer_lanes and kind != "acu":
+            updates["vector"] += 1
+        return record(
+            self, kind, width=width, layers=layers, mask=mask, active=active,
+            defer_lanes=defer_lanes,
+        )
+
+    monkeypatch.setattr(ExecutionCounters, "add_lane_steps", add_spy)
+    monkeypatch.setattr(ExecutionCounters, "record", record_spy)
+    return updates
+
+
+@pytest.mark.parametrize("kernel", sorted(LANE_UPDATES))
+def test_vm_lane_updates_per_iteration(molecule, monkeypatch, kernel):
+    updates = _spy_lane_updates(monkeypatch)
+    counters = _run(molecule, kernel, 3.0, "vm")
+    assert (updates["vector"], updates["scalar"]) == LANE_UPDATES[kernel]
+    iterations = counters.calls["force"]  # one force call per iteration
+    assert updates["vector"] <= UPDATES_PER_ITERATION[kernel] * iterations
+
+
+def test_all_active_epoch_flushes_as_a_scalar_add(monkeypatch):
+    updates = _spy_lane_updates(monkeypatch)
+    _, counters = run_bytecode(
+        parse_source("PROGRAM p\n  v = [1 : 4]\n  w = v * 2 + v\nEND"), 4
+    )
+    assert updates == {"vector": 0, "scalar": 1}
+    steps = counters.total_steps - counters.layer_steps["acu"]
+    assert counters.lane_active_steps.tolist() == [steps] * 4

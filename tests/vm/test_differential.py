@@ -134,3 +134,77 @@ END
     )
     (env_i, _), (env_v, _) = both(tree, nproc, {})
     assert np.array_equal(np.asarray(env_i["w"]), np.asarray(env_v["w"]))
+
+
+MASKED_GATHER = """
+PROGRAM p
+  INTEGER n
+  INTEGER v(n), w(n), r(n)
+  REAL a(5, 3)
+  v = [1 : n]
+  a = 0.0
+  a(:, 2) = 2.0
+  a(:, 3) = 3.0
+  a(2, :) = 7.0
+  w = 0
+  WHERE (v > 2)
+    w = a(r, j) + b(v)
+  ENDWHERE
+END
+"""
+
+
+@pytest.mark.parametrize(
+    "j, expected",
+    [
+        (np.array([9, -3, 2, 3], dtype=np.int64), [0, 0, 19, 16]),
+        (np.array([9, -3, 2, 3], dtype=np.int32), [0, 0, 19, 16]),
+        (np.array([True, False, True, True]), [0, 0, 19, 13]),
+    ],
+    ids=["int64", "int32", "bool"],
+)
+def test_masked_gather_clamps_inactive_lanes_alike(j, expected):
+    """Inactive lanes address out of range in both dimensions of a
+    gather (and in an undeclared int32 array): no engine traps, for
+    every subscript dtype, and both agree on values and counters."""
+    bindings = {
+        "n": 4,
+        "r": np.array([9, -3, 2, 4]),
+        "j": j,
+        "b": np.arange(10, 14, dtype=np.int32),
+    }
+    (env_i, c_i), (env_v, c_v) = both(parse_source(MASKED_GATHER), 4, bindings)
+    assert env_v["w"].data.tolist() == env_i["w"].data.tolist() == expected
+    assert c_v.state_dict()["active_elements"] == c_i.state_dict()["active_elements"]
+
+
+ZERO_EXTENT_GATHER = """
+PROGRAM p
+  INTEGER n, m
+  INTEGER v(n), w(n), r(n)
+  REAL a(m, 3), c(m)
+  v = [1 : n]
+  w = 0
+  WHERE (v > 9)
+    w = a(r, v) + c(r)
+  ENDWHERE
+END
+"""
+
+
+def test_zero_extent_gather_without_active_lanes_fails_alike():
+    """A zero extent has no element to clamp an inactive lane into:
+    both engines fail the same way instead of reading garbage."""
+    bindings = {"n": 4, "m": 0, "r": np.array([1, 2, 3, 1])}
+    errors = []
+    for run in (
+        lambda: repro.run(
+            parse_source(ZERO_EXTENT_GATHER), nproc=4,
+            bindings=dict(bindings), backend="interpreter",
+        ),
+        lambda: run_bytecode(parse_source(ZERO_EXTENT_GATHER), 4, bindings=dict(bindings)),
+    ):
+        with pytest.raises(IndexError) as excinfo:
+            run()
+        errors.append(str(excinfo.value))
+    assert errors[0] == errors[1]

@@ -5,7 +5,8 @@ import pytest
 
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
-from repro.vm import run_bytecode
+from repro.reliability import FaultPlan, OutOfBoundsFault
+from repro.vm import SIMDVirtualMachine, compile_program, run_bytecode
 
 
 def run(text, nproc, bindings=None, externals=None):
@@ -158,3 +159,32 @@ class TestSIMDSemantics:
             2,
         )
         assert env["w"].tolist() == [1, 0]
+
+
+class TestReuse:
+    """A machine runs many programs; no run may inherit another's mask."""
+
+    FAULT_IN_WHERE = (
+        "PROGRAM p\n  INTEGER a(4)\n  i = [1 : 4]\n  idx = i * 3\n  w = 0\n"
+        "  WHERE (i > 2)\n    w = a(idx)\n  ENDWHERE\nEND"
+    )
+    PLAIN = "PROGRAM p\n  v = [1 : 4]\n  w = v * 2\nEND"
+
+    def test_faulted_run_leaves_no_open_scope_behind(self):
+        vm = SIMDVirtualMachine(4)
+        with pytest.raises(OutOfBoundsFault):
+            vm.run(compile_program(parse_source(self.FAULT_IN_WHERE)))
+        assert vm.mask.tolist() == [False, False, True, True]
+        env = vm.run(compile_program(parse_source(self.PLAIN)))
+        assert env["w"].tolist() == [2, 4, 6, 8]
+        assert vm.mask.all()
+
+    def test_dropout_does_not_compound_across_runs(self):
+        code = compile_program(parse_source(self.PLAIN))
+        vm = SIMDVirtualMachine(4, fault_plan=FaultPlan(dropout_pes=(0,)))
+        vm.run(code)
+        assert vm.mask.tolist() == [False, True, True, True]
+        vm.fault_plan = FaultPlan(dropout_pes=(1,))
+        env = vm.run(code)
+        assert vm.mask.tolist() == [True, False, True, True]
+        assert env["w"].tolist() == [2, 0, 6, 8]
