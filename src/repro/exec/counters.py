@@ -119,6 +119,18 @@ class ExecutionCounters:
             self.lane_active_steps += np.asarray(mask, dtype=np.int64) * layers
         return layers
 
+    def record_scalar(self, kind: str) -> None:
+        """Record one width-1, single-layer, unmasked instruction.
+
+        Exactly what ``record(kind)`` does, for the scalar
+        interpreter's per-statement events.  It reads the ``Counter``
+        attributes on every call, since :meth:`load_state` replaces them.
+        """
+        self.events[kind] += 1
+        self.layer_steps[kind] += 1
+        self.element_ops[kind] += 1
+        self.active_elements[kind] += 1
+
     def record_block(
         self,
         events,

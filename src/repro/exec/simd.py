@@ -41,6 +41,7 @@ from ..reliability import (
     OutOfBoundsFault,
     TRACE_DEPTH,
     attach_snapshot,
+    budget_from_config,
     locate,
     render_mask,
     snapshot_env,
@@ -133,11 +134,9 @@ class SIMDInterpreter:
         kwargs = dict(
             externals=config.externals,
             counters=config.counters,
-            budget=config.budget,
+            budget=budget_from_config(config),
             fault_plan=config.fault_plan,
         )
-        if config.max_instructions is not None:
-            kwargs["max_statements"] = config.max_instructions
         return cls(source, config.nproc, **kwargs)
 
     def snapshot(self) -> MachineSnapshot:

@@ -55,6 +55,15 @@ class Budget:
         return BudgetMeter(self)
 
 
+def budget_from_config(config) -> Budget | None:
+    """The :class:`Budget` a :class:`~repro.runtime.BackendConfig` asks
+    for: its ``budget``, else a step cap of ``max_instructions``, else
+    None (the backend keeps its default cap)."""
+    if config.budget is None and config.max_instructions is not None:
+        return Budget(max_steps=config.max_instructions)
+    return config.budget
+
+
 class BudgetMeter:
     """Counts execution steps against a :class:`Budget`.
 

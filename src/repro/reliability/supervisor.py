@@ -65,7 +65,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from statistics import median
 
-from ..lang.errors import SourceLocation
+from ..lang.errors import UNKNOWN_LOCATION, SourceLocation
 from .errors import (
     BackendFault,
     BudgetExceeded,
@@ -124,13 +124,31 @@ def snapshot_from_dump(dump: dict) -> MachineSnapshot | None:
         return None
 
 
+def location_from_dump(dump: dict) -> SourceLocation:
+    """The error location a crash dump's ``location`` text names.
+
+    The text is ``str(SourceLocation)`` (``file:line:column``), so a
+    point location round-trips exactly and a span keeps its start.
+    Text this build cannot parse yields the unknown location.
+    """
+    filename, _, column = str(dump.get("location", "")).rpartition(":")
+    filename, sep, line = filename.rpartition(":")
+    try:
+        if sep:
+            return SourceLocation(filename=filename, line=int(line), column=int(column))
+    except ValueError:
+        pass
+    return UNKNOWN_LOCATION
+
+
 def error_from_dump(dump: dict) -> ReliabilityError:
     """Reconstruct a classified fault from a cross-process crash dump.
 
     The worker serialized its failure with
     :func:`~repro.reliability.errors.crash_dump_for`; the parent gets
     back an instance of the same taxonomy class, with the same
-    retryability and the worker's machine snapshot reattached.
+    location, retryability and the worker's machine snapshot
+    reattached.
     Unknown class names conservatively become a retryable
     :class:`BackendFault` — an unclassifiable remote failure is
     infrastructure, not program semantics.  The same degradation
@@ -148,6 +166,7 @@ def error_from_dump(dump: dict) -> ReliabilityError:
     try:
         return cls(
             str(dump.get("message", "worker failure")),
+            location_from_dump(dump),
             snapshot=snapshot_from_dump(dump),
             retryable=None if retryable is None else bool(retryable),
         )

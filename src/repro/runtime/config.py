@@ -33,9 +33,10 @@ class BackendConfig:
         budget: Execution guard (:class:`~repro.reliability.Budget`),
             or None for each backend's default step cap.
         fault_plan: Deterministic fault injection plan, or None.
-        max_instructions: Step cap used when ``budget`` is None
-            (``max_statements`` on the tree-walkers); None keeps each
-            backend's default.
+        max_instructions: Step cap used when ``budget`` is None, on
+            every backend
+            (:func:`~repro.reliability.budget.budget_from_config`);
+            None keeps each backend's default.
         vm_fuse: Enable superinstruction fusion (VM only).
         workers: Worker-process pool size (pmimd only; None picks a
             per-core default).

@@ -54,6 +54,7 @@ from ..reliability import (
     OutOfBoundsFault,
     TRACE_DEPTH,
     attach_snapshot,
+    budget_from_config,
     locate,
     render_mask,
     snapshot_env,
@@ -220,13 +221,11 @@ class SIMDVirtualMachine:
         kwargs = dict(
             externals=config.externals,
             counters=config.counters,
-            budget=config.budget,
+            budget=budget_from_config(config),
             fault_plan=config.fault_plan,
             fuse=config.vm_fuse,
             checkpoint_every=config.checkpoint_every,
         )
-        if config.max_instructions is not None:
-            kwargs["max_instructions"] = config.max_instructions
         return cls(config.nproc, **kwargs)
 
     def snapshot(self) -> MachineSnapshot:

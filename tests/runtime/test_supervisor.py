@@ -10,6 +10,7 @@ from collections import deque
 import pytest
 
 from repro.exec.pmimd import Shard
+from repro.lang.errors import UNKNOWN_LOCATION, SourceLocation
 from repro.reliability.errors import (
     BackendFault,
     BudgetExceeded,
@@ -477,6 +478,17 @@ class TestDumpReconstruction:
         assert snap is not None
         assert snap.pc == 17 and snap.steps == 420
         assert snap.mask_stack == [[1, 1, 1], [1, 0, 1]]
+
+    def test_location_round_trips(self):
+        location = SourceLocation(filename="k:1.f", line=4, column=5)
+        error = BudgetExceeded("step budget exhausted", location)
+        assert error_from_dump(error.crash_dump()).location == location
+        assert str(error_from_dump(error.crash_dump())) == str(error)
+
+    @pytest.mark.parametrize("text", [None, "", "4:5", "<string>:x:5", 12])
+    def test_unparsable_location_is_unknown(self, text):
+        error = error_from_dump({"error": "BackendFault", "location": text})
+        assert error.location == UNKNOWN_LOCATION
 
     def test_dump_without_state_has_no_snapshot(self):
         assert snapshot_from_dump({"error": "BackendFault"}) is None
