@@ -10,11 +10,12 @@ This package hunts for violations systematically:
   triangular/indirect bounds, guards, depth-3 nests, reductions, edge
   trip counts 0/1/N), each with concrete bindings and ground-truth
   metadata (actual trip counts, partitionability).
-* :mod:`repro.fuzz.oracle` — the differential oracle: every transform
-  variant x backend combination that the applicability analysis
-  accepts must agree with the sequential reference on the observable
-  state; a disagreement on a legal variant is a transform bug, an
-  accepted-but-wrong program is a safety-checker bug.
+* :mod:`repro.fuzz.oracle` — the differential oracle: every row of its
+  leg table (a transform variant x backend x comparison) that applies
+  to a program must agree with the sequential reference on the
+  observable state; a disagreement is a transform or backend bug, and
+  an applicability report that promises what the transform rejects
+  (or calls a serializing loop parallel) is a safety-checker gap.
 * :mod:`repro.fuzz.invariants` — per-run translation validation:
   guard-flag monotonicity, per-lane work against Eq. 1, and total
   useful-iteration conservation (the VM checks mask-stack balance

@@ -148,9 +148,10 @@ def replay_entry(
     """Re-run the oracle on a stored failure (shrunk form if present).
 
     Returns the divergence observed on the originally-failing leg, or
-    None when the bug no longer reproduces.
+    None when the bug no longer reproduces.  The default oracle runs
+    the opt-in legs (pmimd) the entry's leg needs.
     """
     if oracle is None:
-        oracle = DifferentialOracle(nproc=nproc)
+        oracle = DifferentialOracle.for_leg(entry.divergence.config, nproc)
     program = entry.shrunk if entry.shrunk is not None else entry.program
     return oracle.check_leg(program, entry.divergence.config)

@@ -1,57 +1,36 @@
 """The differential oracle: all legal variants must agree.
 
-For each generated program the oracle runs a matrix of
-transform x backend legs and compares every leg's observable final
-state against the sequential reference:
+For each generated program the oracle runs the sequential scalar
+reference, then every row of the leg table :data:`LEGS` (DESIGN.md §8
+lists the same matrix).  A row is data: its label, the compile options,
+how the compiled program runs (:class:`Run`), what the run is compared
+with, and the gate that says when the leg applies.  One runner,
+:meth:`DifferentialOracle._run_leg`, executes every row, so a new pass
+or backend joins the comparison as one more row.
 
-====================  ===========================  ====================
-leg                   backends                     legality
-====================  ===========================  ====================
-none                  scalar (reference)           always
-none                  vm + interpreter (lockstep)  always
-none                  fused vm + unfused vm        always
-none                  mimd (P private procs)       always
-none                  vm / scalar interrupted at   always
-                      a random step + resumed
-                      from checkpoint
-none                  pmimd killed between         ``pmimd_chaos``
-                      checkpoints + replayed
-flatten general       scalar (F77 form)            always
-flatten general       vm + interpreter             always
-flatten optimized     vm + interpreter             checker accepts, or
-                                                   condition 2 holds on
-                                                   the data
-flatten done          vm + interpreter             same as optimized +
-                                                   derivable done test
-flatten auto          vm + interpreter             always (falls back)
-flatten auto          fused vm + unfused vm        always
-coalesce              scalar                       rectangular nests
-fission               scalar (F77 form)            dependence SCCs split
-fission               vm + interpreter             dependence SCCs split
-interchange           scalar (F77 form)            perfect rectangular
-                                                   2-nest, no ``(<, >)``
-                                                   direction vector
-interchange           vm + interpreter             same
-simdize (Sec. 3)      vm + interpreter             partitionable outer
-spmd (Fig. 15)        vm + interpreter             partitionable outer
-====================  ===========================  ====================
+Comparisons (a row's ``compare`` names one or more):
 
-Lockstep legs run with ``verify=True``, so the VM and the tree-walking
-interpreter are *also* checked against each other on env and exact
-operation counters (:func:`repro.reliability.check_agreement` — the
-same code path ``Engine.run(verify=True)`` uses).  The ``vm-fuse``
-legs additionally pass the *fused* CodeObject through the bytecode
-verifier and demand that fused and unfused VM dispatch agree on env,
-step totals, and event breakdowns — superinstruction fusion and its
-batched accounting must be observationally invisible.
+* ``reference`` — every observable output equals the scalar reference's
+  (arrays exactly, observed scalars uniform across PEs), and the
+  planted work marker sums to the generator-predicted total.
+* ``twin`` — :func:`repro.reliability.check_agreement` against a twin
+  run of the same program: env *and* exact operation counters.  The
+  lockstep legs get the same check from ``verify=True`` (the VM against
+  the tree-walking interpreter — the code path
+  ``Engine.run(verify=True)`` uses).
+* ``hook`` — the :class:`~repro.fuzz.invariants.ValidatingHook` of a
+  hooked run: latched-flag monotonicity and, for partitioned forms,
+  the Eq. 1 per-lane work of the layout.
 
 The applicability analysis (:mod:`repro.analysis.applicability`) is
 consulted for every variant/assumption combination and must agree with
 what the transform actually accepts: a variant the report promises but
-the transform rejects (or vice versa) is a **checker gap**, as is a
-program the checker accepts without assumptions that then computes the
-wrong answer.  A divergence under a *violated* ``assume_min_trips``
-assertion is the caller's fault and is never compared.
+the transform rejects (or vice versa) is a **checker gap**, and so is a
+serializing outer loop the dependence test calls parallel.  A wrong
+answer on any leg that runs is an ``env-divergence`` whether or not the
+checker accepted the program unassisted.  The stronger flattening
+variants run under ``assume_min_trips`` only when the data make that
+assertion true, so a violated assertion is never compared.
 
 Two static checkers are cross-checked against the runtime as well.
 Every leg's :class:`~repro.vm.isa.CodeObject` passes through the
@@ -63,11 +42,11 @@ both directions: a runtime :class:`DivergenceFault` /
 a program every leg runs clean, are ``checker-gap`` divergences.
 
 Verdict kinds: ``env-divergence`` (legal leg disagrees with the
-reference), ``backend-disagreement`` (vm vs interpreter),
-``fault`` (a legal leg crashed), ``checker-gap``, ``verifier``
-(compiler-emitted bytecode failed verification), ``invariant``
-(translation validation failed: flag monotonicity, Eq. 1 per-lane
-work, total-work conservation).
+reference), ``backend-disagreement`` (a leg disagrees with its twin, or
+the VM with the interpreter), ``fault`` (a legal leg crashed),
+``checker-gap``, ``verifier`` (compiler-emitted bytecode failed
+verification), ``invariant`` (translation validation failed: flag
+monotonicity, Eq. 1 per-lane work, total-work conservation).
 """
 
 from __future__ import annotations
@@ -107,6 +86,19 @@ from .invariants import (
 #: Variant strength order used to cross-check the applicability report.
 _RANK = {"general": 0, "optimized": 1, "done": 2}
 
+#: Config of divergences found by the scalar reference run itself.
+REFERENCE = "none/scalar"
+
+#: Per-shard worker fault probability of the pmimd chaos leg.
+CHAOS_RATE = 0.1
+
+#: Placeholders in a row's compile options, filled in per program.
+NPROC = "<nproc>"  # the oracle's PE count
+MIN_TRIPS_OK = "<min_trips_ok>"  # True when no inner loop has 0 trips
+
+#: Gates that are oracle switches: the leg runs only when it is on.
+SWITCHES = ("pmimd", "pmimd_chaos")
+
 
 @dataclass
 class Divergence:
@@ -114,8 +106,9 @@ class Divergence:
 
     Attributes:
         kind: ``env-divergence`` / ``backend-disagreement`` / ``fault``
-            / ``checker-gap`` / ``invariant``.
-        config: The leg it occurred on (e.g. ``"flatten/general/simd"``).
+            / ``checker-gap`` / ``verifier`` / ``invariant``.
+        config: The leg it occurred on — a :data:`LEGS` label, or the
+            reference run / static cross-check that found it.
         detail: Human-readable description of the disagreement.
         crash_dump: Postmortem from :mod:`repro.reliability` when the
             leg faulted.
@@ -156,6 +149,158 @@ class ProgramVerdict:
         return not self.divergences
 
 
+@dataclass(frozen=True)
+class Run:
+    """How a leg runs its compiled program.
+
+    ``kind`` is one of:
+
+    * ``scalar`` — the sequential interpreter;
+    * ``mimd`` — P private processors, each env compared;
+    * ``lockstep`` — the VM and the tree-walking interpreter in
+      lockstep with ``verify=True`` (env and counters must agree);
+    * ``hooked`` — the lockstep interpreter under a
+      :class:`ValidatingHook`; with ``layout`` set the hook also counts
+      per-lane work for the Eq. 1 check;
+    * ``vm-fuse`` — the VM with fused and with unfused dispatch; the
+      fused run is the twin, and the fused code must verify too;
+    * ``resume`` — ``backend`` (``vm`` or ``scalar``) killed at a
+      seeded interior step while checkpointing, then resumed from its
+      last checkpoint; the uninterrupted run is the twin;
+    * ``pmimd`` — forked workers under ``plan(program)`` (a
+      :class:`FaultPlan`), ``policy`` and ``checkpoint_every``; the
+      in-process mimd run of the same program is the twin, and every
+      failed attempt must carry a taxonomy classification.
+    """
+
+    kind: str
+    backend: str = ""
+    layout: str | None = None
+    plan: object = None
+    policy: FallbackPolicy | None = None
+    checkpoint_every: int | None = None
+
+    @property
+    def bytecode(self) -> bool:
+        """Whether the run lowers the program to VM bytecode."""
+        return self.kind in ("lockstep", "hooked", "vm-fuse") or (
+            self.backend == "vm"
+        )
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One row of the differential matrix.
+
+    Attributes:
+        label: The leg's name in verdicts, corpus entries and stats.
+        options: ``Engine.compile`` keywords; :data:`NPROC` and
+            :data:`MIN_TRIPS_OK` values are filled in per program.
+        run: How the compiled program runs.
+        compare: What the run must match: ``reference``, ``twin``
+            and/or ``hook`` (see the module docstring).
+        gate: When the leg applies: ``always``; ``partitioned`` (the
+            generator *and* the Section 6 dependence test call the
+            outer loop parallel — the partitioned forms, which compare
+            only uniform scalars); ``accepted`` (the transform accepts
+            the program plain, or ``assume_min_trips`` is true on its
+            data); or an oracle switch from :data:`SWITCHES`.
+    """
+
+    label: str
+    options: dict
+    run: Run
+    compare: tuple[str, ...] = ("reference",)
+    gate: str = "always"
+
+
+def _chaos_plan(prog: GeneratedProgram) -> FaultPlan:
+    """Seeded worker kill/hang/slow faults on a share of the shards."""
+    return FaultPlan(
+        seed=(prog.seed << 20) ^ prog.index,
+        worker_fault_rate=CHAOS_RATE,
+        slow_seconds=0.01,
+        hang_seconds=2.0,
+        backends=("pmimd",),
+    )
+
+
+def _kill_plan(prog: GeneratedProgram) -> FaultPlan:
+    """Shard 0's first attempt dies a few statements in, between
+    checkpoint boundaries; the supervisor must replay it from the
+    per-processor checkpoint store."""
+    return FaultPlan(
+        seed=(prog.seed << 20) ^ prog.index ^ 0x5EED,
+        worker_kill=(0,),
+        kill_after_steps=3 + prog.index % 13,
+        backends=("pmimd",),
+    )
+
+
+_LOCKSTEP = Run("lockstep")
+_SCALAR = Run("scalar")
+_FUSE = Run("vm-fuse")
+_TWIN = ("reference", "twin")
+_HOOK = ("reference", "hook")
+_FLATTEN = {"transform": "flatten"}
+_GENERAL = dict(_FLATTEN, variant="general")
+_BLOCK = {"transform": "spmd", "variant": "general", "layout": "block",
+          "width": NPROC}
+
+#: The leg matrix, in the order the legs run (and divergences are found).
+LEGS: tuple[Leg, ...] = (
+    Leg("none/simd", {}, _LOCKSTEP),
+    Leg("none/mimd", {}, Run("mimd")),
+    # Durable execution: interrupt + resume == uninterrupted, exactly.
+    Leg("none/vm-ckpt", {}, Run("resume", backend="vm"), _TWIN),
+    Leg("none/interp-ckpt", {}, Run("resume", backend="scalar"), _TWIN),
+    # Process-parallel: pmimd runs the same per-processor programs as
+    # the mimd simulator, so it must be indistinguishable from it —
+    # also under injected worker faults with a pmimd->mimd fallback.
+    Leg("none/pmimd", {}, Run("pmimd"), _TWIN, gate="pmimd"),
+    Leg("none/pmimd-chaos", {},
+        Run("pmimd", plan=_chaos_plan,
+            policy=FallbackPolicy(chain=("pmimd", "mimd"), retries=1)),
+        _TWIN, gate="pmimd_chaos"),
+    Leg("none/pmimd-ckpt", {},
+        Run("pmimd", plan=_kill_plan, checkpoint_every=5),
+        _TWIN, gate="pmimd_chaos"),
+    # Superinstruction fusion and its batched accounting must be
+    # observationally invisible: env, step totals and event breakdown.
+    Leg("none/vm-fuse", {}, _FUSE, ("twin",)),
+    Leg("flatten/auto/vm-fuse", _FLATTEN, _FUSE, ("twin",)),
+    Leg("flatten/general/f77", dict(_GENERAL, simd=False), _SCALAR),
+    Leg("flatten/general/simd", _GENERAL, _LOCKSTEP),
+    # The conservative variant's latched flag is monotone per lane.
+    Leg("flatten/general/hooked", _GENERAL, Run("hooked"), _HOOK),
+    # Run as the checker accepts them, or under assume_min_trips when
+    # the data make it true — never under a false assertion.
+    Leg("flatten/optimized/simd", dict(_FLATTEN, variant="optimized"),
+        _LOCKSTEP, gate="accepted"),
+    Leg("flatten/done/simd", dict(_FLATTEN, variant="done"),
+        _LOCKSTEP, gate="accepted"),
+    Leg("flatten/auto/simd", dict(_FLATTEN, assume_min_trips=MIN_TRIPS_OK),
+        _LOCKSTEP),
+    Leg("coalesce/f77", {"transform": "coalesce"}, _SCALAR),
+    # Fission and interchange consult the dependence graph for
+    # legality, so every accepted program is a soundness claim about
+    # its distance/direction vectors; rejections are expected.
+    Leg("none/fission/f77", {"transform": "fission"}, _SCALAR),
+    Leg("none/fission", {"transform": "fission"}, _LOCKSTEP),
+    Leg("none/interchange/f77", {"transform": "interchange"}, _SCALAR),
+    Leg("none/interchange", {"transform": "interchange"}, _LOCKSTEP),
+    Leg("simdize/block", {"transform": "simdize", "layout": "block",
+                          "width": NPROC}, _LOCKSTEP, gate="partitioned"),
+    Leg("spmd/general/block", _BLOCK, _LOCKSTEP, gate="partitioned"),
+    Leg("spmd/auto/cyclic", dict(_BLOCK, variant="auto", layout="cyclic",
+                                 assume_min_trips=MIN_TRIPS_OK),
+        _LOCKSTEP, gate="partitioned"),
+    # Eq. 1: per-lane useful iterations match the layout's assignment.
+    Leg("spmd/general/block/hooked", _BLOCK, Run("hooked", layout="block"),
+        _HOOK, gate="partitioned"),
+)
+
+
 def _outer_flag_name(tree: ast.SourceFile) -> str | None:
     """Name of the flattened loop's latched continue flag.
 
@@ -194,6 +339,66 @@ def _copy_bindings(bindings: dict) -> dict:
     }
 
 
+def _describe(error: BaseException) -> str:
+    return f"{type(error).__name__}: {error}"
+
+
+def _record(verdict, kind, config, detail, error=None, leg=None) -> None:
+    """Record a divergence; with ``leg`` (``faulted``/``diverged``) also
+    mark the leg as run with that outcome."""
+    dump = None if error is None else _dump(error)
+    verdict.divergences.append(Divergence(kind, config, detail, dump))
+    if isinstance(error, (DivergenceFault, OutOfBoundsFault)):
+        verdict.runtime_faults.append((config, type(error).__name__))
+    if leg is not None:
+        verdict.legs.append(LegOutcome(config, "ok", leg))
+
+
+class _Case:
+    """One program's pass through the leg table."""
+
+    def __init__(self, prog: GeneratedProgram, ref_env: dict, report, verdict):
+        import random
+
+        self.prog, self.ref_env, self.verdict = prog, ref_env, verdict
+        self.report = report  # the no-assumption applicability report
+        self.twins: dict = {}
+        # Drawn from by the resume legs only, in table order.
+        self.rng = random.Random(
+            (prog.seed << 16) ^ (prog.index * 0x9E37) ^ 0xC4C7
+        )
+
+    def bindings(self, proc: int | None = None) -> dict:
+        """A fresh copy of the program's bindings (also ``bindings_for``)."""
+        return _copy_bindings(self.prog.bindings)
+
+    def mark(self, label: str, status: str = "ok", detail: str = "") -> None:
+        self.verdict.legs.append(LegOutcome(label, status, detail))
+
+    def twin(self, key: str, run):
+        """The twin run ``run()`` once per program; None when it failed
+        (its faults belong to the leg that runs that backend plainly)."""
+        if key not in self.twins:
+            try:
+                self.twins[key] = run()
+            except Exception:
+                self.twins[key] = None
+        return self.twins[key]
+
+
+class _Ran:
+    """A leg run that completed, and what it is compared with: the twin
+    run (``backends`` names the twin, then the run), the hook, and the
+    detail prefixes of an env-divergence and a backend-disagreement."""
+
+    def __init__(self, result, twin=None, backends=("", ""), hook=None,
+                 against_reference: str = "", against_twin: str = ""):
+        self.result, self.twin, self.backends = result, twin, backends
+        self.hook = hook
+        self.against_reference = against_reference
+        self.against_twin = against_twin
+
+
 class DifferentialOracle:
     """Runs the variant x backend matrix for generated programs.
 
@@ -206,15 +411,14 @@ class DifferentialOracle:
             program and demand env + counter agreement with the
             in-process MIMD simulator (opt-in: forks worker processes
             per program).
-        pmimd_chaos: Additionally run a pmimd leg under a seeded
+        pmimd_chaos: Additionally run pmimd under a seeded
             :class:`FaultPlan` injecting worker kill/hang/slow faults
-            at ``chaos_rate``, with a pmimd->mimd fallback chain; the
+            at :data:`CHAOS_RATE` with a pmimd->mimd fallback chain,
+            and with shard 0 killed between checkpoint boundaries; the
             supervised (or degraded) run must still match the
-            reference, and every failed attempt must carry a
-            taxonomy classification.  Implies nothing about ``pmimd``
-            — enable both for the full matrix.
-        chaos_rate: Per-shard worker fault probability for the chaos
-            leg.
+            reference, and every failed attempt must carry a taxonomy
+            classification.  Implies nothing about ``pmimd`` — enable
+            both for the full matrix.
     """
 
     #: Supervision tuned for fuzzing: fast wedge detection and small
@@ -233,7 +437,6 @@ class DifferentialOracle:
         *,
         pmimd: bool = False,
         pmimd_chaos: bool = False,
-        chaos_rate: float = 0.1,
     ):
         if nproc < 2:
             raise ValueError(f"the oracle needs nproc >= 2, got {nproc}")
@@ -241,10 +444,21 @@ class DifferentialOracle:
         self.engine = engine if engine is not None else Engine(cache_size=512)
         self.pmimd = pmimd
         self.pmimd_chaos = pmimd_chaos
-        self.chaos_rate = chaos_rate
-        # Code objects already verified this session — the engine caches
-        # compiles, so the same object comes back on many legs.
-        self._verified: set[int] = set()
+        # Compile keys whose bytecode this check verified — the legs
+        # share compiles, and a key names its code by content (an
+        # evicted CodeObject's id can come back on a different one).
+        self._verified: set = set()
+
+    @classmethod
+    def for_leg(cls, config: str, nproc: int = 4) -> DifferentialOracle:
+        """An oracle that runs the leg named ``config``, switching on
+        the opt-in legs it needs (corpus replay)."""
+        switches = {
+            leg.gate: True
+            for leg in LEGS
+            if leg.label == config and leg.gate in SWITCHES
+        }
+        return cls(nproc, **switches)
 
     # -- public API ----------------------------------------------------------
 
@@ -254,43 +468,19 @@ class DifferentialOracle:
         try:
             ref_env = self._reference(prog)
         except Exception as error:
-            verdict.divergences.append(
-                Divergence(
-                    "fault",
-                    "none/scalar",
-                    f"reference run failed: {type(error).__name__}: {error}",
-                    crash_dump=_dump(error),
-                )
-            )
+            detail = f"reference run failed: {_describe(error)}"
+            _record(verdict, "fault", REFERENCE, detail, error)
             return verdict
         conserved = check_work_conservation(ref_env, prog.total_work)
         if conserved is not None:
-            verdict.divergences.append(
-                Divergence("invariant", "none/scalar", conserved)
-            )
+            _record(verdict, "invariant", REFERENCE, conserved)
             return verdict
 
         report = self._consult_applicability(prog, verdict)
-        self._untransformed_legs(prog, ref_env, verdict)
-        self._checkpoint_legs(prog, ref_env, verdict)
-        if self.pmimd or self.pmimd_chaos:
-            self._pmimd_legs(prog, ref_env, verdict)
-        self._fused_legs(prog, verdict)
-        self._flatten_legs(prog, ref_env, verdict)
-        self._coalesce_leg(prog, ref_env, verdict)
-        self._dep_legs(prog, ref_env, verdict)
-        if prog.partitionable and report is not None and report.safe is True:
-            self._partitioned_legs(prog, ref_env, verdict)
-        else:
-            verdict.legs.append(
-                LegOutcome(
-                    "spmd+simdize",
-                    "skipped",
-                    "outer loop not partitionable "
-                    f"(generator={prog.partitionable}, "
-                    f"checker={None if report is None else report.safe})",
-                )
-            )
+        case = _Case(prog, ref_env, report, verdict)
+        self._verified = set()
+        for leg in LEGS:
+            self._run_leg(case, leg)
         self._lint_cross_check(prog, verdict)
         return verdict
 
@@ -314,14 +504,11 @@ class DifferentialOracle:
         )
         return result.env
 
-    def _compare(
-        self,
-        prog: GeneratedProgram,
-        ref_env: dict,
-        env: dict,
-        partitioned: bool,
+    def _mismatch(
+        self, case: _Case, env: dict, partitioned: bool
     ) -> str | None:
         """First observable disagreement with the reference, or None."""
+        prog, ref_env = case.prog, case.ref_env
         for name in prog.outputs:
             ref = ref_env.get(name)
             if ref is None:
@@ -342,8 +529,7 @@ class DifferentialOracle:
         # Scalar accumulators replicate per lane in partitioned runs and
         # carry per-lane partials; only the unpartitioned legs compare
         # them (partitioned legs exclude accumulator programs anyway).
-        scalar_names = prog.observables if not partitioned else ("k",)
-        for name in scalar_names:
+        for name in prog.observables if not partitioned else ("k",):
             ref = ref_env.get(name)
             if ref is None:
                 continue
@@ -364,6 +550,14 @@ class DifferentialOracle:
 
     # -- applicability consultation ------------------------------------------
 
+    def _accepts(self, prog: GeneratedProgram, options: dict) -> bool:
+        """Whether the transform accepts ``prog`` under ``options``."""
+        try:
+            self.engine.compile(prog.source, **options)
+        except TransformError:
+            return False
+        return True
+
     def _consult_applicability(
         self, prog: GeneratedProgram, verdict: ProgramVerdict
     ):
@@ -376,13 +570,8 @@ class DifferentialOracle:
         tree = structurize_program(parse_source(prog.source))
         sites = find_nest_sites(tree)
         if not sites:
-            verdict.divergences.append(
-                Divergence(
-                    "checker-gap",
-                    "analysis/applicability",
-                    "generator emitted a nest the site finder cannot see",
-                )
-            )
+            _record(verdict, "checker-gap", "analysis/applicability",
+                    "generator emitted a nest the site finder cannot see")
             return None
         stmt = sites[0].stmt
         base_report = None
@@ -392,28 +581,17 @@ class DifferentialOracle:
                 base_report = report
             promised = _RANK.get(report.variant, -1)
             for variant in ("optimized", "done"):
-                compiled = True
-                try:
-                    self.engine.compile(
-                        prog.source,
-                        transform="flatten",
-                        variant=variant,
-                        assume_min_trips=amt,
-                        simd=True,
-                    )
-                except TransformError:
-                    compiled = False
-                expected = _RANK[variant] <= promised
-                if compiled != expected:
-                    verdict.divergences.append(
-                        Divergence(
-                            "checker-gap",
+                compiled = self._accepts(
+                    prog,
+                    {"transform": "flatten", "variant": variant,
+                     "assume_min_trips": amt},
+                )
+                if compiled != (_RANK[variant] <= promised):
+                    _record(verdict, "checker-gap",
                             f"flatten/{variant}/assume={amt}",
                             f"applicability promises '{report.variant}' "
                             f"but variant '{variant}' "
-                            f"{'compiled' if compiled else 'was rejected'}",
-                        )
-                    )
+                            f"{'compiled' if compiled else 'was rejected'}")
         # "Safe" on a serializing loop is accepted-but-wrong — unless
         # the analysis itself qualifies it as needing reduction
         # support, which partition_outer does not provide (and the
@@ -423,14 +601,9 @@ class DifferentialOracle:
             and base_report.safe is True
             and not base_report.parallelism.reductions
         ):
-            verdict.divergences.append(
-                Divergence(
-                    "checker-gap",
-                    "analysis/dependence",
+            _record(verdict, "checker-gap", "analysis/dependence",
                     "dependence test calls a serializing outer loop "
-                    "parallel (accepted-but-wrong risk)",
-                )
-            )
+                    "parallel (accepted-but-wrong risk)")
         return base_report
 
     def _lint_cross_check(
@@ -447,216 +620,172 @@ class DifferentialOracle:
         try:
             report = lint_source(prog.source, filename="<fuzz>")
         except Exception as error:  # the linter must never kill the oracle
-            verdict.divergences.append(
-                Divergence(
-                    "checker-gap",
-                    "lint/static",
-                    f"lint crashed on generator output: "
-                    f"{type(error).__name__}: {error}",
-                )
-            )
+            _record(verdict, "checker-gap", "lint/static",
+                    f"lint crashed on generator output: {_describe(error)}")
             return
         codes = sorted({finding.code for finding in report.errors})
         if verdict.runtime_faults and not codes:
             leg, fault = verdict.runtime_faults[0]
-            verdict.divergences.append(
-                Divergence(
-                    "checker-gap",
-                    "lint/runtime",
+            _record(verdict, "checker-gap", "lint/runtime",
                     f"lint is error-clean but leg '{leg}' raised "
-                    f"{fault} at run time",
-                )
-            )
+                    f"{fault} at run time")
         elif codes and not verdict.runtime_faults and not any(
             d.kind == "fault" for d in verdict.divergences
         ):
-            verdict.divergences.append(
-                Divergence(
-                    "checker-gap",
-                    "lint/runtime",
-                    f"lint reports {codes} but every leg ran clean",
-                )
-            )
+            _record(verdict, "checker-gap", "lint/runtime",
+                    f"lint reports {codes} but every leg ran clean")
 
-    def _verify_bytecode(
-        self, program, label: str, verdict: ProgramVerdict
-    ) -> None:
+    # -- the leg runner ------------------------------------------------------
+
+    def _run_leg(self, case: _Case, leg: Leg) -> None:
+        """Gate, compile, run and compare one row of :data:`LEGS`."""
+        options = self._gate(case, leg)
+        if options is None:
+            return
+        program = self._compile(case, leg, options)
+        if program is None:
+            return
+        if leg.run.bytecode:
+            self._verify_bytecode(program, leg.label, case.verdict)
+        try:
+            ran = self._execute(case, leg, program)
+        except Exception as error:
+            kind, detail = "fault", _describe(error)
+            if isinstance(error, BackendFault) and leg.run.kind == "lockstep":
+                # verify=True: the VM and the interpreter disagreed
+                kind, detail = "backend-disagreement", str(error)
+            elif not isinstance(error, MiniFError):
+                detail = f"unwrapped exception escaped the backend: {detail}"
+            leg_status = "faulted" if kind == "fault" else "diverged"
+            _record(case.verdict, kind, leg.label, detail, error, leg_status)
+            return
+        if ran is not None and self._compare(case, leg, ran):
+            case.mark(leg.label)
+
+    def _gate(self, case: _Case, leg: Leg) -> dict | None:
+        """The compile options ``leg`` runs with on this program, or
+        None when it does not apply (recording why, unless the leg is
+        switched off)."""
+        prog = case.prog
+        fill = {NPROC: self.nproc, MIN_TRIPS_OK: prog.min_trips_ok}
+        options = {
+            name: fill.get(value, value) for name, value in leg.options.items()
+        }
+        if leg.gate in SWITCHES:
+            return options if getattr(self, leg.gate) else None
+        if leg.gate == "partitioned":
+            safe = None if case.report is None else case.report.safe
+            if prog.partitionable and safe is True:
+                return options
+            # one record for the whole partitioned group
+            if not any(o.label == "spmd+simdize" for o in case.verdict.legs):
+                case.mark("spmd+simdize", "skipped",
+                          "outer loop not partitionable "
+                          f"(generator={prog.partitionable}, checker={safe})")
+            return None
+        if leg.gate == "accepted" and not self._accepts(prog, options):
+            if not prog.min_trips_ok:
+                case.mark(leg.label, "skipped",
+                          "assume_min_trips would be a false assertion "
+                          "(data has a zero-trip inner loop)")
+                return None
+            return dict(options, assume_min_trips=True)
+        return options
+
+    def _compile(self, case: _Case, leg: Leg, options: dict):
+        """The leg's compiled program, or None after recording a
+        rejection (``TransformError``) or a compiler crash."""
+        try:
+            program = self.engine.compile(case.prog.source, **options)
+            if leg.run.bytecode:
+                program.bytecode()  # lowering is part of the compile
+            return program
+        except TransformError as error:
+            case.mark(leg.label, "rejected", str(error))
+        except Exception as error:
+            _record(case.verdict, "fault", leg.label,
+                    f"compiler crashed: {_describe(error)}", error, "faulted")
+        return None
+
+    def _verify_bytecode(self, program, label: str, verdict) -> None:
         """Bytecode verifier leg: compiler-emitted code must verify."""
         code = program.bytecode()
-        if code is None or id(code) in self._verified:
+        if code is None or program.key in self._verified:
             return
-        self._verified.add(id(code))
+        self._verified.add(program.key)
         for finding in verify_code(code).errors:
-            verdict.divergences.append(
-                Divergence(
-                    "verifier",
-                    label,
-                    f"[{finding.code}] {finding.message}",
-                )
-            )
+            detail = f"[{finding.code}] {finding.message}"
+            _record(verdict, "verifier", label, detail)
 
-    def _latched_flag(self, prog: GeneratedProgram, kwargs: dict) -> str | None:
-        """Continue-flag name of the compiled flattened form (or None)."""
-        try:
-            return _outer_flag_name(
-                self.engine.compile(prog.source, **kwargs).tree
+    def _execute(self, case: _Case, leg: Leg, program) -> _Ran | None:
+        """Run the compiled program as ``leg.run`` says.  Returns None
+        when the leg's outcome is already recorded."""
+        run, nproc = leg.run, self.nproc
+        if run.kind == "scalar":
+            return _Ran(program.run(case.bindings(), backend="scalar"))
+        if run.kind == "mimd":
+            return _Ran(program.run(nproc=nproc, backend="mimd",
+                                    bindings_for=case.bindings))
+        if run.kind == "lockstep":
+            return _Ran(program.run(case.bindings(), nproc=nproc, verify=True))
+        if run.kind == "hooked":
+            hook = ValidatingHook(
+                nproc,
+                flag=_outer_flag_name(program.tree),
+                marker="w" if run.layout else None,
             )
-        except Exception:
-            return None
+            result = program.run(case.bindings(), nproc=nproc,
+                                 backend="interpreter", statement_hook=hook)
+            return _Ran(result, hook=hook)
+        if run.kind == "pmimd":
+            return self._pmimd(case, leg, program)
+        if run.kind == "resume":
+            return self._resume(case, leg, program)
+        return self._fused(case, leg, program)
 
-    # -- matrix legs ---------------------------------------------------------
-
-    def _run_and_compare(
-        self,
-        prog: GeneratedProgram,
-        ref_env: dict,
-        verdict: ProgramVerdict,
-        label: str,
-        compile_kwargs: dict,
-        *,
-        partitioned: bool = False,
-        assumed: bool = False,
-        mode: str = "simd",
-        statement_hook=None,
-    ):
-        """Compile + run one leg, record its outcome/divergence.
-
-        Returns the leg's final env (or None when it did not run).
-        """
-        try:
-            program = self.engine.compile(prog.source, **compile_kwargs)
-            program.tree  # force any lazy transform error
-        except TransformError as error:
-            verdict.legs.append(LegOutcome(label, "rejected", str(error)))
+    def _pmimd(self, case: _Case, leg: Leg, program) -> _Ran | None:
+        mimd = case.twin("mimd", lambda: program.run(
+            nproc=self.nproc, backend="mimd", bindings_for=case.bindings))
+        if mimd is None:
             return None
-        except Exception as error:
-            verdict.divergences.append(
-                Divergence(
-                    "fault",
-                    label,
-                    f"compiler crashed: {type(error).__name__}: {error}",
-                    crash_dump=_dump(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return None
-        if mode not in ("scalar", "mimd"):
-            self._verify_bytecode(program, label, verdict)
-        bindings = _copy_bindings(prog.bindings)
-        try:
-            if mode == "scalar":
-                result = program.run(bindings, backend="scalar")
-            elif mode == "mimd":
-                result = program.run(
-                    nproc=self.nproc,
-                    backend="mimd",
-                    bindings_for=lambda p: _copy_bindings(prog.bindings),
-                )
-            elif statement_hook is not None:
-                result = program.run(
-                    bindings,
-                    nproc=self.nproc,
-                    backend="interpreter",
-                    statement_hook=statement_hook,
-                )
-            else:
-                result = program.run(bindings, nproc=self.nproc, verify=True)
-        except BackendFault as error:
-            verdict.divergences.append(
-                Divergence(
-                    "backend-disagreement",
-                    label,
-                    str(error),
-                    crash_dump=crash_dump_for(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-            return None
-        except Exception as error:
-            detail = f"{type(error).__name__}: {error}"
-            if not isinstance(error, MiniFError):
-                detail = f"unwrapped exception escaped the backend: {detail}"
-            if isinstance(error, (DivergenceFault, OutOfBoundsFault)):
-                verdict.runtime_faults.append((label, type(error).__name__))
-            verdict.divergences.append(
-                Divergence("fault", label, detail, crash_dump=_dump(error))
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return None
-        envs = result.env if isinstance(result.env, list) else [result.env]
-        for proc, env in enumerate(envs):
-            mismatch = self._compare(prog, ref_env, env, partitioned)
-            if mismatch is None:
-                mismatch = check_work_conservation(env, prog.total_work)
-                kind = "invariant" if mismatch else None
-            else:
-                # A wrong answer the checker accepted without any
-                # caller assertion is a safety-checker bug; under a
-                # (true) assertion or on always-legal variants it is a
-                # transform bug.
-                kind = "env-divergence"
-            if mismatch is not None:
-                prefix = f"proc {proc + 1}: " if len(envs) > 1 else ""
-                verdict.divergences.append(
-                    Divergence(kind, label, prefix + mismatch)
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                return None
-        verdict.legs.append(LegOutcome(label, "ok"))
-        return envs[0]
-
-    def _untransformed_legs(self, prog, ref_env, verdict) -> None:
-        self._run_and_compare(
-            prog, ref_env, verdict, "none/simd", {}, mode="simd"
+        run = leg.run
+        result = program.run(
+            nproc=self.nproc,
+            backend="pmimd",
+            bindings_for=case.bindings,
+            config=BackendConfig(
+                workers=2,
+                supervision=self.FUZZ_SUPERVISION,
+                checkpoint_every=run.checkpoint_every,
+            ),
+            fault_plan=None if run.plan is None else run.plan(case.prog),
+            policy=run.policy,
         )
-        self._run_and_compare(
-            prog, ref_env, verdict, "none/mimd", {}, mode="mimd"
-        )
+        for attempt in result.attempts:
+            if not attempt.ok and not attempt.fault_kind:
+                _record(case.verdict, "fault", leg.label,
+                        f"unclassified failure on backend "
+                        f"'{attempt.backend}': {attempt.error}")
+        return _Ran(result, mimd, ("mimd", result.backend))
 
-    def _checkpoint_legs(self, prog, ref_env, verdict) -> None:
-        """Durable-execution legs: interrupt + resume == uninterrupted.
-
-        For the VM and the scalar interpreter: run the untransformed
-        program to completion, then re-run it under a step budget that
-        kills it at a seeded random interior step while capturing
-        checkpoints every few steps, resume from the last captured
-        checkpoint, and demand that the resumed run's final environment
-        *and* exact operation counters match the uninterrupted run
-        (:func:`check_agreement`) as well as the sequential reference.
-        When the interrupt lands before the first checkpoint boundary,
-        the documented fallback — a clean rerun — must still agree.
-        """
-        import random
-
-        rng = random.Random((prog.seed << 16) ^ (prog.index * 0x9E37) ^ 0xC4C7)
-        for label, backend in (
-            ("none/vm-ckpt", "vm"),
-            ("none/interp-ckpt", "scalar"),
-        ):
-            self._checkpoint_leg(prog, ref_env, verdict, label, backend, rng)
-
-    def _checkpoint_leg(
-        self, prog, ref_env, verdict, label: str, backend: str, rng
-    ) -> None:
-        try:
-            program = self.engine.compile(prog.source)
-            program.tree
-        except Exception:
-            return  # the untransformed legs already reported this
+    def _resume(self, case: _Case, leg: Leg, program) -> _Ran | None:
+        """Interrupt at a seeded step while checkpointing every few
+        steps, then resume from the last checkpoint.  When the
+        interrupt lands before the first boundary, the documented
+        recovery — a clean rerun — must still agree."""
+        backend = leg.run.backend
         nproc = self.nproc if backend == "vm" else 0
-        try:
-            plain = program.run(
-                _copy_bindings(prog.bindings), nproc=nproc, backend=backend
-            )
-        except Exception:
-            return  # faults of the plain backend belong to none/simd
+        plain = case.twin(backend, lambda: program.run(
+            case.bindings(), nproc=nproc, backend=backend))
+        if plain is None:
+            return None
         total = int(plain.counters.total_steps)
-        every = rng.randrange(3, 24)
-        cut = rng.randrange(1, total) if total > 1 else 1
+        every = case.rng.randrange(3, 24)
+        cut = case.rng.randrange(1, total) if total > 1 else 1
         checkpoints: list = []
         try:
             program.run(
-                _copy_bindings(prog.bindings),
+                case.bindings(),
                 nproc=nproc,
                 backend=backend,
                 budget=Budget(max_steps=cut),
@@ -666,485 +795,112 @@ class DifferentialOracle:
         except BudgetExceeded:
             pass  # the injected interrupt
         except Exception as error:
-            verdict.divergences.append(
-                Divergence(
-                    "fault",
-                    label,
-                    f"interrupted run died outside the budget taxonomy: "
-                    f"{type(error).__name__}: {error}",
-                    crash_dump=_dump(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return
+            _record(case.verdict, "fault", leg.label,
+                    "interrupted run died outside the budget taxonomy: "
+                    f"{_describe(error)}", error, "faulted")
+            return None
+        step = checkpoints[-1].step if checkpoints else 0
         try:
             if checkpoints:
-                resumed = program.run(
-                    _copy_bindings(prog.bindings),
-                    backend="auto",
-                    nproc=nproc,
-                    resume_from=checkpoints[-1],
-                )
+                resumed = program.run(case.bindings(), backend="auto",
+                                      nproc=nproc, resume_from=checkpoints[-1])
             else:
-                # Interrupt landed before the first boundary: the
-                # documented recovery is a clean rerun.
-                resumed = program.run(
-                    _copy_bindings(prog.bindings), nproc=nproc, backend=backend
-                )
+                resumed = program.run(case.bindings(), nproc=nproc,
+                                      backend=backend)
         except Exception as error:
-            verdict.divergences.append(
-                Divergence(
-                    "fault",
-                    label,
-                    f"resume from step "
-                    f"{checkpoints[-1].step if checkpoints else 0} failed: "
-                    f"{type(error).__name__}: {error}",
-                    crash_dump=_dump(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-            return
-        mismatch = self._compare(prog, ref_env, resumed.env, False)
-        if mismatch is not None:
-            verdict.divergences.append(
-                Divergence(
-                    "env-divergence",
-                    label,
-                    f"resumed at step "
-                    f"{checkpoints[-1].step if checkpoints else 0} "
-                    f"(interrupt at {cut}, every {every}): {mismatch}",
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-            return
-        try:
-            check_agreement(
-                plain.env,
-                plain.counters,
-                resumed.env,
-                resumed.counters,
-                backends=(backend, f"{backend}-resumed"),
-            )
-        except BackendFault as error:
-            verdict.divergences.append(
-                Divergence(
-                    "backend-disagreement",
-                    label,
-                    f"resume is not exact (interrupt at {cut}, "
-                    f"every {every}): {error}",
-                    crash_dump=crash_dump_for(error),
-                )
-            )
-            verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-            return
-        verdict.legs.append(LegOutcome(label, "ok"))
+            _record(case.verdict, "fault", leg.label,
+                    f"resume from step {step} failed: {_describe(error)}",
+                    error, "faulted")
+            return None
+        where = f"(interrupt at {cut}, every {every})"
+        return _Ran(
+            resumed,
+            plain,
+            (backend, f"{backend}-resumed"),
+            against_reference=f"resumed at step {step} {where}: ",
+            against_twin=f"resume is not exact {where}: ",
+        )
 
-    def _pmimd_legs(self, prog, ref_env, verdict) -> None:
-        """Process-parallel legs: pmimd must be indistinguishable from mimd.
-
-        The in-process MIMD simulator is the trusted twin: both levels
-        run the *same* per-processor scalar programs, so their final
-        environments and per-processor statement counters must agree
-        exactly (:func:`check_agreement`), and both must match the
-        sequential reference.  The chaos leg re-runs pmimd under a
-        seeded worker-fault plan with a pmimd->mimd fallback chain —
-        recovery (or degradation) must be observationally invisible,
-        and every failed attempt must be classified in the
-        reliability taxonomy.
-        """
-        try:
-            program = self.engine.compile(prog.source)
-            program.tree
-        except Exception:
-            return  # the untransformed legs already reported this
-        bindings_for = lambda p: _copy_bindings(prog.bindings)
-        try:
-            mimd = program.run(
-                nproc=self.nproc, backend="mimd", bindings_for=bindings_for
-            )
-        except Exception:
-            return  # ditto: none/mimd owns faults of the simulator
-        legs = []
-        if self.pmimd:
-            legs.append(("none/pmimd", None, None, None))
-        if self.pmimd_chaos:
-            plan = FaultPlan(
-                seed=(prog.seed << 20) ^ prog.index,
-                worker_fault_rate=self.chaos_rate,
-                slow_seconds=0.01,
-                hang_seconds=2.0,
-                backends=("pmimd",),
-            )
-            policy = FallbackPolicy(chain=("pmimd", "mimd"), retries=1)
-            legs.append(("none/pmimd-chaos", plan, policy, None))
-            # Durable-execution chaos: shard 0's first attempt is killed
-            # a few statements in, *between* checkpoint boundaries; the
-            # supervisor's replay must resume from the per-processor
-            # store and still be observationally invisible.
-            ckpt_plan = FaultPlan(
-                seed=(prog.seed << 20) ^ prog.index ^ 0x5EED,
-                worker_kill=(0,),
-                kill_after_steps=3 + prog.index % 13,
-                backends=("pmimd",),
-            )
-            legs.append(("none/pmimd-ckpt", ckpt_plan, None, 5))
-        for label, plan, policy, every in legs:
-            config = BackendConfig(
-                workers=2,
-                supervision=self.FUZZ_SUPERVISION,
-                checkpoint_every=every,
-            )
+    def _fused(self, case: _Case, leg: Leg, program) -> _Ran | None:
+        """Fused and unfused VM runs; a program that legitimately
+        faults must fault identically in both modes."""
+        label, verdict = leg.label, case.verdict
+        code = program.bytecode()
+        if code is None:
+            case.mark(label, "skipped", "no bytecode")
+            return None
+        for finding in verify_code(fuse_code(code)).errors:
+            detail = f"fused code: [{finding.code}] {finding.message}"
+            _record(verdict, "verifier", label, detail)
+        runs = []
+        for fuse in (True, False):
             try:
-                result = program.run(
-                    nproc=self.nproc,
-                    backend="pmimd",
-                    bindings_for=bindings_for,
-                    config=config,
-                    fault_plan=plan,
-                    policy=policy,
-                )
-            except MiniFError as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "fault",
-                        label,
-                        f"{type(error).__name__}: {error}",
-                        crash_dump=_dump(error),
-                    )
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-                continue
-            for attempt in result.attempts:
-                if not attempt.ok and not attempt.fault_kind:
-                    verdict.divergences.append(
-                        Divergence(
-                            "fault",
-                            label,
-                            f"unclassified failure on backend "
-                            f"'{attempt.backend}': {attempt.error}",
-                        )
-                    )
-            mismatch = None
-            for proc, env in enumerate(result.env):
-                mismatch = self._compare(prog, ref_env, env, False)
-                if mismatch is not None:
-                    mismatch = f"proc {proc + 1}: {mismatch}"
-                    break
-            if mismatch is not None:
-                verdict.divergences.append(
-                    Divergence("env-divergence", label, mismatch)
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            try:
-                check_agreement(
-                    mimd.env,
-                    mimd.counters,
-                    result.env,
-                    result.counters,
-                    backends=("mimd", result.backend),
-                )
-            except BackendFault as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "backend-disagreement",
-                        label,
-                        str(error),
-                        crash_dump=crash_dump_for(error),
-                    )
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            verdict.legs.append(LegOutcome(label, "ok"))
-
-    def _fused_legs(self, prog, verdict) -> None:
-        """Superinstruction legs: fusion must be observationally invisible.
-
-        For the untransformed and the flattened F90simd forms: the
-        fused :class:`~repro.vm.isa.CodeObject` must pass the bytecode
-        verifier, and a fused VM run must agree with an unfused VM run
-        on the final environment, the step totals, *and* the event
-        breakdown (fused dispatch batches its accounting, so this is
-        the leg that keeps the batching honest).  A program that
-        legitimately faults must fault identically in both modes.
-        """
-        for label, kwargs in (
-            ("none/vm-fuse", {}),
-            ("flatten/auto/vm-fuse", {"transform": "flatten", "simd": True}),
-        ):
-            try:
-                program = self.engine.compile(prog.source, **kwargs)
-                program.tree  # force any lazy transform error
-                code = program.bytecode()
-            except TransformError as error:
-                verdict.legs.append(LegOutcome(label, "rejected", str(error)))
-                continue
+                runs.append(program.run(case.bindings(), nproc=self.nproc,
+                                        backend="vm",
+                                        config=BackendConfig(vm_fuse=fuse)))
             except Exception as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "fault",
-                        label,
-                        f"compiler crashed: {type(error).__name__}: {error}",
-                        crash_dump=_dump(error),
-                    )
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "faulted"))
-                continue
-            if code is None:
-                verdict.legs.append(LegOutcome(label, "skipped", "no bytecode"))
-                continue
-            for finding in verify_code(fuse_code(code)).errors:
-                verdict.divergences.append(
-                    Divergence(
-                        "verifier",
-                        label,
-                        f"fused code: [{finding.code}] {finding.message}",
-                    )
-                )
-
-            outcomes = []
-            for fuse in (True, False):
-                try:
-                    result = program.run(
-                        _copy_bindings(prog.bindings),
-                        nproc=self.nproc,
-                        backend="vm",
-                        config=BackendConfig(vm_fuse=fuse),
-                    )
-                    outcomes.append(("ok", result))
-                except MiniFError as error:
-                    outcomes.append(("fault", error))
-                except Exception as error:
-                    verdict.divergences.append(
-                        Divergence(
-                            "fault",
-                            label,
+                if not isinstance(error, MiniFError):
+                    _record(verdict, "fault", label,
                             "unwrapped exception escaped the VM "
-                            f"(fuse={fuse}): {type(error).__name__}: {error}",
-                            crash_dump=_dump(error),
-                        )
-                    )
-                    outcomes.append(("fault", error))
-            (fused_kind, fused_out), (plain_kind, plain_out) = outcomes
-            if fused_kind != plain_kind:
-                detail = (
+                            f"(fuse={fuse}): {_describe(error)}", error)
+                runs.append(error)
+        fused, plain = runs
+        fused_kind, plain_kind = (
+            "fault" if isinstance(out, Exception) else "ok" for out in runs
+        )
+        types = f"{type(fused).__name__} vs {type(plain).__name__}"
+        if fused_kind != plain_kind:
+            _record(verdict, "backend-disagreement", label,
                     f"fused VM {fused_kind}, unfused VM {plain_kind} "
-                    f"({type(fused_out).__name__} vs {type(plain_out).__name__})"
-                )
-                verdict.divergences.append(
-                    Divergence("backend-disagreement", label, detail)
-                )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            if fused_kind == "fault":
-                if type(fused_out) is not type(plain_out):
-                    verdict.divergences.append(
-                        Divergence(
-                            "backend-disagreement",
-                            label,
-                            "fused and unfused VM faulted differently: "
-                            f"{type(fused_out).__name__} vs "
-                            f"{type(plain_out).__name__}",
-                        )
-                    )
-                    verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                else:
-                    verdict.legs.append(
-                        LegOutcome(label, "ok", "both modes faulted alike")
-                    )
-                continue
+                    f"({types})", leg="diverged")
+        elif fused_kind == "fault" and type(fused) is not type(plain):
+            _record(verdict, "backend-disagreement", label,
+                    f"fused and unfused VM faulted differently: {types}",
+                    leg="diverged")
+        elif fused_kind == "fault":
+            case.mark(label, "ok", "both modes faulted alike")
+        else:
+            return _Ran(plain, fused, ("vm+fuse", "vm-nofuse"))
+        return None
+
+    def _compare(self, case: _Case, leg: Leg, ran: _Ran) -> bool:
+        """Apply the row's comparisons; False once a divergence is
+        recorded and the leg marked."""
+        verdict, label = case.verdict, leg.label
+        if "reference" in leg.compare:
+            env = ran.result.env
+            envs = env if isinstance(env, list) else [env]
+            for proc, env in enumerate(envs):
+                kind = "env-divergence"
+                detail = self._mismatch(case, env, leg.gate == "partitioned")
+                if detail is None:
+                    kind = "invariant"
+                    detail = check_work_conservation(env, case.prog.total_work)
+                if detail is not None:
+                    prefix = f"proc {proc + 1}: " if len(envs) > 1 else ""
+                    detail = ran.against_reference + prefix + detail
+                    _record(verdict, kind, label, detail, leg="diverged")
+                    return False
+        if "twin" in leg.compare:
+            twin, result = ran.twin, ran.result
             try:
-                check_agreement(
-                    fused_out.env,
-                    fused_out.counters,
-                    plain_out.env,
-                    plain_out.counters,
-                    backends=("vm+fuse", "vm-nofuse"),
-                )
+                check_agreement(twin.env, twin.counters, result.env,
+                                result.counters, backends=ran.backends)
             except BackendFault as error:
-                verdict.divergences.append(
-                    Divergence(
-                        "backend-disagreement",
-                        label,
-                        str(error),
-                        crash_dump=crash_dump_for(error),
-                    )
+                _record(verdict, "backend-disagreement", label,
+                        ran.against_twin + str(error), error, "diverged")
+                return False
+        if "hook" in leg.compare:
+            hook, layout = ran.hook, leg.run.layout
+            if layout is not None:
+                expected = predicted_lane_work(
+                    case.prog.trip_counts, self.nproc, layout
                 )
-                verdict.legs.append(LegOutcome(label, "ok", "diverged"))
-                continue
-            verdict.legs.append(LegOutcome(label, "ok"))
-
-    def _flatten_legs(self, prog, ref_env, verdict) -> None:
-        base = {"transform": "flatten", "simd": True}
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/general/f77",
-            {"transform": "flatten", "variant": "general", "simd": False},
-            mode="scalar",
-        )
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/general/simd",
-            dict(base, variant="general"),
-        )
-        # Monotonicity of the conservative variant's latched flag.
-        flag = self._latched_flag(prog, dict(base, variant="general"))
-        hook = ValidatingHook(self.nproc, flag=flag, marker=None)
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/general/hooked",
-            dict(base, variant="general"),
-            statement_hook=hook,
-        )
-        for violation in hook.violations:
-            verdict.divergences.append(
-                Divergence("invariant", "flatten/general/hooked", violation)
-            )
-        for variant in ("optimized", "done"):
-            label = f"flatten/{variant}/simd"
-            kwargs = dict(base, variant=variant)
-            accepted_plain = True
-            try:
-                self.engine.compile(prog.source, **kwargs)
-            except TransformError:
-                accepted_plain = False
-            if accepted_plain:
-                self._run_and_compare(prog, ref_env, verdict, label, kwargs)
-            elif prog.min_trips_ok:
-                self._run_and_compare(
-                    prog,
-                    ref_env,
-                    verdict,
-                    label,
-                    dict(kwargs, assume_min_trips=True),
-                    assumed=True,
-                )
-            else:
-                verdict.legs.append(
-                    LegOutcome(
-                        label,
-                        "skipped",
-                        "assume_min_trips would be a false assertion "
-                        "(data has a zero-trip inner loop)",
-                    )
-                )
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "flatten/auto/simd",
-            dict(base, variant="auto", assume_min_trips=prog.min_trips_ok),
-            assumed=prog.min_trips_ok,
-        )
-
-    def _coalesce_leg(self, prog, ref_env, verdict) -> None:
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "coalesce/f77",
-            {"transform": "coalesce"},
-            mode="scalar",
-        )
-
-    def _dep_legs(self, prog, ref_env, verdict) -> None:
-        """Dependence-framework legs: fission and interchange.
-
-        Both transforms consult :func:`repro.analysis.dep.
-        build_dependence_graph` for legality, so every accepted program
-        is a soundness claim about the distance/direction vectors: a
-        dependence the tests wrongly refute reorders statement
-        instances and shows up here as an env divergence against the
-        sequential reference.  Rejections (``TransformError``) are the
-        expected outcome on serializing shapes and are recorded as
-        ``rejected`` legs, not failures.
-        """
-        for transform in ("fission", "interchange"):
-            self._run_and_compare(
-                prog,
-                ref_env,
-                verdict,
-                f"none/{transform}/f77",
-                {"transform": transform},
-                mode="scalar",
-            )
-            self._run_and_compare(
-                prog,
-                ref_env,
-                verdict,
-                f"none/{transform}",
-                {"transform": transform},
-            )
-
-    def _partitioned_legs(self, prog, ref_env, verdict) -> None:
-        self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "simdize/block",
-            {"transform": "simdize", "width": self.nproc, "layout": "block"},
-            partitioned=True,
-        )
-        for variant, layout in (("general", "block"), ("auto", "cyclic")):
-            label = f"spmd/{variant}/{layout}"
-            assumed = variant != "general" and prog.min_trips_ok
-            self._run_and_compare(
-                prog,
-                ref_env,
-                verdict,
-                label,
-                {
-                    "transform": "spmd",
-                    "variant": variant,
-                    "layout": layout,
-                    "width": self.nproc,
-                    "assume_min_trips": assumed,
-                },
-                partitioned=True,
-                assumed=assumed,
-            )
-        # Eq. 1: per-lane useful iterations must match the layout's
-        # assignment of outer iterations (hooked interpreter run).
-        spmd_kwargs = {
-            "transform": "spmd",
-            "variant": "general",
-            "layout": "block",
-            "width": self.nproc,
-        }
-        flag = self._latched_flag(prog, spmd_kwargs)
-        hook = ValidatingHook(self.nproc, flag=flag, marker="w")
-        env = self._run_and_compare(
-            prog,
-            ref_env,
-            verdict,
-            "spmd/general/block/hooked",
-            spmd_kwargs,
-            partitioned=True,
-            statement_hook=hook,
-        )
-        if env is not None:
-            expected = predicted_lane_work(
-                prog.trip_counts, self.nproc, "block"
-            )
-            actual = hook.lane_work.tolist()
-            if actual != expected:
-                verdict.divergences.append(
-                    Divergence(
-                        "invariant",
-                        "spmd/general/block/hooked",
-                        f"Eq. 1 violated: per-lane useful iterations "
-                        f"{actual} != layout-assigned work {expected}",
-                    )
-                )
+                actual = hook.lane_work.tolist()
+                if actual != expected:
+                    _record(verdict, "invariant", label,
+                            f"Eq. 1 violated: per-lane useful iterations "
+                            f"{actual} != layout-assigned work {expected}")
             for violation in hook.violations:
-                verdict.divergences.append(
-                    Divergence(
-                        "invariant", "spmd/general/block/hooked", violation
-                    )
-                )
+                _record(verdict, "invariant", label, violation)
+        return True

@@ -82,3 +82,34 @@ class TestVerifierLeg:
         for index in range(10):
             verdict = oracle.check(generator.generate(index))
             assert gaps(verdict) == [], verdict.divergences
+
+    def test_every_bytecode_a_leg_runs_is_verified(self, monkeypatch):
+        """A one-entry compile cache frees each CodeObject as soon as
+        the next leg compiles, so a new one can reuse a freed object's
+        address; the verifier must still see every distinct code the
+        VM runs."""
+        import repro.fuzz.oracle as oracle_mod
+        from repro.runtime.engine import Engine
+        from repro.vm.machine import SIMDVirtualMachine
+
+        verified, ran = set(), set()
+        real_verify, real_run = oracle_mod.verify_code, SIMDVirtualMachine.run
+
+        def spy_verify(code):
+            verified.add(code.disassemble())
+            return real_verify(code)
+
+        def spy_run(self, code, *args, **kwargs):
+            ran.add(code.disassemble())
+            return real_run(self, code, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "verify_code", spy_verify)
+        monkeypatch.setattr(SIMDVirtualMachine, "run", spy_run)
+        # Address reuse depends on the allocator; make it certain: every
+        # object the oracle module asks about has the same id.
+        monkeypatch.setattr(oracle_mod, "id", lambda obj: 0, raising=False)
+        oracle = DifferentialOracle(nproc=4, engine=Engine(cache_size=1))
+        for program in ProgramGenerator(seed=0).programs(10):
+            oracle.check(program)
+        assert ran
+        assert ran <= verified, f"{len(ran - verified)} codes ran unverified"

@@ -51,6 +51,32 @@ def test_oracle_rejects_tiny_pools():
         DifferentialOracle(nproc=1)
 
 
-def test_chaos_rate_is_configurable():
-    oracle = DifferentialOracle(nproc=4, pmimd_chaos=True, chaos_rate=0.25)
-    assert oracle.chaos_rate == 0.25
+@pytest.mark.parametrize(
+    "switch, config",
+    [("pmimd", "none/pmimd"), ("pmimd_chaos", "none/pmimd-chaos")],
+)
+def test_pmimd_finding_replays_from_corpus(
+    switch, config, tmp_path, monkeypatch, capsys
+):
+    """A fault only the pmimd backend shows is saved by the campaign and
+    still fails on replay: replay switches on the opt-in leg the saved
+    entry names."""
+    from repro.cli import main
+    from repro.runtime.engine import CompiledProgram
+
+    real = CompiledProgram._execute
+
+    def mutant(self, chosen, spec):
+        env, counters, statements, events = real(self, chosen, spec)
+        if chosen == "pmimd":
+            env[0]["w"].data.flat[0] += 1  # planted: corrupt processor 1
+        return env, counters, statements, events
+
+    monkeypatch.setattr(CompiledProgram, "_execute", mutant)
+    report = run_fuzz(seed=0, iterations=1, nproc=4, corpus_dir=str(tmp_path),
+                      max_failures=1, **{switch: True})
+    [entry] = report.failures
+    assert entry.divergence.config == config
+    assert main(["fuzz", "--replay", "--corpus", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"still fails [env-divergence] on {config}" in out
