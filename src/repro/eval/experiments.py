@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exec import MIMDSimulator, SIMDInterpreter
 from ..kernels import example as ex
 from ..kernels.nbforce import (
     NBFORCE_SEQUENTIAL,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..lang import ast
-from ..reliability import Budget, budget_from_config
+from ..reliability import Budget
 from .counters import ExecutionCounters
 from .scalar import ScalarInterpreter
 
@@ -85,17 +85,16 @@ class MIMDSimulator:
     def from_config(cls, source: ast.SourceFile, config) -> "MIMDSimulator":
         """Construct from a :class:`~repro.runtime.BackendConfig`.
 
-        ``config.max_instructions`` becomes each processor's
-        ``Budget(max_steps=...)`` when ``config.budget`` is None, as on
-        the scalar backend.  Per-processor interpreters each get fresh
-        counters; ``config.counters``/``vm_fuse`` do not apply to this
-        backend and are ignored.
+        ``config.budget`` guards each processor, as on the scalar
+        backend.  Per-processor interpreters each get fresh counters;
+        ``config.counters``/``vm_fuse`` do not apply to this backend
+        and are ignored.
         """
         return cls(
             source,
             config.nproc,
             externals=config.externals,
-            budget=budget_from_config(config),
+            budget=config.budget,
             fault_plan=config.fault_plan,
         )
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..lang import ast
 from ..lang.errors import MiniFError
-from ..reliability import Budget, budget_from_config, crash_dump_for
+from ..reliability import Budget, crash_dump_for
 from ..reliability.checkpoint import CheckpointStore
 from ..reliability.errors import BackendFault
 from ..reliability.supervisor import SupervisionPolicy, WorkerSupervisor
@@ -484,16 +484,15 @@ class PMIMDExecutor:
     def from_config(cls, source: ast.SourceFile, config) -> "PMIMDExecutor":
         """Construct from a :class:`~repro.runtime.BackendConfig`.
 
-        ``config.max_instructions`` becomes each processor's
-        ``Budget(max_steps=...)`` when ``config.budget`` is None, as on
-        the scalar backend; ``config.counters``/``vm_fuse`` do not
-        apply to this backend and are ignored.
+        ``config.budget`` guards each processor, as on the scalar
+        backend; ``config.counters``/``vm_fuse`` do not apply to this
+        backend and are ignored.
         """
         return cls(
             source,
             config.nproc,
             externals=config.externals,
-            budget=budget_from_config(config),
+            budget=config.budget,
             fault_plan=config.fault_plan,
             workers=config.workers,
             shards=config.shards,

@@ -39,7 +39,6 @@ from ..reliability import (
     OutOfBoundsFault,
     TRACE_DEPTH,
     attach_snapshot,
-    budget_from_config,
     locate,
     snapshot_env,
 )
@@ -136,9 +135,8 @@ class ScalarInterpreter:
         counters: Event accumulator (created fresh when omitted).
         statement_hook: Optional callable ``hook(stmt, env)`` invoked
             before each executed statement — used by trace recorders.
-        max_statements: Safety bound on executed statements (shorthand
-            for a ``Budget(max_steps=...)``).
-        budget: Execution guard; overrides ``max_statements``.
+        budget: Execution guard (None = ``Budget()``, the default step
+            cap).
         fault_plan: Deterministic fault injection
             (:class:`~repro.reliability.FaultPlan`).
         checkpoint_every: Capture a restorable
@@ -156,7 +154,6 @@ class ScalarInterpreter:
         externals: dict | None = None,
         counters: ExecutionCounters | None = None,
         statement_hook=None,
-        max_statements: int = 20_000_000,
         budget: Budget | None = None,
         fault_plan=None,
         checkpoint_every: int | None = None,
@@ -170,8 +167,7 @@ class ScalarInterpreter:
         self.externals = externals or {}
         self.counters = counters if counters is not None else ExecutionCounters(1)
         self.statement_hook = statement_hook
-        self.max_statements = max_statements
-        self.budget = budget if budget is not None else Budget(max_steps=max_statements)
+        self.budget = budget if budget is not None else Budget()
         self.fault_plan = fault_plan
         self.checkpoint_every = checkpoint_every
         self.checkpoint_sink = checkpoint_sink
@@ -206,7 +202,7 @@ class ScalarInterpreter:
         kwargs = dict(
             externals=config.externals,
             counters=config.counters,
-            budget=budget_from_config(config),
+            budget=config.budget,
             fault_plan=config.fault_plan,
             checkpoint_every=config.checkpoint_every,
         )

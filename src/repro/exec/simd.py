@@ -41,7 +41,6 @@ from ..reliability import (
     OutOfBoundsFault,
     TRACE_DEPTH,
     attach_snapshot,
-    budget_from_config,
     locate,
     render_mask,
     snapshot_env,
@@ -90,9 +89,8 @@ class SIMDInterpreter:
         counters: Event accumulator (fresh one when omitted).
         statement_hook: Optional ``hook(stmt, env, mask)`` called before
             each executed statement (trace recording).
-        max_statements: Safety bound on executed statements (shorthand
-            for a ``Budget(max_steps=...)``).
-        budget: Execution guard; overrides ``max_statements``.
+        budget: Execution guard (None = ``Budget()``, the default step
+            cap).
         fault_plan: Deterministic fault injection
             (:class:`~repro.reliability.FaultPlan`).
     """
@@ -104,7 +102,6 @@ class SIMDInterpreter:
         externals: dict | None = None,
         counters: ExecutionCounters | None = None,
         statement_hook=None,
-        max_statements: int = 20_000_000,
         budget: Budget | None = None,
         fault_plan=None,
     ):
@@ -115,8 +112,7 @@ class SIMDInterpreter:
         self.externals = externals or {}
         self.counters = counters if counters is not None else ExecutionCounters(nproc)
         self.statement_hook = statement_hook
-        self.max_statements = max_statements
-        self.budget = budget if budget is not None else Budget(max_steps=max_statements)
+        self.budget = budget if budget is not None else Budget()
         self.fault_plan = fault_plan
 
         self.executed_statements = 0
@@ -134,7 +130,7 @@ class SIMDInterpreter:
         kwargs = dict(
             externals=config.externals,
             counters=config.counters,
-            budget=budget_from_config(config),
+            budget=config.budget,
             fault_plan=config.fault_plan,
         )
         return cls(source, config.nproc, **kwargs)

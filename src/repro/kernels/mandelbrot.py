@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exec import SIMDInterpreter
 from ..runtime.engine import default_engine
 from ..lang import parse_source
 
@@ -124,14 +123,14 @@ def run_sequential(cr: np.ndarray, ci: np.ndarray, maxiter: int):
 def run_flat_simd(cr: np.ndarray, ci: np.ndarray, maxiter: int, nproc: int):
     """Run the flattened SIMD kernel; returns (counts, counters)."""
     source = parse_source(MANDELBROT_FLAT_SIMD)
-    interp = SIMDInterpreter(source, nproc)
-    env = interp.run(
+    result = default_engine().compile(source).run(
         bindings={
             "npix": int(cr.size),
             "maxiter": int(maxiter),
             "p": nproc,
             "cr": np.asarray(cr, dtype=float),
             "ci": np.asarray(ci, dtype=float),
-        }
+        },
+        nproc=nproc,
     )
-    return np.asarray(env["counts"].data), interp.counters
+    return np.asarray(result.env["counts"].data), result.counters

@@ -25,7 +25,7 @@ The cross-cutting robustness layer of the runtime:
   generation fallback) that resume-from-checkpoint recovery reads.
 """
 
-from .budget import DEFAULT_MAX_STEPS, Budget, BudgetMeter, budget_from_config
+from .budget import DEFAULT_MAX_STEPS, Budget, BudgetMeter
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -76,7 +76,6 @@ __all__ = [
     "TRACE_DEPTH",
     "WorkerSupervisor",
     "attach_snapshot",
-    "budget_from_config",
     "check_agreement",
     "crash_dump_for",
     "error_from_dump",

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from ..lang.errors import UNKNOWN_LOCATION
 from .errors import BudgetExceeded
 
-#: Default step ceiling — matches the interpreters' historical guard.
+#: Default step ceiling of every backend: what ``Budget()`` and a run
+#: without a budget enforce.
 DEFAULT_MAX_STEPS = 20_000_000
 
 
@@ -53,15 +54,6 @@ class Budget:
     def meter(self) -> "BudgetMeter":
         """A fresh meter enforcing this budget for one attempt."""
         return BudgetMeter(self)
-
-
-def budget_from_config(config) -> Budget | None:
-    """The :class:`Budget` a :class:`~repro.runtime.BackendConfig` asks
-    for: its ``budget``, else a step cap of ``max_instructions``, else
-    None (the backend keeps its default cap)."""
-    if config.budget is None and config.max_instructions is not None:
-        return Budget(max_steps=config.max_instructions)
-    return config.budget
 
 
 class BudgetMeter:

@@ -31,12 +31,9 @@ class BackendConfig:
         counters: An :class:`~repro.exec.counters.ExecutionCounters`
             to accumulate into, or None for a fresh accumulator.
         budget: Execution guard (:class:`~repro.reliability.Budget`),
-            or None for each backend's default step cap.
+            or None for the default step cap
+            (:data:`~repro.reliability.budget.DEFAULT_MAX_STEPS`).
         fault_plan: Deterministic fault injection plan, or None.
-        max_instructions: Step cap used when ``budget`` is None, on
-            every backend
-            (:func:`~repro.reliability.budget.budget_from_config`);
-            None keeps each backend's default.
         vm_fuse: Enable superinstruction fusion (VM only).
         workers: Worker-process pool size (pmimd only; None picks a
             per-core default).
@@ -63,7 +60,6 @@ class BackendConfig:
     counters: object | None = None
     budget: object | None = None
     fault_plan: object | None = None
-    max_instructions: int | None = None
     vm_fuse: bool = True
     workers: int | None = None
     shards: int | None = None

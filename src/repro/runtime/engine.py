@@ -214,6 +214,14 @@ class CompiledProgram:
 
     def _resolve_backend(self, name: str, spec: RunSpec) -> str:
         """The backend that runs canonical ``name`` for this run shape."""
+        if name == "vm" and (
+            spec.statement_hook is not None or spec.routine_name is not None
+        ):
+            raise InterpreterError(
+                "backend='vm' runs the main program and takes no statement "
+                "hooks; statement_hook and routine_name need a tree-walking "
+                "backend"
+            )
         if spec.resume_from is not None:
             return name  # the checkpoint's own backend, fixed by the spec
         nproc = spec.config.nproc
@@ -280,9 +288,13 @@ class CompiledProgram:
                 used to pick the backend when ``policy`` supplies its
                 own chain.
             externals: External subroutine registry.
-            statement_hook: Trace hook (tree-walking backends only).
+            statement_hook: Trace hook (tree-walking backends only;
+                ``backend="vm"`` refuses it, and ``"auto"`` then picks
+                the interpreter).
             routine_name: Run a routine other than the main program
-                (tree-walking backends only).
+                (tree-walking backends only, refused like
+                ``statement_hook``); a name the program does not define
+                raises :class:`~repro.lang.errors.InterpreterError`.
             bindings_for: MIMD/PMIMD backends — callable ``p -> dict``
                 (runs inside the worker process on pmimd).  Plain
                 ``bindings`` also work on both: every processor gets a
@@ -304,11 +316,13 @@ class CompiledProgram:
                 and the two must agree on env and counters
                 (:func:`~repro.reliability.check_agreement` — the same
                 oracle :mod:`repro.fuzz` uses).  Needs ``nproc >= 1``
-                and a vm/interpreter/auto backend; composes with
-                ``policy`` by switching its ``verify`` flag on.
+                and a vm/interpreter/auto backend, and is refused with
+                ``statement_hook`` or ``routine_name`` (the VM runs
+                neither); composes with ``policy`` by switching its
+                ``verify`` flag on.
             config: A :class:`BackendConfig` supplying run settings in
                 one bag; explicit keyword arguments win over it, and
-                its ``counters``/``max_instructions``/``vm_fuse``
+                its ``counters``/``budget``/``vm_fuse``
                 fields reach the backend constructors unchanged.
             checkpoint_every: Durable execution — capture a restorable
                 :class:`~repro.reliability.checkpoint.Checkpoint`
@@ -336,9 +350,21 @@ class CompiledProgram:
             raise InterpreterError(
                 f"unknown backend {backend!r} (choose from {', '.join(BACKENDS)})"
             )
+        if routine_name is not None:
+            names = [unit.name for unit in self._tree.units]
+            if routine_name not in names:
+                raise InterpreterError(
+                    f"unknown routine {routine_name!r} "
+                    f"(the program defines: {', '.join(names)})"
+                )
         if config is not None:
             nproc = nproc or config.nproc
         if verify:
+            if statement_hook is not None or routine_name is not None:
+                raise InterpreterError(
+                    "verify=True cross-checks against the VM, which runs "
+                    "neither statement_hook nor routine_name"
+                )
             if policy is not None:
                 policy = replace(policy, verify=True)
             elif nproc < 1 or name in ("scalar", "mimd", "pmimd"):

@@ -13,14 +13,14 @@ Pieces:
   ``asyncio.start_server`` (no aiohttp, no http.server);
 * :mod:`repro.serve.app` — the :class:`~repro.serve.app.ServeApp`
   request handlers and lifecycle (`POST /v1/compile`, `/v1/run`,
-  `/v1/lint`, `GET /healthz`, `/metrics`);
+  `/v1/lint`, `GET /healthz`, `/metrics`); compiles and runs execute
+  on its bounded worker threads, and every ``/v1/run`` — pmimd
+  included — is one :meth:`~repro.runtime.CompiledProgram.run` call;
 * :mod:`repro.serve.singleflight` — deduplication of identical
   in-flight compiles;
 * :mod:`repro.serve.admission` — per-tenant admission control wired
   to the reliability layer's :class:`~repro.reliability.Budget` and
   :class:`~repro.reliability.FallbackPolicy`;
-* :mod:`repro.serve.pool` — the bounded worker-pool executor runs are
-  dispatched to, with pmimd executor reuse across requests;
 * :mod:`repro.serve.metrics` — JSON counters and latency percentiles
   behind ``/metrics``;
 * :mod:`repro.serve.protocol` — request decoding and JSON-safe
@@ -30,13 +30,11 @@ Pieces:
 from .admission import AdmissionController, AdmissionError, TenantPolicy
 from .app import ServeApp, ServeConfig, serve
 from .metrics import ServeMetrics
-from .pool import RunnerPool
 from .singleflight import SingleFlight
 
 __all__ = [
     "AdmissionController",
     "AdmissionError",
-    "RunnerPool",
     "ServeApp",
     "ServeConfig",
     "ServeMetrics",

@@ -4,14 +4,16 @@ Request flow for the hot endpoint (``POST /v1/compile``)::
 
     admission (per-tenant + global ceilings, 429 over limit)
       └─ single-flight (identical in-flight compiles share one build)
-           └─ worker pool (compile off the event loop)
+           └─ worker threads (compile off the event loop)
                 └─ Engine: memory LRU → ArtifactStore (disk) → pipeline
 
-``POST /v1/run`` rides the same compile path, then dispatches
-execution to the bounded :class:`~repro.serve.pool.RunnerPool` with
-the tenant's :class:`~repro.reliability.Budget` and
-:class:`~repro.reliability.FallbackPolicy` applied; pmimd runs reuse
-pooled executors across requests.
+``POST /v1/run`` rides the same compile path, then makes one
+:meth:`~repro.runtime.CompiledProgram.run` call on the worker threads
+for every backend, pmimd included, with the tenant's
+:class:`~repro.reliability.Budget` and
+:class:`~repro.reliability.FallbackPolicy` applied — so a tenant's
+fallback chain and the ``engine.runs`` counters in ``/metrics`` cover
+every run the service makes.
 
 Every handler is a plain ``async`` method taking a decoded JSON body
 and returning ``(status, payload)``, so the whole API is testable
@@ -22,23 +24,23 @@ connection callback.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..lang.errors import MiniFError
-from ..runtime import BackendConfig, Engine
-from ..runtime.result import RunResult
+from ..runtime import Engine
 from .admission import AdmissionController, AdmissionError, TenantPolicy
 from .http import HTTPError, Request, read_request, response_bytes
 from .metrics import ServeMetrics
-from .pool import RunnerPool
 from .protocol import (
     ProtocolError,
     compile_options,
-    decode_bindings,
     encode_run_result,
     error_body,
     require_source,
+    run_arguments,
 )
 from .singleflight import SingleFlight
 
@@ -57,8 +59,8 @@ class ServeConfig:
         store_max_bytes: LRU ceiling on stored bytes.
         cache_size: In-memory compile-cache entries.
         max_inflight: Global concurrent-request ceiling (429 beyond).
-        pool_workers: Execution thread-pool size.
-        executor_cache: pmimd executors kept for cross-request reuse.
+        pool_workers: Worker threads compiles and runs execute on —
+            the service's execution concurrency ceiling.
         tenants: Per-tenant policies (the ``"default"`` entry replaces
             the built-in default policy).
         drain_seconds: Graceful-shutdown budget for in-flight requests.
@@ -72,7 +74,6 @@ class ServeConfig:
     cache_size: int = 128
     max_inflight: int | None = 64
     pool_workers: int = 4
-    executor_cache: int = 8
     tenants: tuple[TenantPolicy, ...] = field(default_factory=tuple)
     drain_seconds: float = 10.0
 
@@ -103,10 +104,10 @@ class ServeApp:
         self.engine = engine
         self.metrics = ServeMetrics()
         self.singleflight = SingleFlight()
-        self.pool = RunnerPool(
-            max_workers=self.config.pool_workers,
-            executor_cache=self.config.executor_cache,
+        self._threads = ThreadPoolExecutor(
+            max_workers=self.config.pool_workers, thread_name_prefix="repro-serve"
         )
+        self._submitted = 0
         default = TenantPolicy()
         for policy in self.config.tenants:
             if policy.name == "default":
@@ -120,10 +121,18 @@ class ServeApp:
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
 
+    async def _submit(self, fn, *args, **kwargs):
+        """Run ``fn(*args, **kwargs)`` on the worker threads; await its result."""
+        self._submitted += 1
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._threads, functools.partial(fn, *args, **kwargs)
+        )
+
     # -- compile path ----------------------------------------------------------
 
     async def _compile(self, source: str, options: dict):
-        """Single-flighted, pool-dispatched Engine.compile.
+        """Single-flighted Engine.compile on the worker threads.
 
         Returns ``(program, digest, tier)`` where ``tier`` is
         ``memory``/``disk``/``miss`` from the engine, or ``inflight``
@@ -133,7 +142,7 @@ class ServeApp:
         digest = self.engine.cache_key(source, **key_options)
         program, shared = await self.singleflight.do(
             digest,
-            lambda: self.pool.submit(self.engine.compile, source, **options),
+            lambda: self._submit(self.engine.compile, source, **options),
         )
         tier = "inflight" if shared else program.cache_tier
         if shared:
@@ -149,7 +158,7 @@ class ServeApp:
         tenant = str(body.get("tenant", "default"))
         with self.admission.admit(tenant):
             program, digest, tier = await self._compile(source, options)
-        report = await self.pool.submit(program.diagnostics)
+        report = await self._submit(program.diagnostics)
         return 200, {
             "key": digest,
             "cache": tier,
@@ -164,55 +173,20 @@ class ServeApp:
         source = require_source(body)
         options = compile_options(body, run=True)
         tenant = str(body.get("tenant", "default"))
-        bindings = decode_bindings(body.get("bindings"))
-        nproc = body.get("nproc", 0)
-        if not isinstance(nproc, int) or isinstance(nproc, bool) or nproc < 0:
-            raise ProtocolError(f"'nproc' must be a non-negative int, got {nproc!r}")
-        backend = str(body.get("backend", "auto"))
-        workers = body.get("workers")
+        arguments = run_arguments(body)
         policy = self.admission.policy_for(tenant)
         with self.admission.admit(tenant):
             program, _digest, tier = await self._compile(source, options)
             start = time.perf_counter()
-            if backend == "pmimd":
-                result = await self._run_pmimd(
-                    program, bindings, nproc, workers, policy
-                )
-            else:
-                result = await self.pool.submit(
-                    program.run,
-                    bindings,
-                    nproc=nproc,
-                    backend=backend,
-                    budget=policy.budget(),
-                    policy=policy.policy(),
-                )
+            result = await self._submit(
+                program.run,
+                **arguments,
+                budget=policy.budget(),
+                policy=policy.policy(),
+            )
             result.wall_seconds = time.perf_counter() - start
         self.metrics.ran(result.backend)
         return 200, encode_run_result(result, tier)
-
-    async def _run_pmimd(self, program, bindings, nproc, workers, policy):
-        """Run on the process-parallel backend via a reused executor."""
-        if nproc < 1:
-            raise ProtocolError("backend 'pmimd' needs nproc >= 1")
-        config = BackendConfig(
-            nproc=nproc,
-            workers=workers,
-            budget=policy.budget(),
-        )
-        executor, _reused = self.pool.pmimd_executor(program, config)
-        res = await self.pool.submit(executor.run, bindings=bindings or None)
-        steps = max((c.total_steps for c in res.counters), default=0)
-        return RunResult(
-            env=res.envs,
-            counters=res.counters,
-            backend="pmimd",
-            nproc=nproc,
-            cache_hit=program.cache_hit,
-            steps=int(steps),
-            statements=res.statements,
-            events=res.events,
-        )
 
     async def handle_lint(self, body: dict) -> tuple[int, dict]:
         source = require_source(body)
@@ -220,7 +194,7 @@ class ServeApp:
         tenant = str(body.get("tenant", "default"))
         with self.admission.admit(tenant):
             program, digest, tier = await self._compile(source, options)
-            report = await self.pool.submit(program.diagnostics)
+            report = await self._submit(program.diagnostics)
         return 200, {
             "key": digest,
             "cache": tier,
@@ -241,7 +215,10 @@ class ServeApp:
     def handle_metrics(self) -> tuple[int, dict]:
         body = self.metrics.snapshot()
         body["engine"] = self.engine.stats.snapshot()
-        body["pool"] = self.pool.stats()
+        body["pool"] = {
+            "max_workers": self.config.pool_workers,
+            "submitted": self._submitted,
+        }
         body["admission"] = self.admission.snapshot()
         if self.engine.store is not None:
             body["store"] = self.engine.store.stats()
@@ -321,7 +298,7 @@ class ServeApp:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def shutdown(self) -> None:
-        """Graceful stop: close the listener, drain, stop the pool."""
+        """Graceful stop: close the listener, drain, stop the worker threads."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -329,7 +306,7 @@ class ServeApp:
         deadline = time.monotonic() + self.config.drain_seconds
         while self.metrics.inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
-        self.pool.shutdown(wait=True)
+        self._threads.shutdown(wait=True)
 
 
 async def serve(config: ServeConfig, *, ready=None, stop=None) -> None:

@@ -5,6 +5,9 @@ The wire format is deliberately dumb JSON:
 * compile options travel as a flat object whitelisted onto
   :meth:`~repro.runtime.Engine.compile` keywords — unknown keys are a
   client error, not silently dropped;
+* the run shape (``nproc``, ``backend``, ``workers``,
+  ``routine_name``) is type-checked here and becomes the keywords of
+  one :meth:`~repro.runtime.CompiledProgram.run` call;
 * bindings are numbers or lists of numbers (lists become numpy
   arrays, matching the CLI's ``--bind`` convention);
 * environments come back with every ``FArray`` flattened to a plain
@@ -17,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exec.values import FArray
+from ..runtime.config import BackendConfig
 from ..transform.options import OPTION_FIELDS
 
 
@@ -87,6 +91,32 @@ def decode_bindings(raw) -> dict:
                 f"got {type(value).__name__}"
             )
     return bindings
+
+
+def run_arguments(body: dict) -> dict:
+    """The :meth:`~repro.runtime.CompiledProgram.run` keywords of a
+    /v1/run body (everything but the tenant's budget and policy)."""
+    bindings = decode_bindings(body.get("bindings"))
+    nproc = body.get("nproc", 0)
+    if not isinstance(nproc, int) or isinstance(nproc, bool) or nproc < 0:
+        raise ProtocolError(f"'nproc' must be a non-negative int, got {nproc!r}")
+    workers = body.get("workers")
+    if workers is not None and (
+        not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
+    ):
+        raise ProtocolError(f"'workers' must be an int >= 1 or null, got {workers!r}")
+    routine_name = body.get("routine_name")
+    if routine_name is not None and not isinstance(routine_name, str):
+        raise ProtocolError(
+            f"'routine_name' must be a string or null, got {routine_name!r}"
+        )
+    return {
+        "bindings": bindings,
+        "nproc": nproc,
+        "backend": str(body.get("backend", "auto")),
+        "routine_name": routine_name,
+        "config": None if workers is None else BackendConfig(workers=workers),
+    }
 
 
 def jsonable_value(value):
@@ -165,4 +195,5 @@ __all__ = [
     "jsonable_env",
     "jsonable_value",
     "require_source",
+    "run_arguments",
 ]

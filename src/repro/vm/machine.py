@@ -54,7 +54,6 @@ from ..reliability import (
     OutOfBoundsFault,
     TRACE_DEPTH,
     attach_snapshot,
-    budget_from_config,
     locate,
     render_mask,
     snapshot_env,
@@ -128,9 +127,8 @@ class SIMDVirtualMachine:
         externals: Mapping name -> callable with the interpreter
             external convention ``fn(vm, arg_exprs, args, env, mask)``.
         counters: Event accumulator (fresh when omitted).
-        max_instructions: Runaway-loop guard (shorthand for a
-            ``Budget(max_steps=...)``).
-        budget: Execution guard; overrides ``max_instructions``.
+        budget: Runaway-loop guard (None = ``Budget()``, the default
+            step cap).
         fault_plan: Deterministic fault injection
             (:class:`~repro.reliability.FaultPlan`).  Forces exact
             per-instruction stepping (no fusion) so op faults fire at
@@ -153,7 +151,6 @@ class SIMDVirtualMachine:
         nproc: int,
         externals: dict | None = None,
         counters: ExecutionCounters | None = None,
-        max_instructions: int = 20_000_000,
         budget: Budget | None = None,
         fault_plan=None,
         fuse: bool = True,
@@ -169,8 +166,7 @@ class SIMDVirtualMachine:
         self.nproc = nproc
         self.externals = externals or {}
         self.counters = counters if counters is not None else ExecutionCounters(nproc)
-        self.max_instructions = max_instructions
-        self.budget = budget if budget is not None else Budget(max_steps=max_instructions)
+        self.budget = budget if budget is not None else Budget()
         self.fault_plan = fault_plan
         self.fuse = fuse
         self.checkpoint_every = checkpoint_every
@@ -221,7 +217,7 @@ class SIMDVirtualMachine:
         kwargs = dict(
             externals=config.externals,
             counters=config.counters,
-            budget=budget_from_config(config),
+            budget=config.budget,
             fault_plan=config.fault_plan,
             fuse=config.vm_fuse,
             checkpoint_every=config.checkpoint_every,

@@ -9,7 +9,7 @@ import repro
 from repro.exec import ScalarInterpreter
 from repro.lang import ast, parse_source
 from repro.lang.errors import InterpreterError
-from repro.reliability import OutOfBoundsFault
+from repro.reliability import Budget, OutOfBoundsFault
 from repro.runtime.engine import Engine
 
 
@@ -143,7 +143,7 @@ class TestControlFlow:
 
     def test_infinite_loop_guard(self):
         source = parse_source("PROGRAM p\n  DO WHILE (.TRUE.)\n    x = 1\n  ENDDO\nEND")
-        interp = ScalarInterpreter(source, max_statements=1000)
+        interp = ScalarInterpreter(source, budget=Budget(max_steps=1000))
         with pytest.raises(InterpreterError, match="budget"):
             interp.run()
 

@@ -222,7 +222,7 @@ def test_intrinsic_event_kinds_agree_with_the_lockstep_backends():
 @pytest.mark.parametrize("backend", ["mimd", "pmimd"])
 def test_max_instructions_caps_every_mimd_processor(backend):
     program = Engine().compile(LOOP)
-    config = BackendConfig(max_instructions=50, workers=1)
+    config = BackendConfig(budget=Budget(max_steps=50), workers=1)
     with pytest.raises(MiniFError) as scalar:
         program.run(backend="scalar", config=config)
     with pytest.raises(MiniFError) as info:

@@ -170,3 +170,86 @@ class TestFold:
         monkeypatch.setattr(CompiledProgram, "_execute", no_backend)
         with pytest.raises(InterpreterError, match=message):
             program.run(**kwargs)
+
+
+TWO_ROUTINES = """PROGRAM main
+  INTEGER x
+  x = 1
+END
+SUBROUTINE other
+  INTEGER x
+  x = 2
+END
+"""
+
+
+@pytest.fixture(scope="module")
+def two_routines():
+    return Engine().compile(TWO_ROUTINES)
+
+
+class TestNamedRoutinesAndHooks:
+    """The VM runs the main program without statement hooks, so a
+    routine name or a hook must steer a run away from it, never be
+    dropped on the floor."""
+
+    def test_vm_refuses_routine_name(self, two_routines):
+        with pytest.raises(InterpreterError, match="backend='vm'"):
+            two_routines.run(nproc=2, backend="vm", routine_name="other")
+
+    def test_vm_refuses_statement_hook(self, two_routines):
+        calls = []
+        with pytest.raises(InterpreterError, match="backend='vm'"):
+            two_routines.run(
+                nproc=2, backend="vm", statement_hook=lambda *a: calls.append(a)
+            )
+        assert calls == []
+
+    def test_chain_degrades_named_routine_to_interpreter(self, two_routines):
+        result = two_routines.run(
+            nproc=2,
+            routine_name="other",
+            policy=FallbackPolicy(chain=("vm", "interpreter")),
+        )
+        assert result.backend == "interpreter"
+        assert result.env["x"] == 2
+        assert [(a.backend, a.ok) for a in result.attempts] == [
+            ("vm", False),
+            ("interpreter", True),
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(routine_name="other"), dict(statement_hook=lambda *a: None)],
+        ids=["routine_name", "statement_hook"],
+    )
+    def test_verify_refuses_what_the_vm_cannot_run(
+        self, two_routines, monkeypatch, kwargs
+    ):
+        def no_backend(*args):
+            raise AssertionError("a backend ran before the refusal")
+
+        monkeypatch.setattr(CompiledProgram, "_execute", no_backend)
+        with pytest.raises(InterpreterError, match="verify=True"):
+            two_routines.run(nproc=2, verify=True, **kwargs)
+
+    @pytest.mark.parametrize(
+        "backend, nproc",
+        [
+            ("auto", 2),
+            ("vm", 2),
+            ("interpreter", 2),
+            ("scalar", 0),
+            ("mimd", 2),
+            ("pmimd", 2),
+        ],
+    )
+    def test_unknown_routine_is_a_typed_error(
+        self, two_routines, monkeypatch, backend, nproc
+    ):
+        def no_backend(*args):
+            raise AssertionError("a backend ran before the refusal")
+
+        monkeypatch.setattr(CompiledProgram, "_execute", no_backend)
+        with pytest.raises(InterpreterError, match="unknown routine 'nope'"):
+            two_routines.run(nproc=nproc, backend=backend, routine_name="nope")

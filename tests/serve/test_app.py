@@ -2,12 +2,14 @@
 
 No pytest-asyncio in the toolchain, so each test wraps its async body
 in ``asyncio.run``.  Requests go over genuine TCP connections (the
-server binds 127.0.0.1 port 0) so the HTTP layer, dispatcher, pool,
-and engine are all exercised exactly as ``repro serve`` runs them.
+server binds 127.0.0.1 port 0) so the HTTP layer, dispatcher, worker
+threads and engine are all exercised exactly as ``repro serve`` runs them.
 """
 
 import asyncio
 import json
+
+import pytest
 
 from repro.kernels.example import P1_SEQUENTIAL, P3_MIMD
 from repro.kernels.nbforce import NBFORCE_SEQUENTIAL
@@ -449,20 +451,120 @@ class TestLifecycle:
 
         asyncio.run(go())
 
-    def test_executor_reuse_across_pmimd_runs(self):
+
+TWO_ROUTINES = """PROGRAM main
+  INTEGER x
+  x = 1
+END
+SUBROUTINE other
+  INTEGER x
+  x = 2
+END
+"""
+
+PMIMD_RUN = {
+    "source": P3_MIMD,
+    "transform": "flatten",
+    "backend": "pmimd",
+    "nproc": 4,
+    "bindings": {"l": [4, 1, 2, 1], "k": 0},
+}
+
+
+class TestOneRunPath:
+    """Every /v1/run is one CompiledProgram.run call, pmimd included."""
+
+    def test_pmimd_run_counts_in_engine_runs(self):
         async def body(app):
-            payload = {
-                "source": P3_MIMD,
-                "transform": "flatten",
-                "backend": "pmimd",
-                "nproc": 4,
-                "bindings": {"l": [4, 1, 2, 1], "k": 0},
-            }
-            await request(app.port, "POST", "/v1/run", payload)
-            await request(app.port, "POST", "/v1/run", payload)
+            status, out = await request(app.port, "POST", "/v1/run", PMIMD_RUN)
+            assert status == 200
+            assert out["backend"] == "pmimd"
             _, metrics = await request(app.port, "GET", "/metrics")
-            pool = metrics["pool"]
-            assert pool["pmimd_executors_created"] == 1
-            assert pool["pmimd_executors_reused"] == 1
+            assert metrics["engine"]["runs"]["pmimd"] == 1
+            assert metrics["runs_by_backend"]["pmimd"] == 1
+            assert set(metrics["pool"]) == {"max_workers", "submitted"}
+
+        with_app(body)
+
+    def test_pmimd_runs_the_tenant_fallback_chain(self):
+        config = ServeConfig(
+            port=0,
+            tenants=(TenantPolicy(name="chained", fallback=("pmimd", "mimd")),),
+        )
+
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/run", {**PMIMD_RUN, "tenant": "chained"}
+            )
+            assert status == 200
+            assert out["backend"] == "pmimd"
+            assert out["attempts"] >= 1
+
+        with_app(body, config)
+
+    def test_pmimd_workers_reach_the_backend(self, monkeypatch):
+        from repro.exec.pmimd import PMIMDExecutor
+
+        seen = []
+        build = PMIMDExecutor.from_config.__func__
+
+        def recording(cls, source, config):
+            seen.append(config.workers)
+            return build(cls, source, config)
+
+        monkeypatch.setattr(PMIMDExecutor, "from_config", classmethod(recording))
+
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/run", {**PMIMD_RUN, "workers": 1}
+            )
+            assert status == 200
+            assert out["processors"] == 4
+
+        with_app(body)
+        assert seen == [1]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", "4"),
+            ("workers", True),
+            ("workers", 0),
+            ("routine_name", 5),
+            ("routine_name", ["other"]),
+        ],
+    )
+    def test_mistyped_run_fields_400(self, field, value):
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/run", {**PMIMD_RUN, field: value}
+            )
+            assert status == 400
+            assert out["error"]["type"] == "ProtocolError"
+            assert field in out["error"]["message"]
+
+        with_app(body)
+
+    def test_routine_name_runs_that_routine(self):
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/run",
+                {"source": TWO_ROUTINES, "nproc": 2, "routine_name": "other"},
+            )
+            assert status == 200
+            assert out["backend"] == "interpreter"
+            assert out["env"]["x"] == 2
+
+        with_app(body)
+
+    def test_unknown_routine_400(self):
+        async def body(app):
+            status, out = await request(
+                app.port, "POST", "/v1/run",
+                {"source": TWO_ROUTINES, "nproc": 2, "routine_name": "nope"},
+            )
+            assert status == 400
+            assert out["error"]["type"] == "InterpreterError"
+            assert "nope" in out["error"]["message"]
 
         with_app(body)

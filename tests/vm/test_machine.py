@@ -5,7 +5,7 @@ import pytest
 
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
-from repro.reliability import FaultPlan, OutOfBoundsFault
+from repro.reliability import Budget, FaultPlan, OutOfBoundsFault
 from repro.vm import SIMDVirtualMachine, compile_program, run_bytecode
 
 
@@ -67,7 +67,7 @@ class TestBasics:
         code = compile_program(
             parse_source("PROGRAM p\n  DO WHILE (.TRUE.)\n    x = 1\n  ENDDO\nEND")
         )
-        vm = SIMDVirtualMachine(1, max_instructions=500)
+        vm = SIMDVirtualMachine(1, budget=Budget(max_steps=500))
         with pytest.raises(InterpreterError, match="budget"):
             vm.run(code)
 
