@@ -38,7 +38,7 @@ def run_variant(variant):
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
     return Engine().compile(prog).run(
-        {"l": L.copy()}, nproc=2, backend="interpreter"
+        {"l": L.copy()}, nproc=2, backend="vm"
     ).counters
 
 

@@ -59,15 +59,16 @@ def test_bench_simd_interpretation(benchmark):
     compiled = Engine().compile(prog)
 
     def run():
-        return compiled.run({"l": trips.copy()}, nproc=16, backend="interpreter")
+        return compiled.run({"l": trips.copy()}, nproc=16, backend="vm")
 
     counters = benchmark(run).counters
     assert counters.events["scatter"] > 0
 
 
 def test_bench_vm_execution(benchmark):
-    """The bytecode VM on the same flattened program (engines must
-    agree on step counts; their relative speed is tracked here)."""
+    """The bare bytecode VM on the same flattened program (its step
+    counts must match the tree-walking twin's)."""
+    from repro.fuzz.twin import run_twin
     from repro.vm import SIMDVirtualMachine, compile_program
 
     rng = np.random.default_rng(0)
@@ -88,7 +89,5 @@ def test_bench_vm_execution(benchmark):
         return vm.counters
 
     counters = benchmark(run)
-    interp_counters = Engine().compile(prog).run(
-        {"l": trips.copy()}, nproc=16, backend="interpreter"
-    ).counters
-    assert counters.events["scatter"] == interp_counters.events["scatter"]
+    _env, twin_counters = run_twin(prog, 16, {"l": trips.copy()})
+    assert counters.events["scatter"] == twin_counters.events["scatter"]

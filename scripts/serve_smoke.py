@@ -7,7 +7,9 @@ does.  The script proves the service's cold→warm story end to end:
 1. boot a server against a temporary artifact store;
 2. ``POST /v1/compile`` a Table-1 kernel (NBFORCE, flattened) — a cold
    compile, ``cache == "miss"``;
-3. ``POST /v1/run`` a program and check the environment came back;
+3. ``POST /v1/run`` a program and check the environment came back,
+   then run a two-routine, mixed-case program by ``routine_name``
+   whose routine ``CALL``\ s a MiniF subroutine — both on the ``vm``;
 4. re-``POST`` the same compile — ``cache == "memory"``;
 5. ``GET /healthz`` and ``GET /metrics`` respond and agree;
 6. SIGTERM the server and assert a clean (exit 0) shutdown;
@@ -43,6 +45,17 @@ NBFORCE_BINDINGS = None  # compile-only for the Table-1 kernel
 EXAMPLE_RUN = {
     "nproc": 4,
     "bindings": {"n": 4},
+}
+
+#: Two routines in mixed case; ``Scale`` calls the subroutine ``Twice``.
+CALLING_RUN = {
+    "source": (
+        "PROGRAM Main\n  INTEGER x\n  x = 1\nEND\n"
+        "SUBROUTINE Scale\n  INTEGER y\n  y = 3\n  CALL Twice(y)\nEND\n"
+        "SUBROUTINE Twice(v)\n  INTEGER v\n  v = v * 2\nEND\n"
+    ),
+    "nproc": 2,
+    "routine_name": "SCALE",
 }
 
 
@@ -145,9 +158,14 @@ def main() -> int:
         ran = api(
             server.port, "POST", "/v1/run", {"source": example, **EXAMPLE_RUN}
         )
-        assert ran["backend"] in ("vm", "interpreter"), ran["backend"]
+        assert ran["backend"] == "vm", ran["backend"]
         assert "env" in ran and ran["steps"] > 0, ran
         print(f"  run: backend={ran['backend']} steps={ran['steps']}", flush=True)
+
+        called = api(server.port, "POST", "/v1/run", CALLING_RUN)
+        assert called["backend"] == "vm", called["backend"]
+        assert called["env"]["y"] == 6, called["env"]
+        print(f"  run SCALE -> CALL Twice: y={called['env']['y']}", flush=True)
 
         warm = api(server.port, "POST", "/v1/compile", compile_body)
         assert warm["cache"] == "memory", f"expected memory hit, got {warm['cache']}"

@@ -19,8 +19,10 @@ The package contains everything the paper's pipeline needs:
 * :mod:`repro.transform` — loop normalization, **loop flattening**
   (Figures 10/11/12), SIMDizing (Section 3), SPMD partitioning, and
   the loop-coalescing baseline;
-* :mod:`repro.exec` — sequential, MIMD, and lockstep SIMD
-  interpreters with execution-event accounting;
+* :mod:`repro.exec` — sequential and MIMD interpreters with
+  execution-event accounting;
+* :mod:`repro.vm` — the lockstep SIMD backend: bytecode compiler,
+  verifier and virtual machine;
 * :mod:`repro.simd` — data layouts/granularity, CM-2 / DECmpp /
   Sparc 2 cost models, trace recording;
 * :mod:`repro.md` — the GROMOS-style molecular-dynamics substrate
@@ -52,8 +54,8 @@ or, with an explicit engine::
 Repeated ``compile`` calls with the same source and options are cache
 hits (``engine.stats``); artifacts are independent of ``nproc``, so
 one compile serves a whole machine-width sweep.  Each backend
-(``auto``, ``vm``, ``interpreter``, ``scalar``, ``mimd``, ``pmimd``),
-transform, variant and layout has exactly one accepted name.
+(``auto``, ``vm``, ``scalar``, ``mimd``, ``pmimd``), transform,
+variant and layout has exactly one accepted name.
 """
 
 from .analysis import analyze_routine, evaluate_flattening
@@ -65,12 +67,7 @@ from .diag import (
     lint_routine,
     lint_source,
 )
-from .exec import (
-    ExecutionCounters,
-    MIMDSimulator,
-    ScalarInterpreter,
-    SIMDInterpreter,
-)
+from .exec import ExecutionCounters, MIMDSimulator, ScalarInterpreter
 from .lang import (
     check_source,
     format_source,
@@ -158,7 +155,6 @@ __all__ = [
     "naive_simd_program",
     "coalesce_nest",
     "ScalarInterpreter",
-    "SIMDInterpreter",
     "MIMDSimulator",
     "ExecutionCounters",
     "DataDistribution",

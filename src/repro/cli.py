@@ -342,8 +342,7 @@ def cmd_run(args) -> int:
             elif result.backend == "scalar":
                 print("ran sequentially")
             else:
-                suffix = " (bytecode VM)" if result.backend == "vm" else ""
-                print(f"ran on {args.nproc} lockstep PEs{suffix}")
+                print(f"ran on {args.nproc} lockstep PEs (bytecode VM)")
     except InterpreterError as exc:
         if args.crash_dump:
             _write_crash_dump(args.crash_dump, exc)
@@ -644,11 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show", action="append", metavar="NAME",
                    help="print a variable after the run")
     p.add_argument("--backend", default=None, choices=BACKENDS,
-                   help="execution backend: lockstep SIMD engines "
-                        "(auto/vm/interpreter), sequential scalar, the "
-                        "in-process MIMD simulator, or the process-parallel "
-                        "pmimd pool with worker supervision (default: auto "
-                        "with -p N, scalar without)")
+                   help="execution backend: the lockstep SIMD bytecode VM "
+                        "(vm), sequential scalar, the in-process MIMD "
+                        "simulator, or the process-parallel pmimd pool with "
+                        "worker supervision (default: auto — vm with -p N, "
+                        "scalar without)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker process count for --backend pmimd "
                         "(default: min(nproc, cpu count))")
@@ -662,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-PE environment, last opcodes) as JSON")
     p.add_argument("--fallback", metavar="CHAIN", type=_parse_chain,
                    help="comma-separated backend fallback chain, e.g. "
-                        "'vm,interpreter'; retryable faults degrade along it")
+                        "'pmimd,mimd'; retryable faults degrade along it")
     p.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                    help="durable execution: capture a restorable checkpoint "
                         "every N executed steps (vm/scalar save under "
@@ -716,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="reduced sweep (small SOD, narrow machine) for CI")
     p.add_argument("--backend", default="vm",
-                   choices=["vm", "interpreter", "pmimd"],
+                   choices=["vm", "pmimd"],
                    help="engine to measure (default: vm); 'pmimd' sweeps "
                         "the MIMD column (sequential kernel per "
                         "asynchronous processor) instead of the "
@@ -765,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run wall-clock budget applied to every tenant")
     p.add_argument("--fallback", metavar="CHAIN", type=_parse_chain,
                    help="backend fallback chain for served runs, e.g. "
-                        "'vm,interpreter'")
+                        "'pmimd,mimd'")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("paper", help="regenerate a paper exhibit")

@@ -94,8 +94,7 @@ class ExampleTraces:
 def example_traces(engine: Engine | None = None) -> ExampleTraces:
     """Run the EXAMPLE programs and capture the paper's traces."""
     engine = engine if engine is not None else default_engine()
-    # Figure 4: MIMD — each processor's own time axis.  Trace hooks
-    # force the tree-walking backends; the artifacts are still cached.
+    # Figure 4: MIMD — each processor's own time axis.
     mimd_rec = MIMDTraceRecorder(
         ("i", "j"), ex.EXAMPLE_P, body_predicate=ex.is_body_statement
     )
@@ -408,10 +407,10 @@ def flattening_overhead(engine: Engine | None = None) -> dict:
     engine = engine if engine is not None else default_engine()
     bindings = ex.example_bindings()
     naive = engine.compile(ex.P4_NAIVE_SIMD).run(
-        dict(bindings), nproc=ex.EXAMPLE_P, backend="interpreter"
+        dict(bindings), nproc=ex.EXAMPLE_P
     )
     flat = engine.compile(ex.P5_FLATTENED_SIMD).run(
-        dict(bindings), nproc=ex.EXAMPLE_P, backend="interpreter"
+        dict(bindings), nproc=ex.EXAMPLE_P
     )
 
     def per_body(counters):

@@ -1,11 +1,12 @@
-"""Execution engines: sequential (F77), MIMD, lockstep SIMD, and SPMD.
+"""Execution engines: sequential (F77), MIMD and SPMD.
 
-The interpreters implement the execution levels of the paper's
-Section 2 language family and share one value model, one intrinsic
-registry, and one event-accounting scheme.  The MIMD level exists
-twice: :class:`MIMDSimulator` models Eq. 1 in-process, while
-:class:`PMIMDExecutor` runs the same per-processor programs across a
-supervised pool of real worker processes.
+The interpreters implement the sequential and MIMD execution levels
+of the paper's Section 2 language family and share one value model,
+one intrinsic registry, and one event-accounting scheme with the
+lockstep SIMD backend, the bytecode VM of :mod:`repro.vm`.  The MIMD
+level exists twice: :class:`MIMDSimulator` models Eq. 1 in-process,
+while :class:`PMIMDExecutor` runs the same per-processor programs
+across a supervised pool of real worker processes.
 """
 
 from .counters import EVENT_KINDS, ExecutionCounters
@@ -20,7 +21,6 @@ from .pmimd import (
 )
 from .scalar import ScalarInterpreter
 from .shm import SharedArraySpec, ShmArena
-from .simd import SIMDInterpreter
 from .values import FArray
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "FArray",
     "call_intrinsic",
     "ScalarInterpreter",
-    "SIMDInterpreter",
     "MIMDSimulator",
     "MIMDResult",
     "PMIMDExecutor",

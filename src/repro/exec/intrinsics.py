@@ -1,7 +1,7 @@
 """Intrinsic functions for the MiniF interpreters.
 
 One registry serves every interpreter.  Reductions are *mask-aware*:
-the SIMD interpreter passes the current activity mask so that, e.g.,
+the SIMD backend passes the current activity mask so that, e.g.,
 ``max(pCnt(At1))`` in the paper's Figure 14 reduces over the active
 processors only (idle lanes hold stale values that must not leak into
 loop bounds).

@@ -4,7 +4,7 @@ Values are:
 
 * Python/numpy scalars — host (front-end / ACU) values;
 * 1-D numpy arrays of length ``P`` — per-processor replicated values
-  in the SIMD interpreter (the paper's default for F90simd scalars);
+  on the lockstep SIMD machine (the paper's default for F90simd scalars);
 * 2-D numpy arrays of shape ``(P, k)`` — sections of arrays whose
   trailing dimension is laid out serially in PE memory (the paper's
   "memory layers");
@@ -160,6 +160,16 @@ class FArray:
 
     def __repr__(self) -> str:
         return f"FArray({self.name!r}, shape={self.shape})"
+
+
+def align_mask(mask, value_ndim: int):
+    """Reshape a (P,) mask so it broadcasts against a (P, k, ...) value."""
+    if isinstance(mask, bool) or mask is None:
+        return mask
+    mask = np.asarray(mask)
+    while mask.ndim < value_ndim:
+        mask = mask[..., None]
+    return mask
 
 
 def is_vector(value) -> bool:

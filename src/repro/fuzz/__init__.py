@@ -16,6 +16,8 @@ This package hunts for violations systematically:
   observable state; a disagreement is a transform or backend bug, and
   an applicability report that promises what the transform rejects
   (or calls a serializing loop parallel) is a safety-checker gap.
+* :mod:`repro.fuzz.twin` — a tree-walking lockstep interpreter, the
+  VM's test-only twin that the lockstep legs hold it to.
 * :mod:`repro.fuzz.invariants` — per-run translation validation:
   guard-flag monotonicity, per-lane work against Eq. 1, and total
   useful-iteration conservation (the VM checks mask-stack balance

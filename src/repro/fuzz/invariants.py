@@ -16,7 +16,8 @@ be popped by HALT; see :mod:`repro.vm.machine`):
 * **Total-work conservation** — every legal variant must execute each
   useful inner iteration exactly once: the planted per-iteration
   marker ``w(i) = w(i) + 1`` must sum to the generator-predicted
-  total in every leg's final environment.
+  total.  The oracle checks the sequential reference run; every leg
+  then compares ``w`` with the reference exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _lane_bools(value, nproc: int) -> np.ndarray:
 class ValidatingHook:
     """A statement hook that watches translation invariants live.
 
-    Attach to a tree-walking SIMD run (``statement_hook=hook``); after
+    Attach to a VM run (``statement_hook=hook``); after
     the run, :attr:`violations` holds every observed invariant break
     and :attr:`lane_work` the per-lane count of useful inner
     iterations (executions of the ``marker`` assignment under the

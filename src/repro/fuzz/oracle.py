@@ -11,15 +11,16 @@ or backend joins the comparison as one more row.
 Comparisons (a row's ``compare`` names one or more):
 
 * ``reference`` — every observable output equals the scalar reference's
-  (arrays exactly, observed scalars uniform across PEs), and the
-  planted work marker sums to the generator-predicted total.
+  (arrays exactly, observed scalars uniform across PEs).  The planted
+  work marker ``w`` is one of those outputs, and the reference itself
+  must sum it to the generator-predicted total, so every leg that
+  matches the reference conserves work too.
 * ``twin`` — :func:`repro.reliability.check_agreement` against a twin
-  run of the same program: env *and* exact operation counters.  The
-  lockstep legs get the same check from ``verify=True`` (the VM against
-  the tree-walking interpreter — the code path
-  ``Engine.run(verify=True)`` uses).
+  run of the same program: env *and* exact operation counters.  Every
+  lockstep leg gets the same check against the VM's test-only
+  tree-walking twin (:mod:`repro.fuzz.twin`).
 * ``hook`` — the :class:`~repro.fuzz.invariants.ValidatingHook` of a
-  hooked run: latched-flag monotonicity and, for partitioned forms,
+  hooked VM run: latched-flag monotonicity and, for partitioned forms,
   the Eq. 1 per-lane work of the layout.
 
 The applicability analysis (:mod:`repro.analysis.applicability`) is
@@ -43,10 +44,11 @@ a program every leg runs clean, are ``checker-gap`` divergences.
 
 Verdict kinds: ``env-divergence`` (legal leg disagrees with the
 reference), ``backend-disagreement`` (a leg disagrees with its twin, or
-the VM with the interpreter), ``fault`` (a legal leg crashed),
+the VM with the tree-walking twin), ``fault`` (a legal leg crashed),
 ``checker-gap``, ``verifier`` (compiler-emitted bytecode failed
 verification), ``invariant`` (translation validation failed: flag
-monotonicity, Eq. 1 per-lane work, total-work conservation).
+monotonicity, Eq. 1 per-lane work, total-work conservation of the
+reference run).
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ from .invariants import (
     check_work_conservation,
     predicted_lane_work,
 )
+from .twin import run_twin
 
 #: Variant strength order used to cross-check the applicability report.
 _RANK = {"general": 0, "optimized": 1, "done": 2}
@@ -157,11 +160,11 @@ class Run:
 
     * ``scalar`` — the sequential interpreter;
     * ``mimd`` — P private processors, each env compared;
-    * ``lockstep`` — the VM and the tree-walking interpreter in
-      lockstep with ``verify=True`` (env and counters must agree);
-    * ``hooked`` — the lockstep interpreter under a
-      :class:`ValidatingHook`; with ``layout`` set the hook also counts
-      per-lane work for the Eq. 1 check;
+    * ``lockstep`` — the VM, held to its tree-walking twin
+      (:mod:`repro.fuzz.twin`): env and counters must agree;
+    * ``hooked`` — the VM under a :class:`ValidatingHook`; with
+      ``layout`` set the hook also counts per-lane work for the Eq. 1
+      check;
     * ``vm-fuse`` — the VM with fused and with unfused dispatch; the
       fused run is the twin, and the fused code must verify too;
     * ``resume`` — ``backend`` (``vm`` or ``scalar``) killed at a
@@ -652,7 +655,7 @@ class DifferentialOracle:
         except Exception as error:
             kind, detail = "fault", _describe(error)
             if isinstance(error, BackendFault) and leg.run.kind == "lockstep":
-                # verify=True: the VM and the interpreter disagreed
+                # the VM and its tree-walking twin disagreed
                 kind, detail = "backend-disagreement", str(error)
             elif not isinstance(error, MiniFError):
                 detail = f"unwrapped exception escaped the backend: {detail}"
@@ -727,7 +730,12 @@ class DifferentialOracle:
             return _Ran(program.run(nproc=nproc, backend="mimd",
                                     bindings_for=case.bindings))
         if run.kind == "lockstep":
-            return _Ran(program.run(case.bindings(), nproc=nproc, verify=True))
+            # the VM, held to its tree-walking twin (BackendFault if not)
+            result = program.run(case.bindings(), nproc=nproc, backend="vm")
+            env, counters = run_twin(program.tree, nproc, case.bindings())
+            check_agreement(result.env, result.counters, env, counters,
+                            backends=("vm", "twin"))
+            return _Ran(result)
         if run.kind == "hooked":
             hook = ValidatingHook(
                 nproc,
@@ -735,7 +743,7 @@ class DifferentialOracle:
                 marker="w" if run.layout else None,
             )
             result = program.run(case.bindings(), nproc=nproc,
-                                 backend="interpreter", statement_hook=hook)
+                                 backend="vm", statement_hook=hook)
             return _Ran(result, hook=hook)
         if run.kind == "pmimd":
             return self._pmimd(case, leg, program)
@@ -871,15 +879,12 @@ class DifferentialOracle:
             env = ran.result.env
             envs = env if isinstance(env, list) else [env]
             for proc, env in enumerate(envs):
-                kind = "env-divergence"
                 detail = self._mismatch(case, env, leg.gate == "partitioned")
-                if detail is None:
-                    kind = "invariant"
-                    detail = check_work_conservation(env, case.prog.total_work)
                 if detail is not None:
                     prefix = f"proc {proc + 1}: " if len(envs) > 1 else ""
                     detail = ran.against_reference + prefix + detail
-                    _record(verdict, kind, label, detail, leg="diverged")
+                    _record(verdict, "env-divergence", label, detail,
+                            leg="diverged")
                     return False
         if "twin" in leg.compare:
             twin, result = ran.twin, ran.result

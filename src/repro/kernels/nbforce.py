@@ -181,14 +181,12 @@ def run_flat_kernel(
     pairlist: PairList,
     dist: DataDistribution,
     engine: Engine | None = None,
-    backend: str = "interpreter",
 ):
-    """Run the flattened NBFORCE kernel on a ``dist.gran``-slot machine.
+    """Run the flattened NBFORCE kernel on a ``dist.gran``-slot machine
+    (the lockstep VM).
 
     The kernel text compiles once per Engine; sweeps over cutoffs and
-    machine widths reuse the cached artifact.  ``backend`` selects the
-    lockstep engine (``"interpreter"`` or ``"vm"``); both produce
-    identical results and counters.
+    machine widths reuse the cached artifact.
 
     Returns:
         ``(per_atom_f, counters)``.
@@ -196,7 +194,7 @@ def run_flat_kernel(
     engine = engine if engine is not None else default_engine()
     text, bindings, externals = flat_kernel_setup(molecule, pairlist, dist)
     result = engine.compile(text).run(
-        bindings, nproc=dist.gran, backend=backend, externals=externals
+        bindings, nproc=dist.gran, externals=externals
     )
     return gather_flat_results(result.env, pairlist), result.counters
 
@@ -207,13 +205,12 @@ def run_unflat_kernel(
     dist: DataDistribution,
     select_layers: bool,
     engine: Engine | None = None,
-    backend: str = "interpreter",
 ):
-    """Run an unflattened NBFORCE kernel (L_u^l or L_u^2).
+    """Run an unflattened NBFORCE kernel (L_u^l or L_u^2) on the
+    lockstep VM.
 
     Args:
         select_layers: True for the explicit ``1:Lrs`` version (L_u^l).
-        backend: Lockstep engine (``"interpreter"`` or ``"vm"``).
 
     Returns:
         ``(per_atom_f, counters)``.
@@ -223,7 +220,7 @@ def run_unflat_kernel(
         molecule, pairlist, dist, select_layers
     )
     result = engine.compile(text).run(
-        bindings, nproc=dist.gran, backend=backend, externals=externals
+        bindings, nproc=dist.gran, externals=externals
     )
     return gather_unflat_results(result.env, pairlist, dist), result.counters
 

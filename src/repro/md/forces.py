@@ -178,8 +178,8 @@ def make_simd_force_external(molecule: Molecule):
     """External ``CALL force(f, at1, at2)`` for the lockstep backends.
 
     Works for both the flattened kernel (1-D per-PE vectors) and the
-    unflattened kernels (2-D slot × layer sections), on the VM and the
-    tree-walking interpreter alike.
+    unflattened kernels (2-D slot × layer sections), on the VM and its
+    tree-walking twin alike.
 
     Live-lane contract: the pair energy is evaluated only on *live*
     lanes — lanes active under ``mask`` whose ``at1`` and ``at2`` are

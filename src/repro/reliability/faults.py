@@ -3,7 +3,7 @@
 A :class:`FaultPlan` describes, up front and reproducibly, what is
 going to go wrong: which PEs are dead, at which step indices a
 transient fault fires, which backends refuse to run at all.  Any
-machine (VM, SIMD/scalar tree-walkers, MIMD simulator) accepts a plan
+machine (VM, scalar interpreter, MIMD simulator) accepts a plan
 and consults it during execution, so chaos tests can *prove* that the
 fallback chain and the crash dumps work — the same plan always
 produces the same failure.

@@ -4,27 +4,26 @@ A :class:`FallbackPolicy` tells the Engine what to do when an
 execution attempt dies with a *retryable* fault (see
 :mod:`repro.reliability.errors`): retry the same backend up to
 ``retries`` more times (transient faults clear themselves), then
-degrade to the next backend in ``chain`` — typically from the fast
-bytecode VM down to the tree-walking interpreter, mirroring the
-guarded-execution / safe-fallback pattern of speculative loop
-optimizers.  Every attempt — failed or not — is recorded as an
-:class:`Attempt` in ``RunResult.attempts`` with its crash dump.
+degrade to the next backend in ``chain`` — e.g. from the process-
+parallel pmimd pool down to the in-process mimd simulator.  Every
+attempt — failed or not — is recorded as an :class:`Attempt` in
+``RunResult.attempts`` with its crash dump.
 
-With ``verify=True`` the remaining backends of the chain run even
-after a success and their final environments and counters are checked
-for agreement, turning the chain into an online differential test.
+:func:`check_agreement` compares two successful runs on environment
+and every counter field; the fuzz oracle and the differential suite
+use it to hold backends (and the VM's test-only twin) to one another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BackendFault, ReliabilityError
 
 #: The execution backends, each under its one accepted name.
-BACKENDS = ("auto", "vm", "interpreter", "scalar", "mimd", "pmimd")
+BACKENDS = ("auto", "vm", "scalar", "mimd", "pmimd")
 
 
 def canonical_backend(name) -> str | None:
@@ -80,13 +79,10 @@ class FallbackPolicy:
         chain: Backends to try, in degrading order.
         retries: Extra same-backend attempts allowed per backend when
             the fault is retryable (transient faults clear on retry).
-        verify: Run every backend of the chain even after a success
-            and assert env/counter agreement between the survivors.
     """
 
-    chain: tuple[str, ...] = ("vm", "interpreter")
+    chain: tuple[str, ...] = ("vm",)
     retries: int = 1
-    verify: bool = False
 
     def __post_init__(self):
         if not self.chain:

@@ -94,9 +94,9 @@ class MachineSnapshot:
     """The state of an execution backend at one instant.
 
     Attributes:
-        backend: ``"vm"``, ``"interpreter"``, ``"scalar"`` or ``"mimd"``.
+        backend: ``"vm"``, ``"scalar"`` or ``"mimd"``.
         pc: Program counter — instruction index on the VM, executed
-            statement count on the tree-walkers.
+            statement count on the scalar interpreter.
         steps: Instructions/statements executed so far.
         mask: Current activity lanes.
         mask_stack: Enclosing activity masks, outermost first.

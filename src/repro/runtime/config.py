@@ -79,13 +79,13 @@ class RunSpec:
             run is built from.
         backend: Canonical requested backend; for a resumed run, the
             checkpoint's own backend (``"vm"`` or ``"scalar"``).
-        policy: The caller's :class:`~repro.reliability.FallbackPolicy`
-            (with ``verify`` switched on when asked), or None for a
-            plain run — the one-backend chain ``(backend,)`` with no
-            retries and no attempt log.
-        bindings, statement_hook, routine_name, bindings_for,
-        statement_hook_for, checkpoint_sink, resume_from: The per-call
-            pieces of :meth:`CompiledProgram.run`, unchanged.
+        policy: The caller's :class:`~repro.reliability.FallbackPolicy`,
+            or None for a plain run — the one-backend chain
+            ``(backend,)`` with no retries and no attempt log.
+        routine_name: The routine to run, case-folded.
+        bindings, statement_hook, bindings_for, statement_hook_for,
+        checkpoint_sink, resume_from: The per-call pieces of
+            :meth:`CompiledProgram.run`, unchanged.
     """
 
     config: BackendConfig

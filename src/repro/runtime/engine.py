@@ -11,23 +11,16 @@ compilers do:
   independent of ``nproc``, so one compile serves every machine width
   of a sweep.
 * :meth:`CompiledProgram.run` executes with any backend:
-  ``"auto"`` picks the bytecode VM when the routine compiles cleanly
-  to the linear ISA and falls back to the tree-walking interpreter
-  otherwise (trace hooks and named-routine runs always take the
-  tree-walker, which supports them).  ``"scalar"`` and ``"mimd"``
-  expose the sequential and per-processor execution levels.
-* every run — plain, under a
-  :class:`~repro.reliability.FallbackPolicy`, or ``verify=True`` —
-  folds its settings into one :class:`~repro.runtime.config.RunSpec`
-  and goes through the same resolve → execute → result loop, and
-  returns a :class:`~repro.runtime.result.RunResult` with the
-  environment, counters, chosen backend, cache provenance, and
-  wall/stage timings.
-
-The VM and the interpreter are maintained in exact observational
-agreement — identical final environments *and* identical
-:class:`~repro.exec.counters.ExecutionCounters` — so backend choice
-never changes what a cost model sees.
+  ``"auto"`` runs the sequential ``"scalar"`` level at ``nproc=0`` and
+  the lockstep bytecode VM (``"vm"``) otherwise — subroutine calls,
+  named-routine entry and statement hooks included.  ``"mimd"`` and
+  ``"pmimd"`` expose the per-processor execution level.
+* every run — plain or under a
+  :class:`~repro.reliability.FallbackPolicy` — folds its settings into
+  one :class:`~repro.runtime.config.RunSpec` and goes through the same
+  resolve → execute → result loop, and returns a
+  :class:`~repro.runtime.result.RunResult` with the environment,
+  counters, chosen backend, cache provenance, and wall/stage timings.
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ from ..reliability import (
     Attempt,
     FallbackPolicy,
     ReliabilityError,
-    check_agreement,
     crash_dump_for,
 )
 from ..reliability.policy import canonical_backend
@@ -61,10 +53,12 @@ from .result import RunResult
 class EngineStats:
     """Cache and dispatch counters for one :class:`Engine`.
 
-    ``hits`` counts in-memory LRU hits; ``disk_hits`` counts artifacts
-    served from the persistent :class:`~repro.runtime.store.ArtifactStore`
-    tier (a disk hit skips the transform pipeline but still pays one
-    load+unpickle); ``misses`` counts full compiles.
+    ``hits`` counts in-memory LRU hits — a repeated compile the
+    transform pipeline rejected is one too; ``disk_hits`` counts
+    artifacts served from the persistent
+    :class:`~repro.runtime.store.ArtifactStore` tier (a disk hit skips
+    the transform pipeline but still pays one load+unpickle);
+    ``misses`` counts full compiles.
     """
 
     compiles: int = 0
@@ -99,7 +93,7 @@ def _check_width(backend: str, nproc: int) -> None:
     """Refuse canonical ``backend`` at a machine width it cannot run."""
     if backend == "scalar" and nproc:
         raise InterpreterError("backend='scalar' runs with nproc=0")
-    if backend in ("vm", "interpreter", "pmimd") and nproc < 1:
+    if backend in ("vm", "pmimd") and nproc < 1:
         raise InterpreterError(
             f"backend={backend!r} needs nproc >= 1 (got {nproc})"
         )
@@ -214,44 +208,18 @@ class CompiledProgram:
 
     def _resolve_backend(self, name: str, spec: RunSpec) -> str:
         """The backend that runs canonical ``name`` for this run shape."""
-        if name == "vm" and (
-            spec.statement_hook is not None or spec.routine_name is not None
-        ):
-            raise InterpreterError(
-                "backend='vm' runs the main program and takes no statement "
-                "hooks; statement_hook and routine_name need a tree-walking "
-                "backend"
-            )
         if spec.resume_from is not None:
             return name  # the checkpoint's own backend, fixed by the spec
         nproc = spec.config.nproc
         _check_width(name, nproc)
-        chosen = name
         if name == "auto":
-            # The VM supports neither trace hooks nor named-routine
-            # entry; otherwise it runs whenever the routine lowers
-            # cleanly to the linear ISA.
-            if not nproc:
-                chosen = "scalar"
-            elif (
-                spec.statement_hook is None
-                and spec.routine_name is None
-                and self.bytecode()
-            ):
-                chosen = "vm"
-            else:
-                chosen = "interpreter"
-        elif name == "vm" and self.bytecode() is None:
+            name = "vm" if nproc else "scalar"
+        if name == "vm" and self.bytecode() is None:
             raise TransformError(
                 f"backend='vm': routine does not compile to bytecode "
                 f"({self._bytecode_error})"
             )
-        if chosen == "interpreter" and spec.checkpoint_sink is not None:
-            raise InterpreterError(
-                "the lockstep tree-walker does not support checkpoint "
-                "capture/resume; use backend='vm' or 'scalar'"
-            )
-        return chosen
+        return name
 
     # -- execution -----------------------------------------------------------
 
@@ -269,7 +237,6 @@ class CompiledProgram:
         budget=None,
         fault_plan=None,
         policy: FallbackPolicy | None = None,
-        verify: bool = False,
         config: BackendConfig | None = None,
         checkpoint_every: int | None = None,
         checkpoint_dir: str | None = None,
@@ -281,20 +248,21 @@ class CompiledProgram:
         Args:
             bindings: Initial environment (copied, never mutated).
             nproc: PE count; 0 runs the sequential execution level.
-            backend: ``"auto"``, ``"vm"``, ``"interpreter"``,
-                ``"scalar"``, ``"mimd"`` or ``"pmimd"`` (the
-                process-parallel SPMD pool); any other name raises
+            backend: ``"auto"``, ``"vm"``, ``"scalar"``, ``"mimd"`` or
+                ``"pmimd"`` (the process-parallel SPMD pool); any other
+                name raises
                 :class:`~repro.lang.errors.InterpreterError`.  Not
                 used to pick the backend when ``policy`` supplies its
                 own chain.
             externals: External subroutine registry.
-            statement_hook: Trace hook (tree-walking backends only;
-                ``backend="vm"`` refuses it, and ``"auto"`` then picks
-                the interpreter).
-            routine_name: Run a routine other than the main program
-                (tree-walking backends only, refused like
-                ``statement_hook``); a name the program does not define
-                raises :class:`~repro.lang.errors.InterpreterError`.
+            statement_hook: ``hook(stmt, env, mask)`` called before
+                every executed statement (the vm passes the activity
+                mask, the scalar level calls ``hook(stmt, env)``); a
+                hooked vm run executes unfused.
+            routine_name: Run a routine other than the main program,
+                matched case-insensitively like every MiniF name; a
+                name the program does not define raises
+                :class:`~repro.lang.errors.InterpreterError`.
             bindings_for: MIMD/PMIMD backends — callable ``p -> dict``
                 (runs inside the worker process on pmimd).  Plain
                 ``bindings`` also work on both: every processor gets a
@@ -311,15 +279,6 @@ class CompiledProgram:
                 given, faults retry and degrade along its backend chain
                 and every attempt is recorded in
                 :attr:`RunResult.attempts`.
-            verify: Differentially check the run: after the primary
-                backend succeeds, the other lockstep backend also runs
-                and the two must agree on env and counters
-                (:func:`~repro.reliability.check_agreement` — the same
-                oracle :mod:`repro.fuzz` uses).  Needs ``nproc >= 1``
-                and a vm/interpreter/auto backend, and is refused with
-                ``statement_hook`` or ``routine_name`` (the VM runs
-                neither); composes with ``policy`` by switching its
-                ``verify`` flag on.
             config: A :class:`BackendConfig` supplying run settings in
                 one bag; explicit keyword arguments win over it, and
                 its ``counters``/``budget``/``vm_fuse``
@@ -335,6 +294,8 @@ class CompiledProgram:
                 root.  Every vm/scalar attempt — fallback and
                 verification runs included — saves its captures under
                 the key ``"run"`` stamped with this program's source SHA.
+                A vm run of a program that calls a MiniF subroutine
+                refuses checkpointing.
             checkpoint_sink: Callable receiving each captured
                 checkpoint (vm/scalar; wins over ``checkpoint_dir``).
                 Incompatible with ``policy`` chains.
@@ -352,6 +313,8 @@ class CompiledProgram:
             )
         if routine_name is not None:
             names = [unit.name for unit in self._tree.units]
+            if isinstance(routine_name, str):
+                routine_name = routine_name.lower()  # the parser folds names
             if routine_name not in names:
                 raise InterpreterError(
                     f"unknown routine {routine_name!r} "
@@ -359,27 +322,6 @@ class CompiledProgram:
                 )
         if config is not None:
             nproc = nproc or config.nproc
-        if verify:
-            if statement_hook is not None or routine_name is not None:
-                raise InterpreterError(
-                    "verify=True cross-checks against the VM, which runs "
-                    "neither statement_hook nor routine_name"
-                )
-            if policy is not None:
-                policy = replace(policy, verify=True)
-            elif nproc < 1 or name in ("scalar", "mimd", "pmimd"):
-                raise InterpreterError(
-                    "verify=True cross-checks the lockstep backends; "
-                    "it needs nproc >= 1 and backend "
-                    "'auto'/'vm'/'interpreter'"
-                )
-            else:
-                chain = (
-                    ("interpreter", "vm")
-                    if name == "interpreter"
-                    else ("vm", "interpreter")
-                )
-                policy = FallbackPolicy(chain=chain, retries=0, verify=True)
         if policy is not None and (resume_from is not None or checkpoint_sink is not None):
             raise InterpreterError(
                 "resume_from/checkpoint_sink cannot be combined with a "
@@ -464,8 +406,6 @@ class CompiledProgram:
           violations, genuine program errors — raises immediately with
           the attempt log attached as ``error.attempts``: deterministic
           failures would only re-fail downstream.
-        * With ``policy.verify`` the rest of the chain runs after a
-          success and must agree on env + counters.
         """
         policy = spec.policy or _PLAIN_RUNS[spec.backend]
         logged = spec.policy is not None
@@ -519,8 +459,6 @@ class CompiledProgram:
                         backend=chosen, ok=True, wall_seconds=wall, steps=statements
                     )
                 )
-                if policy.verify:
-                    self._verify_rest(policy, chosen, env, counters, attempts, spec)
                 return self._result(
                     chosen,
                     spec,
@@ -571,20 +509,15 @@ class CompiledProgram:
 
             vm = SIMDVirtualMachine.from_config(config)
             vm.checkpoint_sink = self._checkpoint_sink(spec)
+            vm.statement_hook = spec.statement_hook
             raw = vm.run(
                 self.bytecode(),
                 bindings=dict(bindings or {}),
                 resume_from=spec.resume_from,
+                routine_name=spec.routine_name,
             )
             env = {k: v for k, v in raw.items() if not k.startswith("__")}
             return env, vm.counters, vm.executed, []
-        if chosen == "interpreter":
-            from ..exec.simd import SIMDInterpreter
-
-            interp = SIMDInterpreter.from_config(self._tree, config)
-            interp.statement_hook = spec.statement_hook
-            env = interp.run(routine_name=spec.routine_name, bindings=bindings)
-            return env, interp.counters, interp.executed_statements, []
         if chosen == "scalar":
             from ..exec.scalar import ScalarInterpreter
 
@@ -652,46 +585,6 @@ class CompiledProgram:
             resumed_from_step=None if resume_from is None else resume_from.step,
         )
 
-    def _verify_rest(self, policy, chosen, env, counters, attempts, spec) -> None:
-        """Differential check: run the rest of the chain, demand agreement."""
-        seen = {chosen}
-        for other in policy.chain:
-            try:
-                resolved = self._resolve_backend(other, spec)
-            except MiniFError:
-                continue
-            if resolved in seen:
-                continue
-            seen.add(resolved)
-            start = time.perf_counter()
-            try:
-                env_b, counters_b, statements_b, _events_b = self._execute(
-                    resolved, spec
-                )
-            except ReliabilityError as error:
-                attempts.append(
-                    Attempt(
-                        backend=resolved,
-                        ok=False,
-                        wall_seconds=time.perf_counter() - start,
-                        error=f"{type(error).__name__}: {error}",
-                        fault_kind=type(error).__name__,
-                        crash_dump=error.crash_dump(),
-                    )
-                )
-                continue
-            attempts.append(
-                Attempt(
-                    backend=resolved,
-                    ok=True,
-                    wall_seconds=time.perf_counter() - start,
-                    steps=statements_b,
-                )
-            )
-            check_agreement(
-                env, counters, env_b, counters_b, backends=(chosen, resolved)
-            )
-
 
 class Engine:
     """Compiles MiniF programs once and runs them many times.
@@ -701,7 +594,10 @@ class Engine:
     on-disk :class:`~repro.runtime.store.ArtifactStore` shared between
     processes (and, behind ``repro serve``, between cluster restarts).
     A memory miss falls through to the store before the transform
-    pipeline runs; a full compile publishes its artifact back.
+    pipeline runs; a full compile publishes its artifact back.  A
+    :class:`TransformError` verdict is kept in the memory tier under
+    the same key, so a repeated rejected compile re-raises it without
+    re-running the pipeline.
 
     Args:
         cache_size: Maximum number of distinct (source, options)
@@ -728,7 +624,9 @@ class Engine:
             store = ArtifactStore(store_dir)
         self.store = store
         self.stats = EngineStats()
-        self._cache: OrderedDict[tuple, CompiledProgram] = OrderedDict()
+        # a rejected compile is kept as a traceback-free TransformError
+        self._cache: OrderedDict[tuple, CompiledProgram | TransformError]
+        self._cache = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -784,6 +682,8 @@ class Engine:
             if cached is not None:
                 self.stats.hits += 1
                 self._cache.move_to_end(key)
+                if isinstance(cached, TransformError):
+                    raise type(cached)(cached.message, cached.location)
                 cached.cache_hit = True
                 cached.cache_tier = "memory"
                 return self._checked(cached, strict)
@@ -793,18 +693,29 @@ class Engine:
             tier = "miss"
             with self._lock:
                 self.stats.misses += 1
-            program = self._build(text, sha, key, options)
+            try:
+                program = self._build(text, sha, key, options)
+            except TransformError as error:
+                self._insert(key, type(error)(error.message, error.location))
+                raise
             self._publish(sha, options, program)
-        with self._lock:
-            # a racing compile may have inserted the same key; keep the
-            # first artifact so callers share one entry
-            winner = self._cache.setdefault(key, program)
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+        winner = self._insert(key, program)
+        if isinstance(winner, TransformError):
+            raise type(winner)(winner.message, winner.location)
         winner.cache_hit = winner is not program or tier == "disk"
         winner.cache_tier = "memory" if winner is not program else tier
         return self._checked(winner, strict)
+
+    def _insert(self, key, entry):
+        """Insert ``entry`` in the LRU; returns the entry that holds
+        ``key`` (a racing compile may have inserted it first — keep
+        that one so callers share one entry)."""
+        with self._lock:
+            winner = self._cache.setdefault(key, entry)
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.cache_size:
+                self._cache.popitem(last=False)
+        return winner
 
     def _normalize(
         self, source: ast.SourceFile | str, options: dict

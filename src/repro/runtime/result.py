@@ -1,7 +1,7 @@
 """Structured results for Engine-driven runs.
 
-Every execution backend (scalar tree-walker, SIMD tree-walker,
-bytecode VM, MIMD simulator) historically returned its own shape —
+Every execution backend (scalar interpreter, bytecode VM, MIMD
+simulator) historically returned its own shape —
 ``(env, counters)`` tuples here, a :class:`~repro.exec.mimd.MIMDResult`
 there.  :class:`RunResult` unifies them: one dataclass carrying the
 final environment, the :class:`~repro.exec.counters.ExecutionCounters`,
@@ -33,8 +33,8 @@ class RunResult:
             dicts for the MIMD backend.
         counters: Execution counters — one accumulator, or a
             per-processor list for the MIMD backend.
-        backend: Backend that actually ran (``"vm"``,
-            ``"interpreter"``, ``"scalar"``, ``"mimd"``).
+        backend: Backend that actually ran (``"vm"``, ``"scalar"``,
+            ``"mimd"``, ``"pmimd"``).
         nproc: PE/processor count of the run (0 = sequential).
         cache_hit: Whether the compiled artifact came from the
             Engine's cache rather than a fresh compile.
@@ -48,7 +48,7 @@ class RunResult:
             ``bytecode`` from the compile that produced the artifact,
             plus ``run``).
         statements: Backend work metric — statements executed by the
-            tree-walkers, instructions retired by the VM, or a
+            scalar interpreter, instructions retired by the VM, or a
             per-processor statement list for MIMD.
         attempts: Execution attempts made under a
             :class:`~repro.reliability.FallbackPolicy`, in order

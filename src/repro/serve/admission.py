@@ -39,7 +39,7 @@ class TenantPolicy:
             (None = engine default).
         deadline_seconds: Wall-clock budget per run.
         fallback: Backend fallback chain for the tenant's runs, e.g.
-            ``("vm", "interpreter")``; empty = no policy, faults
+            ``("pmimd", "mimd")``; empty = no policy, faults
             surface directly.
     """
 

@@ -65,7 +65,7 @@ class TraceTable:
 
 
 class SIMDTraceRecorder:
-    """Records a lockstep trace from the SIMD interpreter.
+    """Records a lockstep trace from a VM run.
 
     Args:
         variables: Environment variables to tabulate (e.g. ``("i", "j")``).

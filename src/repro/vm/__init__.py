@@ -1,8 +1,11 @@
 """SIMD bytecode: a linear ISA, an AST compiler, and a lockstep VM.
 
-A second, independent implementation of the lockstep execution
-semantics — the test suite runs it differentially against the
-tree-walking interpreter of :mod:`repro.exec.simd`.
+The package's one lockstep SIMD backend.  A source file compiles to
+one code object — its main program plus every subroutine at its own
+entry — and the VM runs it, MiniF subroutine calls, named-routine
+entry and statement hooks included.  The fuzz oracle and the
+differential suite hold it to the test-only tree-walking twin of
+:mod:`repro.fuzz.twin`.
 """
 
 from .compiler import Compiler, compile_program, compile_routine

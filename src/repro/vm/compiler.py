@@ -1,6 +1,7 @@
 """AST → SIMD bytecode compiler.
 
-Lowers a MiniF routine to the linear ISA of :mod:`repro.vm.isa`:
+Lowers the routines of a MiniF source file to one linear code object in
+the ISA of :mod:`repro.vm.isa`:
 
 * structured control flow becomes labels and (uniform) jumps;
 * WHERE/ELSEWHERE become mask-stack bracketing;
@@ -10,10 +11,12 @@ Lowers a MiniF routine to the linear ISA of :mod:`repro.vm.isa`:
 * GOTO works between statements of the same routine (labels are
   collected up front); FORALL compiles lane-parallel when its extent
   equals the machine width is *not* statically known, so FORALL
-  compiles to the iota-binding form and the VM checks the extent.
-
-Restrictions (diagnosed, not silently miscompiled): user-subroutine
-CALLs are not inlined — only external routines may be called.
+  compiles to the iota-binding form and the VM checks the extent;
+* the main program comes first, then every subroutine at its entry
+  (:attr:`CodeObject.entries`); a ``CALL`` of one pushes its arguments
+  and executes ``ENTER``, ``RETURN`` executes ``RET``, and a ``CALL`` of
+  any other name is an external ``CALL``;
+* each statement's first instruction is recorded for statement hooks.
 """
 
 from __future__ import annotations
@@ -34,13 +37,22 @@ class _Label:
 
 
 class Compiler:
-    """Compiles one routine body to a :class:`CodeObject`."""
+    """Compiles the routines of a source file to one :class:`CodeObject`.
 
-    def __init__(self, known_subroutines: set[str] | None = None):
-        self.known_subroutines = known_subroutines or set()
+    Args:
+        subroutines: The MiniF subroutines a ``CALL`` may enter
+            (name → routine); any other ``CALL`` is external.
+    """
+
+    def __init__(self, subroutines: dict[str, ast.Routine] | None = None):
+        self._subroutines = subroutines or {}
+        self._entries = {name: _Label() for name in self._subroutines}
         self._code: list[Instr] = []
         self._source_map: dict[int, int] = {}
-        self._loop_stack: list[tuple[_Label, _Label]] = []  # (continue, exit)
+        self._statements: dict[int, list[ast.Stmt]] = {}
+        self._reentries: set[int] = set()
+        # (continue, exit, continuing re-enters a WHILE head)
+        self._loop_stack: list[tuple[_Label, _Label, bool]] = []
         self._stmt_labels: dict[int, _Label] = {}
         self._temp = 0
 
@@ -60,17 +72,18 @@ class Compiler:
         label.index = len(self._code)
         for site in label.patch_sites:
             old = self._code[site]
-            if old.op is Op.FOR:
-                # the jump target is the last slot of the FOR tuple
+            if old.op is Op.FOR or old.op is Op.ENTER:
+                # the jump target is the last slot of the arg tuple
                 arg = (*old.arg[:-1], label.index)
             else:
                 arg = label.index
             self._code[site] = replace(old, arg=arg)
 
-    def _jump(self, op: Op, label: _Label, loc=None, acu: bool = False) -> None:
+    def _jump(self, op: Op, label: _Label, loc=None, acu: bool = False) -> int:
         site = self._emit(op, label.index, loc, acu=acu)
         if label.index is None:
             label.patch_sites.append(site)
+        return site
 
     def _fresh(self, stem: str) -> str:
         self._temp += 1
@@ -79,12 +92,29 @@ class Compiler:
     # -- entry point --------------------------------------------------------------
 
     def compile_routine(self, routine: ast.Routine) -> CodeObject:
+        """Compile ``routine`` at index 0, then every subroutine."""
+        entries = {routine.name: 0}
+        self._compile_unit(routine, Op.HALT)
+        for name, sub in self._subroutines.items():
+            entries[name] = len(self._code)
+            self._bind(self._entries[name])
+            self._compile_unit(sub, Op.RET)
+        return CodeObject(
+            routine.name,
+            tuple(self._code),
+            self._source_map,
+            entries,
+            {pc: tuple(stmts) for pc, stmts in self._statements.items()},
+            frozenset(self._reentries),
+        )
+
+    def _compile_unit(self, routine: ast.Routine, end: Op) -> None:
+        self._stmt_labels = {}
         for node in ast.walk_body(routine.body):
             if isinstance(node, ast.Stmt) and node.label is not None:
                 self._stmt_labels[node.label] = self._new_label()
         self._compile_body(routine.body)
-        self._emit(Op.HALT)
-        return CodeObject(routine.name, tuple(self._code), self._source_map)
+        self._emit(end)
 
     # -- statements ----------------------------------------------------------------
 
@@ -92,6 +122,7 @@ class Compiler:
         for stmt in body:
             if stmt.label is not None:
                 self._bind(self._stmt_labels[stmt.label])
+            self._statements.setdefault(len(self._code), []).append(stmt)
             self._compile_stmt(stmt)
 
     def _compile_stmt(self, stmt: ast.Stmt) -> None:
@@ -150,8 +181,7 @@ class Compiler:
         # Bounds are evaluated exactly once (Fortran counted-loop
         # semantics); the loop-control state lives in hidden names and
         # is maintained by unpriced control opcodes, so the per-trip
-        # cost is a single ACU event — the same accounting as the
-        # tree-walking interpreter.
+        # cost is a single ACU event.
         self._compile_expr(stmt.lo)
         self._compile_expr(stmt.hi)
         if stmt.stride is not None:
@@ -171,7 +201,7 @@ class Compiler:
         )
         if exit_.index is None:
             exit_.patch_sites.append(site)
-        self._loop_stack.append((cont, exit_))
+        self._loop_stack.append((cont, exit_, False))
         self._compile_body(stmt.body)
         self._loop_stack.pop()
         self._bind(cont)
@@ -191,10 +221,10 @@ class Compiler:
         self._bind(head)
         self._compile_expr(cond)
         self._jump(Op.JUMP_IF_FALSE, exit_, loc)
-        self._loop_stack.append((head, exit_))
+        self._loop_stack.append((head, exit_, True))
         self._compile_body(body)
         self._loop_stack.pop()
-        self._jump(Op.JUMP, head)
+        self._reentries.add(self._jump(Op.JUMP, head))
         self._bind(exit_)
 
     def _compile_if(self, stmt: ast.If) -> None:
@@ -248,21 +278,33 @@ class Compiler:
     def _compile_cyclestmt(self, stmt: ast.CycleStmt) -> None:
         if not self._loop_stack:
             raise TransformError("CYCLE outside of a loop", stmt.loc)
-        self._jump(Op.JUMP, self._loop_stack[-1][0], stmt.loc)
+        cont, _exit, reenters = self._loop_stack[-1]
+        site = self._jump(Op.JUMP, cont, stmt.loc)
+        if reenters:
+            self._reentries.add(site)
 
     def _compile_return(self, stmt) -> None:
-        self._emit(Op.HALT, None, stmt.loc)
+        self._emit(Op.RET, None, stmt.loc)
 
     def _compile_stop(self, stmt) -> None:
         self._emit(Op.HALT, None, stmt.loc)
 
     def _compile_callstmt(self, stmt: ast.CallStmt) -> None:
-        if stmt.name in self.known_subroutines:
-            raise TransformError(
-                f"user subroutine '{stmt.name}' cannot be compiled yet — "
-                "inline it or register it as an external",
+        routine = self._subroutines.get(stmt.name)
+        if routine is not None:
+            # By value in: every argument is evaluated (an unset
+            # variable is an error); the VM writes scalars back at RET.
+            for arg in stmt.args:
+                self._compile_expr(arg)
+            entry = self._entries[stmt.name]
+            site = self._emit(
+                Op.ENTER,
+                (stmt.name, tuple(routine.params), tuple(stmt.args), entry.index),
                 stmt.loc,
             )
+            if entry.index is None:
+                entry.patch_sites.append(site)
+            return
         # Arguments: push values for loadable args (None marker for
         # output-only unset vars is the VM's job); record the arg
         # expressions so the external can write back.
@@ -337,14 +379,25 @@ class Compiler:
         return "".join(spec)
 
 
+def compile_subscripts(ref: ast.ArrayRef) -> tuple[str, tuple[Instr, ...]]:
+    """``(spec, code)`` that pushes ``ref``'s subscript operands (the
+    VM evaluates it for a writeback target)."""
+    compiler = Compiler()
+    spec = compiler._compile_subscripts(ref)
+    return spec, tuple(compiler._code)
+
+
 def compile_routine(
-    routine: ast.Routine, known_subroutines: set[str] | None = None
+    routine: ast.Routine, subroutines: dict[str, ast.Routine] | None = None
 ) -> CodeObject:
-    """Compile a routine to SIMD bytecode."""
-    return Compiler(known_subroutines).compile_routine(routine)
+    """Compile a routine (and the subroutines it may call) to bytecode."""
+    return Compiler(subroutines).compile_routine(routine)
 
 
 def compile_program(source: ast.SourceFile) -> CodeObject:
-    """Compile the main program of a source file."""
-    known = {unit.name for unit in source.units if unit.kind == "subroutine"}
-    return compile_routine(source.main, known)
+    """Compile a source file: its main program at index 0, then every
+    subroutine at its entry."""
+    subroutines = {
+        unit.name: unit for unit in source.units if unit.kind == "subroutine"
+    }
+    return compile_routine(source.main, subroutines)

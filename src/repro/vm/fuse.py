@@ -14,9 +14,9 @@ stack discipline, by the bytecode verifier which composes the stack
 effect of a ``FUSED`` instruction from its components):
 
 * only straight-line opcodes fuse — control transfers (``JUMP``,
-  ``JUMP_IF_FALSE``, ``FOR``, ``HALT``), mask operations (``PUSH_MASK``,
-  ``ELSE_MASK``, ``POP_MASK``) and ``CALL`` terminate a run, so the
-  activity mask is constant inside every run;
+  ``JUMP_IF_FALSE``, ``FOR``, ``ENTER``, ``RET``, ``HALT``), mask
+  operations (``PUSH_MASK``, ``ELSE_MASK``, ``POP_MASK``) and ``CALL``
+  terminate a run, so the activity mask is constant inside every run;
 * no instruction other than the first of a run is a jump target;
 * instruction indices are preserved: the ``FUSED`` head replaces the
   first component and the remaining slots are padded with unreachable
@@ -31,6 +31,8 @@ effect of a ``FUSED`` instruction from its components):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..exec.intrinsics import is_reduction_call
 from .isa import CodeObject, Instr, Op
 
@@ -41,7 +43,7 @@ __all__ = ["FusedRun", "MAX_FUSE_LEN", "FUSIBLE_OPS", "fuse_code", "jump_targets
 MAX_FUSE_LEN = 32
 
 #: Opcodes that may appear inside a fused run.  Everything else —
-#: control transfers, mask operations, CALL — terminates a run.
+#: control transfers, mask operations, CALL/ENTER/RET — terminates a run.
 FUSIBLE_OPS = frozenset(
     {
         Op.PUSH_CONST,
@@ -155,7 +157,7 @@ def jump_targets(instructions: tuple[Instr, ...]) -> set[int]:
         op = instr.op
         if op is Op.JUMP or op is Op.JUMP_IF_FALSE:
             targets.add(instr.arg)
-        elif op is Op.FOR:
+        elif op is Op.FOR or op is Op.ENTER:
             targets.add(instr.arg[3])
     return targets
 
@@ -163,8 +165,9 @@ def jump_targets(instructions: tuple[Instr, ...]) -> set[int]:
 def fuse_code(code: CodeObject, max_len: int = MAX_FUSE_LEN) -> CodeObject:
     """Fuse straight-line runs of ``code`` into superinstructions.
 
-    Returns a new :class:`CodeObject` with the same length, name and
-    source map (indices are preserved via NOP padding); memoized on
+    Returns a new :class:`CodeObject` with the same length, name,
+    source map, routine entries and statement table (indices are
+    preserved via NOP padding); memoized on
     ``code``.  A code object that already contains ``FUSED``
     instructions is returned unchanged.
     """
@@ -175,7 +178,7 @@ def fuse_code(code: CodeObject, max_len: int = MAX_FUSE_LEN) -> CodeObject:
     if any(i.op is Op.FUSED for i in instructions):
         code._fused = code
         return code
-    targets = jump_targets(instructions)
+    targets = jump_targets(instructions) | set(code.entries.values())
     out: list[Instr] = []
     run: list[Instr] = []
 
@@ -202,7 +205,7 @@ def fuse_code(code: CodeObject, max_len: int = MAX_FUSE_LEN) -> CodeObject:
             flush()
         run.append(instr)
     flush()
-    fused = CodeObject(code.name, tuple(out), dict(code.source_map))
+    fused = replace(code, instructions=tuple(out))
     fused._fused = fused
     code._fused = fused
     return fused

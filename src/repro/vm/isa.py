@@ -14,7 +14,8 @@ A linear ISA that makes the paper's machine model explicit:
   gather/scatter), since both target machines price it separately.
 
 Programs are :class:`CodeObject`\\ s: a flat instruction tuple with
-all labels resolved to instruction indices.
+all labels resolved to instruction indices, every routine of a source
+file at its own entry (``ENTER`` calls one, ``RET`` returns).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class Op(Enum):
     IOTA = auto()         #: pop hi, lo — push [lo : hi]
     VECTOR = auto()       #: arg: n — build a vector from n popped values
     CALL = auto()         #: arg: (name, arg_specs) — external subroutine
+    ENTER = auto()        #: arg: (name, params, arg_exprs, entry) — MiniF CALL
+    RET = auto()          #: RETURN: pop the frame (halts when none is open)
     PUSH_MASK = auto()    #: pop condition, push mask = current ∧ cond
     ELSE_MASK = auto()    #: flip to outer ∧ ¬cond (top mask entry)
     POP_MASK = auto()     #: restore the enclosing mask
@@ -49,7 +52,7 @@ class Op(Enum):
     FOR = auto()          #: arg: (var, limit, stride, exit index) — loop head
     FOR_INCR = auto()     #: arg: (var, stride) — env[var] += env[stride]
     NOP = auto()          #: label placeholder (kept for debuggability)
-    HALT = auto()         #: end of program / RETURN
+    HALT = auto()         #: end of the main program / STOP
     FUSED = auto()        #: arg: FusedRun — straight-line superinstruction
 
 
@@ -68,8 +71,8 @@ class Instr:
     ``acu`` marks control transfers that represent *source-level*
     front-end work (GOTO) and are priced as one ACU event; structural
     jumps the compiler synthesizes (loop back-edges, IF joins, EXIT,
-    CYCLE) carry ``acu=False`` and execute for free, matching the
-    tree-walking interpreter's accounting.
+    CYCLE) carry ``acu=False`` and execute for free, matching a tree
+    walk's accounting.
 
     ``loc`` is the :class:`~repro.lang.errors.SourceLocation` of the
     AST node the instruction was compiled from (None for synthesized
@@ -95,14 +98,26 @@ class CodeObject:
     """A compiled routine.
 
     Attributes:
-        name: Source routine name.
+        name: Source routine name (the main program's).
         instructions: The flat instruction sequence.
         source_map: instruction index -> source line (best effort).
+        entries: routine name -> entry index (the main program at 0).
+        statements: instruction index -> the source statements that
+            start there (several when a statement emits no code).
+        reentries: Indices of the jumps (back-edges, CYCLEs) that
+            re-enter a WHILE head without starting the WHILE again.
     """
 
     name: str
     instructions: tuple[Instr, ...]
     source_map: dict[int, int] = field(default_factory=dict)
+    entries: dict[str, int] = field(default_factory=dict)
+    statements: dict[int, tuple] = field(default_factory=dict)
+    reentries: frozenset = frozenset()
+
+    def __post_init__(self):
+        if not self.entries:
+            self.entries = {self.name: 0}
 
     def __len__(self) -> int:
         return len(self.instructions)

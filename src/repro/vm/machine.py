@@ -1,15 +1,16 @@
-"""The SIMD bytecode virtual machine.
+"""The SIMD bytecode virtual machine: the lockstep SIMD backend.
 
-Executes :class:`~repro.vm.isa.CodeObject`\\ s with exactly the
-lockstep semantics of :class:`~repro.exec.simd.SIMDInterpreter` —
-one program counter, a mask stack, per-PE replicated values, masked
-stores, gather/scatter indirect addressing — and records into the
-same :class:`~repro.exec.counters.ExecutionCounters`, so a VM run can
-be priced by the same machine models.
+Executes :class:`~repro.vm.isa.CodeObject`\\ s with the paper's
+lockstep semantics — one program counter, a mask stack, per-PE
+replicated values, masked stores, gather/scatter indirect addressing —
+and records into :class:`~repro.exec.counters.ExecutionCounters`, so a
+run can be priced by the machine models of :mod:`repro.simd`.
 
-The VM and the tree-walking interpreter are developed as independent
-implementations of one semantics; the test suite runs them
-differentially against each other.
+MiniF subroutine calls run in frames (``ENTER``/``RET``), and a
+``statement_hook`` sees every executed statement.  The test-only
+tree-walking twin (:mod:`repro.fuzz.twin`) implements the same
+semantics independently; the fuzz oracle and the differential suite
+hold the two to identical environments and counters.
 
 Execution model (see DESIGN.md §10):
 
@@ -43,12 +44,12 @@ import numpy as np
 from ..exec.counters import ExecutionCounters
 from ..exec.intrinsics import call_intrinsic, coerce, is_reduction_call
 from ..exec.ops import apply_binop, apply_unop, op_event_kind
-from ..exec.simd import SIMDInterpreter, _align_mask
-from ..exec.values import FArray
+from ..exec.values import FArray, align_mask
 from ..lang import ast
 from ..lang.errors import InterpreterError, MiniFError
 from ..reliability import (
     Budget,
+    BudgetExceeded,
     DivergenceFault,
     MachineSnapshot,
     OutOfBoundsFault,
@@ -76,10 +77,14 @@ from .fuse import (
     S_VECTOR,
     fuse_code,
 )
+from .compiler import compile_subscripts
 from .isa import CodeObject, Instr, Op
 
 #: Sentinel next-pc returned by HALT (terminates the dispatch loop).
 _HALT_PC = -1
+
+#: Deepest MiniF call chain a run may open (runaway recursion guard).
+MAX_CALL_DEPTH = 1000
 
 
 class _Epoch:
@@ -144,6 +149,9 @@ class SIMDVirtualMachine:
             ``MAX_FUSE_LEN - 1`` steps).  ``None`` disables capture.
         checkpoint_sink: Callable receiving each captured checkpoint
             (e.g. ``CheckpointStore.save`` bound to a key).
+        statement_hook: Optional ``hook(stmt, env, mask)`` called before
+            each executed statement (trace recording, translation
+            validation); a hooked run executes unfused.
     """
 
     def __init__(
@@ -156,6 +164,7 @@ class SIMDVirtualMachine:
         fuse: bool = True,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
+        statement_hook=None,
     ):
         if nproc < 1:
             raise InterpreterError(f"need at least one PE, got {nproc}")
@@ -171,6 +180,7 @@ class SIMDVirtualMachine:
         self.fuse = fuse
         self.checkpoint_every = checkpoint_every
         self.checkpoint_sink = checkpoint_sink
+        self.statement_hook = statement_hook
         self.executed = 0
         self._meter = self.budget.meter()
         self._trace: deque = deque(maxlen=TRACE_DEPTH)
@@ -179,12 +189,12 @@ class SIMDVirtualMachine:
         self._last_loc = None
         self._mask_pool: dict = {}
         self._reset_mask()
-        # a shadow interpreter provides assign_to for external writebacks
-        self._shadow = SIMDInterpreter(
-            ast.SourceFile([ast.Routine("program", "__vm__", [], [])]),
-            nproc,
-            counters=self.counters,
-        )
+        # (return pc, caller env, caller mask depth, writeback targets,
+        # location of the CALL)
+        self._frames: list[tuple] = []
+        self._hook_skip = False
+        # id(target) -> (target, subscript spec, subscript code)
+        self._targets: dict[int, tuple] = {}
         self._dispatch = {
             Op.PUSH_CONST: self._op_push_const,
             Op.LOAD: self._op_load,
@@ -198,6 +208,8 @@ class SIMDVirtualMachine:
             Op.IOTA: self._op_iota,
             Op.VECTOR: self._op_vector,
             Op.CALL: self._op_call,
+            Op.ENTER: self._op_enter,
+            Op.RET: self._op_ret,
             Op.PUSH_MASK: self._op_push_mask,
             Op.ELSE_MASK: self._op_else_mask,
             Op.POP_MASK: self._op_pop_mask,
@@ -246,20 +258,6 @@ class SIMDVirtualMachine:
     def mask(self) -> np.ndarray:
         return self._epoch.mask
 
-    @property
-    def lanes_active(self) -> np.ndarray:
-        return self._epoch.lanes
-
-    @property
-    def _mask(self) -> np.ndarray:
-        return self._epoch.mask
-
-    @_mask.setter
-    def _mask(self, value) -> None:
-        # Keep the cached lane reductions coherent for any direct poke.
-        self._epoch.flush(self.counters)
-        self._epoch = _Epoch(np.asarray(value), self.nproc)
-
     # The current epoch is ``_epoch``; each open WHERE scope's enclosing
     # epoch waits on ``_epochs`` (parallel to ``_mask_stack``) with its
     # pending layers until END WHERE resumes it.
@@ -299,9 +297,9 @@ class SIMDVirtualMachine:
             raise InterpreterError("mask expression is not logical")
         base = np.asarray(outer)
         if base.ndim < cond.ndim:
-            base = _align_mask(base, cond.ndim)
+            base = align_mask(base, cond.ndim)
         elif cond.ndim < base.ndim:
-            cond = _align_mask(cond, base.ndim)
+            cond = align_mask(cond, base.ndim)
         if negate:
             nbuf = self._buffer((depth, 2), cond.shape)
             np.logical_not(cond, out=nbuf)
@@ -359,12 +357,15 @@ class SIMDVirtualMachine:
         code: CodeObject,
         bindings: dict | None = None,
         resume_from: Checkpoint | None = None,
+        routine_name: str | None = None,
     ) -> dict:
         """Execute a code object; returns the final environment.
 
-        Every error raised mid-run is stamped with the current
-        instruction's source location and a :meth:`snapshot` of the
-        machine before propagating.
+        Execution starts at the main program, or at the entry of
+        ``routine_name`` (a routine of ``code.entries``).  Every error
+        raised mid-run is stamped with the current instruction's
+        source location and a :meth:`snapshot` of the machine before
+        propagating.
 
         With ``resume_from``, ``bindings`` are ignored and execution
         continues from the checkpoint's state; the resumed run's final
@@ -373,9 +374,22 @@ class SIMDVirtualMachine:
         it may be resumed again).  Wall-clock deadlines restart; the
         consumed *step* budget resumes exactly.
         """
+        start = 0 if routine_name is None else code.entries[routine_name]
+        every = self.checkpoint_every
+        sink = self.checkpoint_sink
+        if every and sink is not None and any(
+            instr.op is Op.ENTER for instr in code.instructions
+        ):
+            raise InterpreterError(
+                "checkpoint capture does not cover MiniF subroutine calls "
+                "(the program CALLs a subroutine); run without "
+                "checkpoint_every"
+            )
         env: dict = dict(bindings or {})
         self._env = env
         self._meter = self.budget.meter()
+        self._frames = []
+        self._hook_skip = False
         stack: list = []
         if resume_from is None:
             self._reset_mask()
@@ -390,7 +404,7 @@ class SIMDVirtualMachine:
             )
             run_code = code  # op faults need exact per-instruction stepping
             fused = False
-        elif self.fuse:
+        elif self.fuse and self.statement_hook is None:
             run_code = fuse_code(code)
             fused = True
         else:
@@ -399,13 +413,13 @@ class SIMDVirtualMachine:
         instructions = run_code.instructions
         dispatch = self._dispatch
         handlers = [dispatch.get(i.op, self._op_unknown) for i in instructions]
+        if self.statement_hook is not None:
+            self._hook_handlers(handlers, run_code)
         size = len(instructions)
-        pc = 0
+        pc = start
         if resume_from is not None:
             pc, env, stack = self._restore(resume_from, fused)
             self._env = env
-        every = self.checkpoint_every
-        sink = self.checkpoint_sink
         next_at = None
         if every and sink is not None:
             next_at = (self.executed // every + 1) * every
@@ -428,6 +442,14 @@ class SIMDVirtualMachine:
             # Deferred per-lane accounting settles on every exit path
             # (snapshot() also flushes, so crash dumps are exact).
             self._flush_open_epochs()
+        if self._frames:
+            # STOP inside a subroutine: the run ends with the main
+            # program's environment, no writeback, every scope closed.
+            main_env = self._frames[0][1]
+            self._frames = []
+            env.clear()
+            env.update(main_env)
+            self._pop_scopes(0)
         if self._mask_stack:
             # Translation invariant: every PUSH_MASK is matched by a
             # POP_MASK on all paths — an unbalanced stack means the
@@ -625,8 +647,108 @@ class SIMDVirtualMachine:
 
     def _op_call(self, instr, pc, env, stack):
         self._tick1(instr, pc)
-        self._call(env, stack, instr.arg)
+        name, arg_exprs = instr.arg
+        values = stack[len(stack) - len(arg_exprs):]
+        del stack[len(stack) - len(arg_exprs):]
+        # Var arguments were compiled as lazy placeholders.
+        resolved = [
+            env.get(expr.name) if isinstance(expr, ast.Var) else value
+            for expr, value in zip(arg_exprs, values)
+        ]
+        self._call_external(name, arg_exprs, resolved, env)
         return pc + 1
+
+    def _op_enter(self, instr, pc, env, stack):
+        """CALL of a MiniF subroutine: open a frame, jump to its entry.
+
+        The caller's environment is parked in the frame and ``env``
+        becomes the callee's (the dict object is reused, so the
+        dispatch loop and every handler keep one reference)."""
+        self._tick1(instr, pc)
+        name, params, arg_exprs, entry = instr.arg
+        count = len(arg_exprs)
+        values = stack[len(stack) - count:]
+        del stack[len(stack) - count:]
+        if name in self.externals:  # an external shadows the subroutine
+            self._call_external(name, arg_exprs, values, env)
+            return pc + 1
+        if len(params) != count:
+            raise InterpreterError(f"CALL {name}: arity mismatch")
+        if len(self._frames) >= MAX_CALL_DEPTH:
+            raise BudgetExceeded(
+                f"call depth exceeded ({MAX_CALL_DEPTH} frames); "
+                "suspected runaway recursion"
+            )
+        self.counters.record("acu")
+        writeback = [
+            (param, arg)
+            for param, arg, value in zip(params, arg_exprs, values)
+            if not isinstance(value, FArray)
+            and isinstance(arg, (ast.Var, ast.ArrayRef))
+        ]
+        frame = (pc + 1, dict(env), len(self._mask_stack), writeback, instr.loc)
+        self._frames.append(frame)
+        env.clear()
+        env.update(zip(params, values))
+        return entry
+
+    def _op_ret(self, instr, pc, env, stack):
+        """RETURN: close the callee's open scopes, restore the caller's
+        environment and write scalar arguments back (halts when no
+        frame is open)."""
+        self._tick1(instr, pc)
+        if not self._frames:
+            self._pop_scopes(0)
+            return _HALT_PC
+        return_pc, caller, depth, writeback, call_loc = self._frames.pop()
+        self._pop_scopes(depth)
+        results = [(target, env[param]) for param, target in writeback]
+        env.clear()
+        env.update(caller)
+        try:
+            for target, value in results:
+                self.assign_to(target, value, env)
+        except MiniFError as error:
+            raise locate(error, call_loc)  # the writeback is the CALL's
+        return return_pc
+
+    def _pop_scopes(self, depth: int) -> None:
+        """Close WHERE scopes until ``depth`` remain open."""
+        while len(self._mask_stack) > depth:
+            self._mask_stack.pop()
+            self._epoch.flush(self.counters)
+            self._epoch = self._epochs.pop()
+
+    def _hook_handlers(self, handlers: list, code: CodeObject) -> None:
+        """Wrap the first instruction of every statement so it calls
+        the statement hook, and the WHILE re-entry jumps so the loop
+        head does not count as a new execution of the WHILE."""
+        hook = self.statement_hook
+
+        def starts(handler, stmts):
+            def run_hooked(instr, pc, env, stack):
+                if self._hook_skip:
+                    self._hook_skip = False
+                else:
+                    mask = self._epoch.mask
+                    for stmt in stmts:
+                        hook(stmt, env, mask)
+                return handler(instr, pc, env, stack)
+
+            return run_hooked
+
+        def reenters(handler):
+            def run_reentry(instr, pc, env, stack):
+                target = handler(instr, pc, env, stack)
+                self._hook_skip = True
+                return target
+
+            return run_reentry
+
+        for pc in code.reentries:
+            handlers[pc] = reenters(handlers[pc])
+        for pc, stmts in code.statements.items():
+            handlers[pc] = starts(handlers[pc], stmts)
 
     def _op_push_mask(self, instr, pc, env, stack):
         self._tick1(instr, pc)
@@ -864,16 +986,12 @@ class SIMDVirtualMachine:
 
     # -- helpers -------------------------------------------------------------------
 
-    def _sync_shadow(self) -> None:
-        self._shadow._mask = self._epoch.mask
-
     def _store(self, env: dict, name: str, value, events) -> None:
         """Masked store of ``value`` into variable ``name``.
 
-        Semantics mirror the tree-walking interpreter's
-        ``_assign_var`` exactly (the differential suite holds the two
-        to the same environments and counters); the VM keeps its own
-        copy to avoid building an AST node per store on the hot path.
+        Semantics mirror the tree-walking twin's ``_assign_var``
+        exactly (the differential suite holds the two to the same
+        environments and counters).
         """
         value = coerce(value)
         existing = env.get(name)
@@ -889,7 +1007,7 @@ class SIMDVirtualMachine:
                     f"masked whole-array assignment to '{name}' needs a "
                     f"leading dimension of {nproc}"
                 )
-            mask = _align_mask(self._epoch.mask, existing.data.ndim)
+            mask = align_mask(self._epoch.mask, existing.data.ndim)
             existing.data[...] = np.where(mask, value, existing.data)
             return
         self._account("store", self._layers_of(value), events)
@@ -908,7 +1026,7 @@ class SIMDVirtualMachine:
             old = np.full(nproc, old.item())
         if new.ndim > old.ndim:
             old = np.broadcast_to(old[..., None], new.shape).copy()
-        mask = _align_mask(self._epoch.lanes, max(old.ndim, new.ndim))
+        mask = align_mask(self._epoch.lanes, max(old.ndim, new.ndim))
         env[name] = np.where(mask, new, old)
 
     def _alloc(self, env: dict, stack: list, arg) -> None:
@@ -1131,7 +1249,7 @@ class SIMDVirtualMachine:
                     f"masked section assignment to '{name}' needs the "
                     f"leading extent to be {self.nproc}"
                 )
-            mask = _align_mask(self._epoch.mask, region.ndim)
+            mask = align_mask(self._epoch.mask, region.ndim)
             array.data[index] = np.where(mask, coerce(value), region)
             return
         if self._uniform_bool(self._epoch.mask):
@@ -1164,89 +1282,47 @@ class SIMDVirtualMachine:
             new = np.full(nproc, new.item())
         array.data[tuple(index)] = new if all_active else new[lanes]
 
-    def _call(self, env: dict, stack: list, arg) -> None:
-        name, arg_exprs = arg
+    def _call_external(self, name: str, arg_exprs, args: list, env: dict) -> None:
         external = self.externals.get(name)
         if external is None:
             raise InterpreterError(f"CALL to unknown external '{name}'")
-        values = stack[-len(arg_exprs):] if arg_exprs else []
-        del stack[len(stack) - len(arg_exprs):]
-        # Var arguments were compiled as lazy placeholders.
-        resolved = []
-        for expr, value in zip(arg_exprs, values):
-            if isinstance(expr, ast.Var):
-                resolved.append(env.get(expr.name))
-            else:
-                resolved.append(value)
-        layers = max((self._layers_of(v) for v in resolved if v is not None), default=1)
+        layers = max((self._layers_of(v) for v in args if v is not None), default=1)
         epoch = self._epoch
         epoch.pending += self.counters.record_call(
             name, layers=layers, active=epoch.active, defer_lanes=True
         )
-        external(self, list(arg_exprs), resolved, env, epoch.mask)
+        external(self, list(arg_exprs), args, env, epoch.mask)
 
-    # -- external writeback --------------------------------------------------------
+    # -- writeback -----------------------------------------------------------------
 
     def assign_to(self, target, value, env: dict) -> None:
-        """Masked store into a Var or ArrayRef target (external writeback).
+        """Masked store into a Var or ArrayRef target.
 
-        Mirrors :meth:`SIMDInterpreter.assign_to` so external routines
-        work identically on both lockstep backends.  Subscripts that
-        are plain constants, variables, or sections thereof resolve
-        natively; anything fancier falls back to the shadow
-        interpreter's full expression evaluator.
+        The writeback of a subroutine's scalar arguments at ``RET``,
+        and of an external routine's outputs.  An ``ArrayRef``'s
+        subscripts are compiled once per target node and evaluated
+        here, in ``env``, like any other instructions of the run.
         """
         value = coerce(value)
         if isinstance(target, ast.Var):
             self._store(env, target.name, value, None)
             return
-        if isinstance(target, ast.ArrayRef):
-            subs = []
-            for sub in target.subs:
-                resolved = self._simple_subscript(sub, env)
-                if resolved is None:
-                    self._shadow_assign(target, value, env)
-                    return
-                subs.append(resolved)
-            self._store_resolved(env, target.name, subs, value, None)
-            return
-        self._shadow_assign(target, value, env)
-
-    def _simple_subscript(self, sub, env: dict):
-        """Resolve a Const/Var/section subscript; None if too fancy."""
-        if isinstance(sub, ast.Slice):
-            lo = 1
-            if sub.lo is not None:
-                lo_value = self._simple_value(sub.lo, env)
-                if lo_value is None:
-                    return None
-                lo = self._uniform_int(lo_value, "section lower bound")
-            hi = None
-            if sub.hi is not None:
-                hi_value = self._simple_value(sub.hi, env)
-                if hi_value is None:
-                    return None
-                hi = self._uniform_int(hi_value, "section upper bound")
-            return slice(lo - 1, hi)
-        value = self._simple_value(sub, env)
-        if value is None:
-            return None
-        value = coerce(value)
-        if isinstance(value, np.ndarray) and value.ndim >= 1:
-            return value
-        return self._uniform_int(value, "subscript")
-
-    @staticmethod
-    def _simple_value(expr, env: dict):
-        if isinstance(expr, (ast.IntLit, ast.RealLit, ast.BoolLit)):
-            return expr.value
-        if isinstance(expr, ast.Var):
-            return env.get(expr.name)
-        return None
-
-    def _shadow_assign(self, target, value, env: dict) -> None:
-        self._sync_shadow()
-        self._shadow.assign_to(target, value, env)
+        if not isinstance(target, ast.ArrayRef):
+            raise InterpreterError("invalid assignment target")
+        compiled = self._targets.get(id(target))
+        if compiled is None:
+            # the node rides along so its id cannot be reused
+            compiled = self._targets[id(target)] = (
+                target, *compile_subscripts(target)
+            )
+        _target, spec, code = compiled
+        stack: list = []
+        pc = self._last_pc
+        dispatch = self._dispatch
+        for instr in code:
+            dispatch[instr.op](instr, pc, env, stack)
+        subs = self._decode_subscripts(stack, spec)
+        self._store_resolved(env, target.name, subs, value, None)
 
 
 def run_bytecode(

@@ -4,7 +4,9 @@ The VM (:mod:`repro.vm.machine`) trusts the compiler: an unbalanced
 mask stack only surfaces at HALT, a wild jump executes garbage, and a
 missing loop temp raises deep inside a run.  The verifier proves the
 translation invariants *per code object, before execution*, with a
-worklist dataflow over the instruction graph:
+worklist dataflow over the instruction graph of every routine, each
+walked from its entry (:attr:`~repro.vm.isa.CodeObject.entries`) with
+empty stacks:
 
 * every jump target lands inside the instruction sequence;
 * the **mask depth** is consistent on all paths into each instruction,
@@ -95,6 +97,9 @@ def stack_effect(instr: Instr) -> tuple[int, int]:
     if op is Op.CALL:
         _name, arg_exprs = arg
         return len(arg_exprs), 0
+    if op is Op.ENTER:
+        _name, _params, arg_exprs, _entry = arg
+        return len(arg_exprs), 0
     if op is Op.FUSED:
         # Compose the components' effects: the run's pops are the
         # deepest cumulative deficit, so internal underflow surfaces
@@ -115,14 +120,14 @@ def stack_effect(instr: Instr) -> tuple[int, int]:
                 lowest = depth
             depth += pushes
         return -lowest, depth - lowest
-    # ELSE_MASK, POP_MASK, JUMP, FOR, FOR_INCR, NOP, HALT
+    # ELSE_MASK, POP_MASK, JUMP, FOR, FOR_INCR, NOP, RET, HALT
     return 0, 0
 
 
 def _jump_targets(instr: Instr, index: int, size: int):
     """Successor indices of one instruction (``None`` marks fallthrough)."""
     op = instr.op
-    if op is Op.HALT:
+    if op is Op.HALT or op is Op.RET:
         return []
     if op is Op.JUMP:
         return [instr.arg]
@@ -223,8 +228,9 @@ def verify_code(code: CodeObject) -> DiagnosticReport:
         return report
 
     states: dict[int, _State] = {}
-    worklist = [0]
-    states[0] = _State(0, 0, frozenset())
+    worklist = [entry for entry in set(code.entries.values()) if entry in range(size)]
+    for entry in worklist:
+        states[entry] = _State(0, 0, frozenset())
     while worklist:
         index = worklist.pop()
         state = states[index]
@@ -262,8 +268,12 @@ def verify_code(code: CodeObject) -> DiagnosticReport:
                 finding("V002", index, "POP_MASK with empty mask stack")
                 continue
             mask_depth -= 1
-        elif op is Op.HALT:
-            if mask_depth != 0:
+        elif op is Op.ENTER and instr.arg[3] not in range(size):
+            finding("V001", index, f"ENTER target {instr.arg[3]!r} outside [0, {size})")
+            continue
+        elif op is Op.HALT or op is Op.RET:
+            # RET closes its routine's scopes; HALT must find none open
+            if op is Op.HALT and mask_depth != 0:
                 finding(
                     "V003",
                     index,
@@ -273,7 +283,8 @@ def verify_code(code: CodeObject) -> DiagnosticReport:
                 finding(
                     "V005",
                     index,
-                    f"operand stack not empty at HALT: depth {state.stack_depth}",
+                    f"operand stack not empty at {op.name}: "
+                    f"depth {state.stack_depth}",
                 )
             continue
 

@@ -98,10 +98,19 @@ class TestRunner:
         )
 
     def test_steps_deterministic_across_backends(self, point):
-        other = tiny_sweep(backend="interpreter")
-        assert [c["steps"] for c in other["cells"]] == [
-            c["steps"] for c in point["cells"]
-        ]
+        # the VM's tree-walking twin counts the same lockstep steps
+        from repro.bench.runner import _kernel_setup
+        from repro.fuzz.twin import run_twin
+        from repro.md.gromos import sod_workload
+
+        workload = sod_workload(3.0, n_atoms=100, nmax=128)
+        dist = workload.distribution(64)
+        steps = []
+        for cell in point["cells"]:
+            text, bindings, externals = _kernel_setup(cell["kernel"], workload, dist)
+            _env, counters = run_twin(text, dist.gran, bindings, externals)
+            steps.append(int(counters.total_steps))
+        assert steps == [c["steps"] for c in point["cells"]]
 
     def test_pmimd_sweep_measures_the_mimd_column(self, point):
         from repro.bench import MIMD_KERNEL

@@ -3,6 +3,7 @@ the acceptance correlation — static findings match runtime behaviour."""
 
 import pytest
 
+from repro.fuzz.twin import run_twin
 from repro.kernels import example as ex
 from repro.lang.errors import CompileError
 from repro.reliability.errors import DivergenceFault
@@ -77,7 +78,10 @@ class TestStaticRuntimeCorrelation:
         [finding] = engine.compile(RACE).diagnostics().errors
         assert finding.code == "R001"
         with pytest.raises(DivergenceFault) as info:
-            engine.run(RACE, {}, nproc=4, backend=backend)
+            if backend == "interpreter":  # the VM's tree-walking twin
+                run_twin(RACE, 4, {})
+            else:
+                engine.run(RACE, {}, nproc=4, backend=backend)
         assert info.value.location is not None
         assert info.value.location.line == finding.location.line
 

@@ -1,23 +1,15 @@
-"""Lockstep SIMD interpreter tests."""
+"""Tests of the tree-walking lockstep interpreter, the VM's test-only
+twin (:mod:`repro.fuzz.twin`)."""
 
 import numpy as np
 import pytest
 
-import repro
-from repro.exec import SIMDInterpreter
-from repro.lang import parse_source
+from repro.fuzz.twin import run_twin
 from repro.lang.errors import InterpreterError
 
 
 def run(text, nproc, bindings=None, externals=None):
-    result = repro.run(
-        parse_source(text),
-        bindings,
-        nproc=nproc,
-        externals=externals,
-        backend="interpreter",
-    )
-    return result.env, result.counters
+    return run_twin(text, nproc, bindings, externals)
 
 
 class TestReplication:

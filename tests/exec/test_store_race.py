@@ -1,4 +1,4 @@
-"""Scalar-element stores of lane-varying values (both SIMD backends).
+"""Scalar-element stores of lane-varying values (the VM and its twin).
 
 A store like ``y(1) = v`` with a *scalar* index and a *vector* value
 is a single memory cell written by every active lane at once.  That is
@@ -11,19 +11,13 @@ as a language error, not crash the backend with a raw numpy error.
 import numpy as np
 import pytest
 
-import repro
+from repro.fuzz.twin import run_twin
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
 from repro.vm import run_bytecode
 
-
-def run_interpreter(source, nproc, bindings=None):
-    result = repro.run(source, bindings, nproc=nproc, backend="interpreter")
-    return result.env, result.counters
-
-
 BACKENDS = [
-    pytest.param(run_interpreter, id="interpreter"),
+    pytest.param(run_twin, id="interpreter"),
     pytest.param(run_bytecode, id="vm"),
 ]
 

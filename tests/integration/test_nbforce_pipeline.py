@@ -8,8 +8,8 @@ Figure 15 kernel — same results, same force-call count (Equation 1'').
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import evaluate_flattening
-from repro.exec import SIMDInterpreter
 from repro.kernels.nbforce import (
     NBFORCE_SEQUENTIAL,
     run_flat_kernel,
@@ -66,25 +66,25 @@ def test_flattened_figure13_matches_figure15(workload):
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "nb", [], body)])
 
-    interp = SIMDInterpreter(
-        prog, GRAN, externals={"force": make_simd_force_external(mol)}
-    )
-    env = interp.run(
-        bindings={
+    derived = repro.run(
+        prog,
+        {
             "n": plist.n_atoms,
             "maxpcnt": int(plist.partners.shape[1]),
             "pcnt": plist.pcnt.astype(np.int64),
             "partners": plist.partners.astype(np.int64),
-        }
+        },
+        nproc=GRAN,
+        externals={"force": make_simd_force_external(mol)},
     )
-    derived_f = np.asarray(env["f"].data, dtype=float)
+    derived_f = np.asarray(derived.env["f"].data, dtype=float)
     assert np.allclose(derived_f, ref)
 
     # same step count as the hand-written flattened kernel (Eq. 1'')
     handwritten_f, handwritten_counters = run_flat_kernel(mol, plist, dist)
     assert np.allclose(handwritten_f, ref)
     assert (
-        interp.counters.calls["force"]
+        derived.counters.calls["force"]
         == handwritten_counters.calls["force"]
         == workload_counts(plist, dist).flattened
     )

@@ -45,14 +45,14 @@ class TestDerivedVersions:
     def test_derived_naive_simd_equals_handwritten_p4(self, p1, expected):
         derived = naive_simd_program(p1, nproc=2, layout="block")
         result = repro.run(
-            derived, nproc=2, bindings=ex.example_bindings(), backend="interpreter"
+            derived, nproc=2, bindings=ex.example_bindings(), backend="vm"
         )
         env_d, counters_d = result.env, result.counters
         result = repro.run(
             ex.parse_example(ex.P4_NAIVE_SIMD),
             nproc=2,
             bindings=ex.example_bindings(),
-            backend="interpreter",
+            backend="vm",
         )
         env_h, counters_h = result.env, result.counters
         assert (env_d["x"].data == expected).all()
@@ -67,14 +67,14 @@ class TestDerivedVersions:
         )
         derived = splice(p1, flat)
         result = repro.run(
-            derived, nproc=2, bindings=ex.example_bindings(), backend="interpreter"
+            derived, nproc=2, bindings=ex.example_bindings(), backend="vm"
         )
         env_d, counters_d = result.env, result.counters
         result = repro.run(
             ex.parse_example(ex.P5_FLATTENED_SIMD),
             nproc=2,
             bindings=ex.example_bindings(),
-            backend="interpreter",
+            backend="vm",
         )
         env_h, counters_h = result.env, result.counters
         assert (env_d["x"].data == expected).all()
@@ -114,7 +114,7 @@ class TestDustyDeck:
         body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
         prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
         env = repro.run(
-            prog, nproc=2, bindings=ex.example_bindings(), backend="interpreter"
+            prog, nproc=2, bindings=ex.example_bindings(), backend="vm"
         ).env
         assert (env["x"].data == expected).all()
 

@@ -57,7 +57,7 @@ class TestPrograms:
             ex.parse_example(ex.P4_NAIVE_SIMD),
             nproc=ex.EXAMPLE_P,
             bindings=ex.example_bindings(),
-            backend="interpreter",
+            backend="vm",
         )
         env, counters = result.env, result.counters
         assert (env["x"].data == expected).all()
@@ -68,7 +68,7 @@ class TestPrograms:
             ex.parse_example(ex.P5_FLATTENED_SIMD),
             nproc=ex.EXAMPLE_P,
             bindings=ex.example_bindings(),
-            backend="interpreter",
+            backend="vm",
         )
         env, counters = result.env, result.counters
         assert (env["x"].data == expected).all()

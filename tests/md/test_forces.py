@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exec.values import FArray
+from repro.fuzz.twin import run_twin
 from repro.kernels import nbforce
 from repro.md import forces
 from repro.md.distribution import gather_flat_results, gather_unflat_results
@@ -198,13 +199,17 @@ class TestLiveLaneExternal:
             tally["masked_off"] += int((~lanes).sum())
             tally["zero_marker"] += int((lanes & ~live).sum())
 
-        result = Engine().compile(text).run(
-            bindings, nproc=self.NPROC, backend=backend, externals={"force": checked}
-        )
-        if kernel == "L_f":
-            got = gather_flat_results(result.env, pairlist)
+        externals = {"force": checked}
+        if backend == "interpreter":  # the VM's tree-walking twin
+            env, _ = run_twin(text, self.NPROC, bindings, externals)
         else:
-            got = gather_unflat_results(result.env, pairlist, dist)
+            env = Engine().compile(text).run(
+                bindings, nproc=self.NPROC, backend=backend, externals=externals
+            ).env
+        if kernel == "L_f":
+            got = gather_flat_results(env, pairlist)
+        else:
+            got = gather_unflat_results(env, pairlist, dist)
         np.testing.assert_allclose(
             got, reference_nbforce(molecule, pairlist), rtol=1e-9, atol=0.0
         )

@@ -461,7 +461,7 @@ class TestResumeInsideWhere:
             assert_counters_equal(vm.counters, full.counters)
 
     def test_fault_in_inner_scope_counts_alike_on_every_backend(self, code):
-        from repro.exec.simd import SIMDInterpreter
+        from repro.fuzz.twin import SIMDInterpreter
         from repro.lang import parse_source
         from repro.reliability import OutOfBoundsFault
         from repro.vm import SIMDVirtualMachine
@@ -503,7 +503,7 @@ class TestRefusals:
         with pytest.raises(InterpreterError, match="backend"):
             program.run(
                 dict(BINDINGS),
-                backend="interpreter",
+                backend="scalar",
                 nproc=NPROC,
                 resume_from=vm_checkpoint,
             )
@@ -547,14 +547,30 @@ class TestRefusals:
                 dict(BINDINGS),
                 nproc=NPROC,
                 resume_from=vm_checkpoint,
-                policy=FallbackPolicy(chain=("vm", "interpreter")),
+                policy=FallbackPolicy(chain=("vm",)),
             )
 
     def test_lockstep_tree_walker_refused(self, program):
-        with pytest.raises(InterpreterError, match="tree-walker"):
+        # the tree-walker is the VM's test oracle, not a backend
+        with pytest.raises(InterpreterError, match="unknown backend 'interpreter'"):
             program.run(
                 dict(BINDINGS),
                 backend="interpreter",
+                nproc=NPROC,
+                checkpoint_every=5,
+                checkpoint_sink=[].append,
+            )
+
+    @pytest.mark.parametrize("backend", ["auto", "vm"])
+    def test_subroutine_calls_refused(self, engine, backend):
+        caller = engine.compile(
+            "PROGRAM p\n  INTEGER x\n  x = 1\n  CALL bump(x)\nEND\n"
+            "SUBROUTINE bump(y)\n  y = y + 1\nEND"
+        )
+        with pytest.raises(InterpreterError, match="subroutine"):
+            caller.run(
+                {},
+                backend=backend,
                 nproc=NPROC,
                 checkpoint_every=5,
                 checkpoint_sink=[].append,

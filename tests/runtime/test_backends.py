@@ -1,8 +1,9 @@
-"""Backend autoselection and VM-vs-interpreter observational agreement."""
+"""Backend autoselection and VM-vs-twin observational agreement."""
 
 import numpy as np
 import pytest
 
+from repro.fuzz.twin import run_twin
 from repro.kernels.example import (
     P4_NAIVE_SIMD,
     P5_FLATTENED_SIMD,
@@ -56,30 +57,30 @@ class TestDifferential:
     @pytest.mark.parametrize("text", [P4_NAIVE_SIMD, P5_FLATTENED_SIMD],
                              ids=["naive", "flattened"])
     def test_example_kernels_agree(self, engine, text):
-        program = engine.compile(text)
-        auto = program.run(example_bindings(), nproc=2)
-        interp = program.run(example_bindings(), nproc=2,
-                             backend="interpreter")
-        assert auto.backend == "vm" and interp.backend == "interpreter"
-        assert_same_env(auto.env, interp.env)
-        assert_same_counters(auto.counters, interp.counters)
+        auto = engine.compile(text).run(example_bindings(), nproc=2)
+        env, counters = run_twin(text, 2, example_bindings())
+        assert auto.backend == "vm"
+        assert_same_env(auto.env, env)
+        assert_same_counters(auto.counters, counters)
 
     def test_nbforce_flat_agrees(self, engine, small_molecule, small_pairlist):
         dist = DataDistribution(n=small_pairlist.n_atoms, gran=8,
                                 scheme="cyclic")
-        program = engine.compile(NBFORCE_FLAT)
-        runs = [
-            program.run(
-                flat_kernel_bindings(small_pairlist, dist),
-                nproc=dist.gran,
-                backend=backend,
-                externals={"force": make_simd_force_external(small_molecule)},
-            )
-            for backend in ("auto", "interpreter")
-        ]
-        assert runs[0].backend == "vm"
-        assert_same_env(runs[0].env, runs[1].env)
-        assert_same_counters(runs[0].counters, runs[1].counters)
+        externals = {"force": make_simd_force_external(small_molecule)}
+        auto = engine.compile(NBFORCE_FLAT).run(
+            flat_kernel_bindings(small_pairlist, dist),
+            nproc=dist.gran,
+            externals=externals,
+        )
+        env, counters = run_twin(
+            NBFORCE_FLAT,
+            dist.gran,
+            flat_kernel_bindings(small_pairlist, dist),
+            externals,
+        )
+        assert auto.backend == "vm"
+        assert_same_env(auto.env, env)
+        assert_same_counters(auto.counters, counters)
 
 
 class TestSelection:
@@ -89,13 +90,13 @@ class TestSelection:
         )
         assert result.backend == "vm"
 
-    def test_statement_hook_forces_tree_walker(self, engine):
+    def test_statement_hook_runs_on_the_vm(self, engine):
         seen = []
         result = engine.compile(P5_FLATTENED_SIMD).run(
             example_bindings(), nproc=2,
             statement_hook=lambda *a, **k: seen.append(a),
         )
-        assert result.backend == "interpreter"
+        assert result.backend == "vm"
         assert seen
 
     def test_nproc_zero_selects_scalar(self, engine):
@@ -123,14 +124,10 @@ class TestSelection:
             )
 
     def test_explicit_vm_reports_compile_failure(self, engine):
-        # user subroutines do not lower to the linear ISA yet
-        program = engine.compile(
-            "PROGRAM p\n  INTEGER x\n  CALL f(x)\nEND\n"
-            "SUBROUTINE f(a)\n  INTEGER a\n  a = 1\nEND"
-        )
+        # an EXIT outside any loop has no bytecode form
+        program = engine.compile("PROGRAM p\n  x = 1\n  EXIT\nEND")
         assert program.bytecode() is None
-        assert "subroutine" in program.bytecode_error
-        with pytest.raises(TransformError, match="bytecode"):
-            program.run({"x": 0}, nproc=2, backend="vm")
-        # ...but auto quietly falls back to the tree-walker
-        assert program.run({"x": 0}, nproc=2).backend == "interpreter"
+        assert "EXIT outside" in program.bytecode_error
+        for backend in ("vm", "auto"):
+            with pytest.raises(TransformError, match="bytecode"):
+                program.run({}, nproc=2, backend=backend)

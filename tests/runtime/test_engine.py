@@ -73,7 +73,7 @@ class TestCacheKeys:
                                  assume_min_trips=True)
         for nproc in (2, 4, 8):
             result = program.run(example_bindings(), nproc=nproc,
-                                 backend="interpreter")
+                                 backend="vm")
             assert (result.env["x"].data == expected_x()).all()
         assert engine.stats.compiles == 1 and engine.stats.misses == 1
 
@@ -204,6 +204,22 @@ class TestFailedCompiles:
                 engine.compile(P1_SEQUENTIAL, transform="simdize")
         assert engine.stats.hits == 0
         assert len(engine) == 0
+
+    def test_rejected_compile_is_a_memory_hit(self, engine):
+        # the pipeline rejects a carried dependence once; repeats re-raise
+        # the cached verdict as a fresh error
+        errors = []
+        for _ in range(3):
+            with pytest.raises(TransformError, match="not provably parallel") as info:
+                engine.compile(CARRIED, transform="spmd", width=4)
+            errors.append(info.value)
+        assert (engine.stats.misses, engine.stats.hits) == (1, 2)
+        assert len({id(error) for error in errors}) == 3
+        assert {(type(e), str(e), e.location) for e in errors} == {
+            (type(errors[0]), str(errors[0]), errors[0].location)
+        }
+        # other options of the same source still compile
+        assert engine.compile(CARRIED).cache_tier == "miss"
 
 
 CARRIED = """

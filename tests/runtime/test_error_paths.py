@@ -1,18 +1,21 @@
-"""Existing interpreter/VM error paths: classification, location, snapshot.
+"""VM error paths: classification, location, snapshot.
 
 Each failure mode must (a) raise the right member of the taxonomy,
 (b) point at the offending source line, and (c) carry a machine
-snapshot usable as a crash dump.
+snapshot usable as a crash dump.  The ``interpreter`` cases hold the
+VM's tree-walking twin (:mod:`repro.fuzz.twin`) to (a) and (b); it
+takes no snapshots.
 """
 
 import numpy as np
 import pytest
 
+from repro.fuzz.twin import run_twin
 from repro.lang.errors import InterpreterError
 from repro.reliability import DivergenceFault, OutOfBoundsFault, crash_dump_for
 from repro.runtime import Engine
 from repro.vm.isa import CodeObject, Instr, Op
-from repro.vm.machine import SIMDVirtualMachine
+from repro.vm.machine import SIMDVirtualMachine, _Epoch
 
 BOTH = pytest.mark.parametrize("backend", ["vm", "interpreter"])
 
@@ -20,6 +23,17 @@ BOTH = pytest.mark.parametrize("backend", ["vm", "interpreter"])
 @pytest.fixture()
 def engine():
     return Engine()
+
+
+def run(engine, text, bindings=None, *, nproc, backend):
+    if backend == "interpreter":
+        return run_twin(text, nproc, bindings)
+    return engine.run(text, bindings, nproc=nproc, backend=backend)
+
+
+def assert_snapshot(error, backend):
+    if backend == "vm":
+        assert error.snapshot is not None
 
 
 ZERO_STRIDE = """
@@ -60,10 +74,10 @@ class TestZeroStrideDo:
     @BOTH
     def test_raises_located_interpreter_error(self, engine, backend):
         with pytest.raises(InterpreterError, match="stride is zero") as excinfo:
-            engine.run(ZERO_STRIDE, {"s": 0}, nproc=2, backend=backend)
+            run(engine, ZERO_STRIDE, {"s": 0}, nproc=2, backend=backend)
         error = excinfo.value
         assert error.location.line == 4  # the DO statement
-        assert error.snapshot is not None
+        assert_snapshot(error, backend)
         dump = crash_dump_for(error)
         assert dump["error"] == "InterpreterError"
         assert ":4:" in dump["location"]
@@ -73,22 +87,22 @@ class TestUnknownExternalCall:
     @BOTH
     def test_raises_located_error(self, engine, backend):
         with pytest.raises(InterpreterError, match="unknown") as excinfo:
-            engine.run(UNKNOWN_CALL, nproc=2, backend=backend)
+            run(engine, UNKNOWN_CALL, nproc=2, backend=backend)
         assert excinfo.value.location.line == 4
-        assert excinfo.value.snapshot is not None
+        assert_snapshot(excinfo.value, backend)
 
 
 class TestDivergentControlFlow:
     @BOTH
     def test_divergent_if_is_a_divergence_fault(self, engine, backend):
         with pytest.raises(DivergenceFault, match="diverges") as excinfo:
-            engine.run(DIVERGENT_IF, nproc=4, backend=backend)
+            run(engine, DIVERGENT_IF, nproc=4, backend=backend)
         assert excinfo.value.location.line == 4
         assert excinfo.value.retryable is False
 
     def test_no_active_pes_reduction(self):
         vm = SIMDVirtualMachine(4)
-        vm._mask = np.zeros(4, dtype=bool)
+        vm._epoch = _Epoch(np.zeros(4, dtype=bool), 4)
         with pytest.raises(InterpreterError, match="no active PEs"):
             vm._uniform_int(np.arange(4), "limit")
 
@@ -97,10 +111,10 @@ class TestSubscriptBounds:
     @BOTH
     def test_oob_read_is_classified_and_located(self, engine, backend):
         with pytest.raises(OutOfBoundsFault, match="out of bounds") as excinfo:
-            engine.run(OOB_READ, nproc=2, backend=backend)
+            run(engine, OOB_READ, nproc=2, backend=backend)
         error = excinfo.value
         assert error.location.line == 5
-        assert error.snapshot is not None
+        assert_snapshot(error, backend)
         assert "extent 8" in str(error)
 
     def test_scalar_backend_locates_too(self, engine):

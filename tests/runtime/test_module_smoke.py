@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.fuzz.twin import run_twin
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
@@ -78,13 +80,39 @@ class TestModuleEntry:
                           "--assume-min-trips", "-p", "2")
         path = tmp_path / "flat.f"
         path.write_text(flat.stdout)
-        outputs = [
-            run_module("run", str(path), "-p", "2", "--backend", backend,
-                       "--bind", "l=4,1,2,1,1,3,1,3", "--show", "x").stdout
-            for backend in ("auto", "interpreter")
-        ]
-        strip = [
-            [line for line in out.splitlines() if not line.startswith("ran ")]
-            for out in outputs
-        ]
-        assert strip[0] == strip[1]
+        out = run_module("run", str(path), "-p", "2", "--backend", "auto",
+                         "--bind", "l=4,1,2,1,1,3,1,3", "--show", "x").stdout
+        # the interpreter: the VM's tree-walking twin on the same program
+        env, counters = run_twin(
+            flat.stdout, 2, {"l": np.array([4, 1, 2, 1, 1, 3, 1, 3])}
+        )
+        summary = counters.summary()
+        assert out == "\n".join([
+            "ran on 2 lockstep PEs (bytecode VM)",
+            f"lockstep steps : {summary['total_steps']}",
+            f"vector instrs  : {summary['vector_instructions']}",
+            f"mean utilization: {summary['mean_utilization']:.1%}",
+            f"x = {env['x'].data}",
+            "",
+        ])
+
+
+def test_product_import_leaves_the_twin_unloaded():
+    """The tree-walking twin is the VM's test oracle, not a backend:
+    importing the package and the VM, and running a program with a
+    subroutine call on it, never loads the twin's module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys, repro, repro.vm.machine\n"
+        "r = repro.run('PROGRAM p\\n  x = 1\\n  CALL s(x)\\nEND\\n"
+        "SUBROUTINE s(y)\\n  y = y + 1\\nEND', nproc=2)\n"
+        "assert r.backend == 'vm' and r.env['x'] == 2, r\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.fuzz')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

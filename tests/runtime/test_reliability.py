@@ -20,6 +20,7 @@ from repro.reliability import (
     crash_dump_for,
     locate,
 )
+from repro.fuzz.twin import run_twin
 from repro.runtime import Engine
 from repro.vm.isa import Op
 
@@ -39,6 +40,14 @@ END
 """
 
 EXPECTED_W = np.array([1.0, 19.0, 29.0, 39.0])
+
+#: Runs on the per-processor levels: each processor stores its own
+#: number times ten.
+MIMD_PROGRAM = """
+PROGRAM p
+  x = myproc * 10
+END
+"""
 
 #: Never terminates — the budget guard must kill it on every backend.
 SPIN_PROGRAM = """
@@ -64,11 +73,13 @@ class TestBudget:
     def test_spin_loop_killed_on_every_backend(self, engine, backend, nproc):
         budget = Budget(max_steps=500)
         with pytest.raises(BudgetExceeded, match="budget"):
-            engine.run(SPIN_PROGRAM, nproc=nproc, backend=backend, budget=budget)
+            if backend == "interpreter":  # the VM's tree-walking twin
+                run_twin(SPIN_PROGRAM, nproc, budget=budget)
+            else:
+                engine.run(SPIN_PROGRAM, nproc=nproc, backend=backend, budget=budget)
 
     @pytest.mark.parametrize(
-        "backend,nproc",
-        [("vm", 4), ("interpreter", 4), ("scalar", 0), ("mimd", 2)],
+        "backend,nproc", [("vm", 4), ("scalar", 0), ("mimd", 2)]
     )
     def test_budget_error_carries_snapshot(self, engine, backend, nproc):
         with pytest.raises(BudgetExceeded) as excinfo:
@@ -132,15 +143,16 @@ class TestFaultPlan:
     def test_backend_scoping(self):
         plan = FaultPlan(op_faults=(5,), backends=("vm",))
         assert plan.op_fault(5, "vm")
-        assert not plan.op_fault(5, "interpreter")
+        assert not plan.op_fault(5, "scalar")
 
 
 class TestFallbackChain:
-    def test_chaos_vm_fault_degrades_to_interpreter(self, engine):
-        """The acceptance scenario: a seeded fault inside a masked
-        region kills the VM attempt; the interpreter finishes the run;
-        both attempts are recorded and the VM attempt's crash dump
-        carries pc, mask stack, and the per-PE environment slice."""
+    def test_chaos_vm_fault_recovers_on_retry(self, engine):
+        """The acceptance scenario: a seeded transient fault inside a
+        masked region kills the first VM attempt; the retry finishes
+        the run; both attempts are recorded and the failed attempt's
+        crash dump carries pc, mask stack, and the per-PE environment
+        slice."""
         program = engine.compile(WHERE_PROGRAM)
         code = program.bytecode()
         push = next(
@@ -151,11 +163,11 @@ class TestFallbackChain:
         result = program.run(
             nproc=4,
             fault_plan=plan,
-            policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+            policy=FallbackPolicy(chain=("vm",), retries=1),
         )
-        assert result.backend == "interpreter"
+        assert result.backend == "vm"
         assert [(a.backend, a.ok) for a in result.attempts] == [
-            ("vm", False), ("interpreter", True),
+            ("vm", False), ("vm", True),
         ]
         assert np.array_equal(result.env["w"], EXPECTED_W)
 
@@ -178,7 +190,7 @@ class TestFallbackChain:
         plan = FaultPlan(op_faults=(5,), backends=("vm",))
         result = engine.run(
             WHERE_PROGRAM, nproc=4, fault_plan=plan,
-            policy=FallbackPolicy(chain=("vm", "interpreter"), retries=1),
+            policy=FallbackPolicy(chain=("vm",), retries=1),
         )
         assert result.backend == "vm"
         assert [(a.backend, a.ok) for a in result.attempts] == [
@@ -186,35 +198,36 @@ class TestFallbackChain:
         ]
 
     def test_permanent_fault_exhausts_retries_then_degrades(self, engine):
-        plan = FaultPlan(fail_backends=("vm",))
+        plan = FaultPlan(fail_backends=("pmimd",))
         result = engine.run(
-            WHERE_PROGRAM, nproc=4, fault_plan=plan,
-            policy=FallbackPolicy(chain=("vm", "interpreter"), retries=1),
+            MIMD_PROGRAM, nproc=2, fault_plan=plan,
+            policy=FallbackPolicy(chain=("pmimd", "mimd"), retries=1),
         )
-        assert result.backend == "interpreter"
+        assert result.backend == "mimd"
         assert [(a.backend, a.ok) for a in result.attempts] == [
-            ("vm", False), ("vm", False), ("interpreter", True),
+            ("pmimd", False), ("pmimd", False), ("mimd", True),
         ]
+        assert [env["x"] for env in result.env] == [10, 20]
 
     def test_nonretryable_fault_raises_immediately(self, engine):
         with pytest.raises(BudgetExceeded) as excinfo:
             engine.run(
                 SPIN_PROGRAM, nproc=2, budget=Budget(max_steps=200),
-                policy=FallbackPolicy(chain=("vm", "interpreter"), retries=1),
+                policy=FallbackPolicy(chain=("vm", "mimd"), retries=1),
             )
         attempts = excinfo.value.attempts
         assert [(a.backend, a.ok) for a in attempts] == [("vm", False)]
         assert attempts[0].crash_dump["error"] == "BudgetExceeded"
 
     def test_exhausted_chain_raises_with_attempt_log(self, engine):
-        plan = FaultPlan(fail_backends=("vm", "interpreter"))
+        plan = FaultPlan(fail_backends=("pmimd", "mimd"))
         with pytest.raises(BackendFault) as excinfo:
             engine.run(
-                WHERE_PROGRAM, nproc=4, fault_plan=plan,
-                policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+                MIMD_PROGRAM, nproc=2, fault_plan=plan,
+                policy=FallbackPolicy(chain=("pmimd", "mimd"), retries=0),
             )
         assert [(a.backend, a.ok) for a in excinfo.value.attempts] == [
-            ("vm", False), ("interpreter", False),
+            ("pmimd", False), ("mimd", False),
         ]
 
     def test_unresolvable_backend_recorded_and_skipped(self, engine):
@@ -228,36 +241,23 @@ class TestFallbackChain:
             ("vm", False), ("scalar", True),
         ]
 
-    def test_verify_runs_rest_of_chain_and_agrees(self, engine):
-        result = engine.run(
-            WHERE_PROGRAM, nproc=4,
-            policy=FallbackPolicy(chain=("vm", "interpreter"), verify=True),
-        )
-        assert result.backend == "vm"
-        assert [(a.backend, a.ok) for a in result.attempts] == [
-            ("vm", True), ("interpreter", True),
-        ]
-
-    def test_misspelled_chain_entry_cannot_switch_off_verify(self, engine):
-        # A typo used to resolve to nothing inside the verify pass, so
-        # the run "succeeded" with no cross-check at all.
-        with pytest.raises(ValueError, match="'interpretr'.*choose from") as info:
-            engine.run(
-                WHERE_PROGRAM, nproc=4,
-                policy=FallbackPolicy(chain=("vm", "interpretr"), verify=True),
-            )
-        assert all(name in str(info.value) for name in BACKENDS)
+    @pytest.mark.parametrize("name", ["vmm", "interpreter"])
+    def test_unknown_chain_entry_rejected(self, name):
+        # "interpreter" named the tree-walking backend the VM replaced
+        with pytest.raises(ValueError, match=f"'{name}'.*choose from") as info:
+            FallbackPolicy(chain=("vm", name))
+        assert all(backend in str(info.value) for backend in BACKENDS)
 
     def test_chain_is_canonicalised(self):
-        assert FallbackPolicy(chain=(" VM", "Interpreter")).chain == (
-            "vm", "interpreter",
+        assert FallbackPolicy(chain=(" VM", "Scalar")).chain == (
+            "vm", "scalar",
         )
 
     def test_attempts_serialize(self, engine):
-        plan = FaultPlan(fail_backends=("vm",))
+        plan = FaultPlan(op_faults=(5,), backends=("vm",))
         result = engine.run(
             WHERE_PROGRAM, nproc=4, fault_plan=plan,
-            policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+            policy=FallbackPolicy(chain=("vm",), retries=1),
         )
         payload = [a.to_dict() for a in result.attempts]
         json.dumps(payload, default=str)

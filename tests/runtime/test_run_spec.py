@@ -1,8 +1,8 @@
 """One run path: ``run()``'s folded settings and the shared attempt loop.
 
-A plain run, a :class:`FallbackPolicy` run and a ``verify=True`` run
-all execute through the same resolve → execute → result loop, so a
-setting honoured on one of them is honoured on all.  The durable
+A plain run and a :class:`FallbackPolicy` run both execute through
+the same resolve → execute → result loop, so a setting honoured on one
+of them is honoured on the other.  The durable
 ``checkpoint_dir`` sink is the case that used to drift: only the plain
 path wired it, and every chained run silently dropped its captures.
 """
@@ -51,11 +51,10 @@ class TestDurableChains:
     @pytest.mark.parametrize(
         "nproc, settings",
         [
-            (4, dict(policy=FallbackPolicy(chain=("vm", "interpreter")))),
-            (4, dict(verify=True)),
+            (4, dict(policy=FallbackPolicy(chain=("vm",)))),
             (0, dict(policy=FallbackPolicy(chain=("scalar",)))),
         ],
-        ids=["fallback-chain", "verify", "scalar-chain"],
+        ids=["fallback-chain", "scalar-chain"],
     )
     def test_chained_run_saves_resumable_checkpoints(
         self, program, tmp_path, nproc, settings
@@ -75,26 +74,25 @@ class TestDurableChains:
         assert resumed.resumed_from_step == ckpt.step
         _assert_same_run(resumed, reference)
 
-    def test_chain_degrading_to_interpreter_runs(self, program, tmp_path):
-        # The tree-walker does not checkpoint, so a durable chain that
-        # lands on it still runs instead of refusing.  The faulted vm
-        # attempt's captures stay in the store and resume exactly.
+    def test_chain_retrying_a_faulted_vm_runs(self, program, tmp_path):
+        # The faulted vm attempt and its retry both save captures under
+        # the one key; the latest resumes exactly.
         result = program.run(
             nproc=4,
             fault_plan=FaultPlan(op_faults=(60,), backends=("vm",)),
-            policy=FallbackPolicy(chain=("vm", "interpreter"), retries=0),
+            policy=FallbackPolicy(chain=("vm",), retries=1),
             checkpoint_every=5,
             checkpoint_dir=str(tmp_path),
         )
-        assert result.backend == "interpreter"
+        assert result.backend == "vm"
         assert [(a.backend, a.ok) for a in result.attempts] == [
             ("vm", False),
-            ("interpreter", True),
+            ("vm", True),
         ]
         reference = program.run(nproc=4)
         _assert_same_run(result, reference)
         ckpt = CheckpointStore(str(tmp_path)).load_latest("run")
-        assert ckpt is not None and ckpt.backend == "vm" and ckpt.step < 60
+        assert ckpt is not None and ckpt.backend == "vm" and ckpt.step > 60
         # fault injection runs the VM unfused, and so did its captures
         unfused = BackendConfig(vm_fuse=False)
         _assert_same_run(program.run(resume_from=ckpt, config=unfused), reference)
@@ -130,17 +128,6 @@ class TestFold:
         assert all(c.meta["fuse"] is False for c in captured)
         assert captured[0].step == 3
 
-    def test_verify_switches_policy_verify_on(self, program):
-        result = program.run(
-            nproc=4,
-            policy=FallbackPolicy(chain=("vm", "interpreter")),
-            verify=True,
-        )
-        assert [(a.backend, a.ok) for a in result.attempts] == [
-            ("vm", True),
-            ("interpreter", True),
-        ]
-
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -172,11 +159,11 @@ class TestFold:
             program.run(**kwargs)
 
 
-TWO_ROUTINES = """PROGRAM main
+TWO_ROUTINES = """PROGRAM Main
   INTEGER x
   x = 1
 END
-SUBROUTINE other
+SUBROUTINE Other
   INTEGER x
   x = 2
 END
@@ -189,56 +176,53 @@ def two_routines():
 
 
 class TestNamedRoutinesAndHooks:
-    """The VM runs the main program without statement hooks, so a
-    routine name or a hook must steer a run away from it, never be
-    dropped on the floor."""
+    """A routine name and a statement hook reach every backend that
+    runs them; the VM starts at the routine's entry and hooks every
+    statement."""
 
-    def test_vm_refuses_routine_name(self, two_routines):
-        with pytest.raises(InterpreterError, match="backend='vm'"):
-            two_routines.run(nproc=2, backend="vm", routine_name="other")
+    @pytest.mark.parametrize("backend", ["auto", "vm"])
+    def test_vm_runs_routine_name(self, two_routines, backend):
+        result = two_routines.run(nproc=2, backend=backend, routine_name="other")
+        assert result.backend == "vm"
+        assert result.env["x"] == 2
 
-    def test_vm_refuses_statement_hook(self, two_routines):
+    def test_vm_runs_statement_hook(self, two_routines):
         calls = []
-        with pytest.raises(InterpreterError, match="backend='vm'"):
-            two_routines.run(
-                nproc=2, backend="vm", statement_hook=lambda *a: calls.append(a)
-            )
-        assert calls == []
+        result = two_routines.run(
+            nproc=2, backend="vm", statement_hook=lambda *a: calls.append(a)
+        )
+        assert result.backend == "vm"
+        assert [type(stmt).__name__ for stmt, _env, _mask in calls] == [
+            "Decl", "Assign",
+        ]
+        assert calls[-1][2].tolist() == [True, True]
 
-    def test_chain_degrades_named_routine_to_interpreter(self, two_routines):
+    def test_chain_runs_named_routine_on_the_vm(self, two_routines):
         result = two_routines.run(
             nproc=2,
             routine_name="other",
-            policy=FallbackPolicy(chain=("vm", "interpreter")),
+            policy=FallbackPolicy(chain=("vm", "mimd")),
         )
-        assert result.backend == "interpreter"
+        assert result.backend == "vm"
         assert result.env["x"] == 2
-        assert [(a.backend, a.ok) for a in result.attempts] == [
-            ("vm", False),
-            ("interpreter", True),
-        ]
+        assert [(a.backend, a.ok) for a in result.attempts] == [("vm", True)]
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(routine_name="other"), dict(statement_hook=lambda *a: None)],
-        ids=["routine_name", "statement_hook"],
+        "backend, nproc", [("vm", 2), ("scalar", 0), ("mimd", 2)]
     )
-    def test_verify_refuses_what_the_vm_cannot_run(
-        self, two_routines, monkeypatch, kwargs
+    @pytest.mark.parametrize("name", ["OTHER", "Other", "other"])
+    def test_routine_name_is_case_insensitive(
+        self, two_routines, backend, nproc, name
     ):
-        def no_backend(*args):
-            raise AssertionError("a backend ran before the refusal")
-
-        monkeypatch.setattr(CompiledProgram, "_execute", no_backend)
-        with pytest.raises(InterpreterError, match="verify=True"):
-            two_routines.run(nproc=2, verify=True, **kwargs)
+        result = two_routines.run(nproc=nproc, backend=backend, routine_name=name)
+        env = result.env[0] if backend == "mimd" else result.env
+        assert env["x"] == 2
 
     @pytest.mark.parametrize(
         "backend, nproc",
         [
             ("auto", 2),
             ("vm", 2),
-            ("interpreter", 2),
             ("scalar", 0),
             ("mimd", 2),
             ("pmimd", 2),

@@ -1,19 +1,21 @@
-"""``Engine.run(verify=True)`` — the one-call differential check.
+"""The VM checked against its tree-walking twin.
 
-This is the same vm-vs-interpreter agreement oracle the fuzzer's
-``none/simd`` leg uses, exposed as a run flag: the primary backend's
-answer is only returned after the *other* lockstep backend reproduces
-it bit-for-bit (env and counters both).
+The package runs lockstep SIMD programs on one backend, the bytecode
+VM.  Its independent check is the test-only twin of
+:mod:`repro.fuzz.twin`: the same agreement oracle the fuzzer's
+``none/simd`` leg uses (:func:`repro.reliability.check_agreement`)
+demands that the twin reproduce the VM's answer bit-for-bit, env and
+counters both.
 """
 
 import numpy as np
 import pytest
 
+from repro.fuzz.twin import SIMDInterpreter, run_twin
 from repro.lang import parse_source
 from repro.lang.errors import InterpreterError
-from repro.reliability import BackendFault
+from repro.reliability import BackendFault, check_agreement
 from repro.runtime import Engine
-from repro.runtime.engine import CompiledProgram
 
 PROGRAM = """
 PROGRAM p
@@ -29,50 +31,29 @@ def engine():
     return Engine(cache_size=8)
 
 
-def _run(engine, **kwargs):
-    return engine.run(
-        parse_source(PROGRAM),
-        {"y": np.zeros(4, dtype=np.int64)},
-        nproc=4,
-        **kwargs,
-    )
+def _bindings():
+    return {"y": np.zeros(4, dtype=np.int64)}
 
 
 class TestVerifyFlag:
     def test_both_lockstep_backends_run_and_agree(self, engine):
-        result = _run(engine, backend="vm", verify=True)
+        result = engine.run(PROGRAM, _bindings(), nproc=4)
         assert result.backend == "vm"
-        assert [(a.backend, a.ok) for a in result.attempts] == [
-            ("vm", True),
-            ("interpreter", True),
-        ]
+        env, counters = run_twin(PROGRAM, 4, _bindings())
+        check_agreement(result.env, result.counters, env, counters)
         assert result.env["y"].data.tolist() == [9, 0, 0, 0]
-
-    def test_primary_backend_choice_is_respected(self, engine):
-        result = _run(engine, backend="interpreter", verify=True)
-        assert result.backend == "interpreter"
-        assert {a.backend for a in result.attempts} == {"vm", "interpreter"}
-
-    @pytest.mark.parametrize("backend", ["scalar", "mimd"])
-    def test_non_lockstep_backends_rejected(self, engine, backend):
-        with pytest.raises(InterpreterError, match="lockstep"):
-            _run(engine, backend=backend, verify=True)
 
     def test_nproc_zero_rejected(self, engine):
         with pytest.raises(InterpreterError, match="nproc >= 1"):
-            engine.run(parse_source(PROGRAM), {}, nproc=0, verify=True)
+            engine.run(PROGRAM, {}, nproc=0, backend="vm")
+        with pytest.raises(InterpreterError, match="at least one PE"):
+            SIMDInterpreter(parse_source(PROGRAM), 0)
 
-    def test_disagreement_raises_backend_fault(self, engine, monkeypatch):
-        # corrupt the cross-check run so the two backends genuinely
-        # disagree, and assert the oracle refuses the answer
-        original = CompiledProgram._execute
-
-        def corrupting(self, chosen, spec):
-            env, counters, statements, events = original(self, chosen, spec)
-            if chosen == "interpreter":
-                env["y"].data[0] += 1
-            return env, counters, statements, events
-
-        monkeypatch.setattr(CompiledProgram, "_execute", corrupting)
+    def test_disagreement_raises_backend_fault(self, engine):
+        # corrupt the twin's answer so the two genuinely disagree, and
+        # assert the oracle refuses it
+        result = engine.run(PROGRAM, _bindings(), nproc=4)
+        env, counters = run_twin(PROGRAM, 4, _bindings())
+        env["y"].data[0] += 1
         with pytest.raises(BackendFault, match="disagree"):
-            _run(engine, backend="vm", verify=True)
+            check_agreement(result.env, result.counters, env, counters)

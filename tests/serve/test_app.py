@@ -401,11 +401,11 @@ class TestAdmissionOverHTTP:
                 app.port, "POST", "/v1/run",
                 {"source": P1_SEQUENTIAL, "bindings": {"n": 4}, "nproc": 4},
             )
-            # a 1-step budget cannot finish the kernel: the reliability
-            # layer surfaces it as a failed/fallback run, never a 500
-            assert status in (200, 400)
-            if status == 200:
-                assert out.get("status") != "ok" or out.get("fallback")
+            # a 1-step budget cannot finish the kernel: the run answers
+            # a typed 400, never a 500 and never a result
+            assert status == 400
+            assert out["error"]["type"] == "BudgetExceeded"
+            assert "step budget exceeded (1 steps)" in out["error"]["message"]
 
         with_app(body, config)
 
@@ -552,7 +552,7 @@ class TestOneRunPath:
                 {"source": TWO_ROUTINES, "nproc": 2, "routine_name": "other"},
             )
             assert status == 200
-            assert out["backend"] == "interpreter"
+            assert out["backend"] == "vm"
             assert out["env"]["x"] == 2
 
         with_app(body)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.exec import MIMDSimulator, SIMDInterpreter
+import repro
+from repro.exec import MIMDSimulator
 from repro.lang import ast, parse_source
 from repro.simd.trace import MIMDTraceRecorder, SIMDTraceRecorder, TraceTable
 
@@ -22,8 +23,7 @@ def test_simd_trace_records_active_lanes():
         "      x(i) = i\n      i = i + 2\n    ENDWHERE\n  ENDWHILE\nEND"
     )
     recorder = SIMDTraceRecorder(("i",), 2, body_predicate=body_pred)
-    interp = SIMDInterpreter(source, 2, statement_hook=recorder.hook)
-    interp.run()
+    repro.run(source, nproc=2, statement_hook=recorder.hook)
     assert recorder.table.steps == 2
     assert recorder.table.row("i", 1) == [1, 3]
     assert recorder.table.row("i", 2) == [2, None]  # idle in step 2
@@ -34,7 +34,7 @@ def test_simd_trace_by_label():
         "PROGRAM p\n  INTEGER x(2)\n  i = [1 : 2]\n100 x(i) = i\nEND"
     )
     recorder = SIMDTraceRecorder(("i",), 2, body_label=100)
-    SIMDInterpreter(source, 2, statement_hook=recorder.hook).run()
+    repro.run(source, nproc=2, statement_hook=recorder.hook)
     assert recorder.table.steps == 1
 
 

@@ -147,11 +147,10 @@ class TestCommands:
                 "--show", "x"]
         assert main(argv) == 0
         default = capsys.readouterr().out.splitlines()
-        assert main(argv + ["--backend", "interpreter"]) == 0
-        interpreter = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--backend", "vm"]) == 0
+        explicit = capsys.readouterr().out.splitlines()
         assert default[0] == "ran on 2 lockstep PEs (bytecode VM)"
-        assert interpreter[0] == "ran on 2 lockstep PEs"
-        assert default[1:] == interpreter[1:]
+        assert default == explicit
         assert any(line.startswith("lockstep steps") for line in default)
         assert any(line.startswith("x = ") for line in default)
 
@@ -210,7 +209,7 @@ class TestDurableRun:
         base = ["run", str(path), "-p", "8", "--show", "s"]
         assert main(base) == 0
         reference = capsys.readouterr().out.splitlines()
-        assert main([*base, "--fallback", "vm,interpreter",
+        assert main([*base, "--fallback", "vm",
                      "--checkpoint-every", "5", "--checkpoint-dir", store]) == 0
         capsys.readouterr()
         ckpt = CheckpointStore(store).load_latest("run")
@@ -226,9 +225,10 @@ class TestRemovedFlags:
     # "--eng" is rejected only if no engine flag exists at all.
     @pytest.mark.parametrize("flags", [
         ["--backend", "interp"],
+        ["--backend", "interpreter"],
         ["--eng", "vm"],
         ["--eng", "interp"],
-    ], ids=["backend-interp", "engine-vm", "engine-interp"])
+    ], ids=["backend-interp", "backend-interpreter", "engine-vm", "engine-interp"])
     def test_usage_error(self, source, flags, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", source, "-p", "2", *flags])
@@ -254,7 +254,7 @@ class TestRemovedFlags:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "'interpretr'" in err
-        assert "interpreter" in err and "pmimd" in err
+        assert "scalar" in err and "pmimd" in err
 
 
 SPIN = """PROGRAM p
@@ -309,7 +309,7 @@ class TestRunGuards:
 
     def test_fallback_chain_reported(self, straight, capsys):
         assert main([
-            "run", straight, "-p", "4", "--fallback", "vm,interpreter",
+            "run", straight, "-p", "4", "--fallback", "vm,mimd",
             "--show", "w",
         ]) == 0
         captured = capsys.readouterr()

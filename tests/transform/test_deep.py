@@ -74,7 +74,7 @@ class TestFlattenDeep:
             flatten_deep(loop, variant="done", assume_min_trips=True)
         )
         env = repro.run(
-            splice(src, flat), nproc=1, bindings={"l": l, "m": m}, backend="interpreter"
+            splice(src, flat), nproc=1, bindings={"l": l, "m": m}, backend="vm"
         ).env
         assert (env["x"].data == ref).all()
 
@@ -113,7 +113,7 @@ class TestDeepSPMD:
             splice(src, flat),
             nproc=nproc,
             bindings={"l": l, "m": m},
-            backend="interpreter",
+            backend="vm",
         ).env
         assert (env["x"].data == ref).all()
 
@@ -131,7 +131,7 @@ class TestDeepSPMD:
             splice(src, flat),
             nproc=nproc,
             bindings={"l": l, "m": m},
-            backend="interpreter",
+            backend="vm",
         ).counters
         per_lane = []
         for lane in range(nproc):
@@ -177,6 +177,6 @@ END
         [ast.Routine("program", "p", [], src.main.body[:1] + flat)]
     )
     env = repro.run(
-        prog, nproc=nproc, bindings=dict(bindings), backend="interpreter"
+        prog, nproc=nproc, bindings=dict(bindings), backend="vm"
     ).env
     assert (env["x"].data == ref).all()

@@ -72,7 +72,7 @@ class TestFlattenSPMD:
             loop, nproc=nproc, layout=layout, variant=variant, assume_min_trips=True
         )
         prog = build_program(tree, flat)
-        env = repro.run(prog, nproc=nproc, bindings={"l": L}, backend="interpreter").env
+        env = repro.run(prog, nproc=nproc, bindings={"l": L}, backend="vm").env
         assert (env["x"].data == reference_x()).all(), (layout, variant, nproc)
 
     def test_flattened_step_count_reaches_mimd_bound(self):
@@ -85,7 +85,7 @@ class TestFlattenSPMD:
             )
             prog = build_program(tree, flat)
             counters = repro.run(
-                prog, nproc=2, bindings={"l": L}, backend="interpreter"
+                prog, nproc=2, bindings={"l": L}, backend="vm"
             ).counters
             assert counters.events["scatter"] == expected
 
@@ -97,7 +97,7 @@ class TestFlattenSPMD:
             loop, nproc=16, layout="cyclic", variant="done", assume_min_trips=True
         )
         prog = build_program(tree, flat)
-        env = repro.run(prog, nproc=16, bindings={"l": L}, backend="interpreter").env
+        env = repro.run(prog, nproc=16, bindings={"l": L}, backend="vm").env
         assert (env["x"].data == reference_x()).all()
 
     def test_imperfect_nest_with_pre_statement(self):
@@ -111,7 +111,7 @@ class TestFlattenSPMD:
             loop, nproc=3, layout="cyclic", variant="done", assume_min_trips=True
         )
         prog = build_program(src, flat)
-        env = repro.run(prog, nproc=3, bindings={"l": L}, backend="interpreter").env
+        env = repro.run(prog, nproc=3, bindings={"l": L}, backend="vm").env
         expected = np.array([l * (l + 1) / 2 for l in L], dtype=float)
         assert np.allclose(env["f"].data, expected)
 

@@ -71,7 +71,7 @@ def test_flatten_program_simd_form_runs_on_one_pe():
     flat = repro.compile(
         tree, transform="flatten", variant="done", assume_min_trips=True, simd=True
     ).tree
-    env = repro.run(flat, nproc=1, bindings={"l": L}, backend="interpreter").env
+    env = repro.run(flat, nproc=1, bindings={"l": L}, backend="vm").env
     assert (env["x"].data == env0["x"].data).all()
 
 
@@ -114,7 +114,7 @@ def test_naive_simd_program_driver():
     tree = parse_source(P1)
     env0 = repro.run(tree, bindings={"l": L}, backend="scalar").env
     naive = naive_simd_program(tree, nproc=4, layout="cyclic")
-    env = repro.run(naive, nproc=4, bindings={"l": L}, backend="interpreter").env
+    env = repro.run(naive, nproc=4, bindings={"l": L}, backend="vm").env
     assert (env["x"].data == env0["x"].data).all()
 
 

@@ -105,7 +105,7 @@ def test_spmd_flattening_matches_sequential(trips, abc, nproc, layout, variant):
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
     env = repro.run(
-        prog, nproc=nproc, bindings={"l": np.array(trips)}, backend="interpreter"
+        prog, nproc=nproc, bindings={"l": np.array(trips)}, backend="vm"
     ).env
     assert (env["x"].data == reference(k, trips, a, b, c)).all()
 
@@ -126,7 +126,7 @@ def test_step_count_laws(trips, nproc):
 
     naive = naive_simd_program(tree, nproc=nproc, layout="cyclic")
     naive_counters = repro.run(
-        naive, nproc=nproc, bindings=dict(bindings), backend="interpreter"
+        naive, nproc=nproc, bindings=dict(bindings), backend="vm"
     ).counters
     assert naive_counters.events["scatter"] == time_simd_naive(per_lane)
 
@@ -138,7 +138,7 @@ def test_step_count_laws(trips, nproc):
     body = tree.main.body[:index] + flat + tree.main.body[index + 1:]
     prog = ast.SourceFile([ast.Routine("program", "p", [], body)])
     flat_counters = repro.run(
-        prog, nproc=nproc, bindings=dict(bindings), backend="interpreter"
+        prog, nproc=nproc, bindings=dict(bindings), backend="vm"
     ).counters
     assert flat_counters.events["scatter"] == time_mimd(per_lane)
 

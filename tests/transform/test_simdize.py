@@ -74,7 +74,7 @@ class TestSimdizeNest:
         env0 = repro.run(tree, bindings={"l": L}, backend="scalar").env
         naive = naive_simd_program(tree, nproc=nproc, layout=layout)
         env = repro.run(
-            naive, nproc=nproc, bindings={"l": L}, backend="interpreter"
+            naive, nproc=nproc, bindings={"l": L}, backend="vm"
         ).env
         assert (env["x"].data == env0["x"].data).all()
 
@@ -83,7 +83,7 @@ class TestSimdizeNest:
         tree = parse_source(P1)
         naive = naive_simd_program(tree, nproc=2, layout="block")
         counters = repro.run(
-            naive, nproc=2, bindings={"l": L}, backend="interpreter"
+            naive, nproc=2, bindings={"l": L}, backend="vm"
         ).counters
         # block partition: procs get L[0:4], L[4:8]
         expected = sum(max(L[i], L[i + 4]) for i in range(4))
@@ -133,6 +133,6 @@ class TestSimdizeNest:
         env0 = repro.run(src, bindings={"l": trips}, backend="scalar").env
         naive = naive_simd_program(src, nproc=3, layout="cyclic")
         env = repro.run(
-            naive, nproc=3, bindings={"l": trips}, backend="interpreter"
+            naive, nproc=3, bindings={"l": trips}, backend="vm"
         ).env
         assert (env["x"].data == env0["x"].data).all()

@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.lang import parse_source
 from repro.lang.errors import TransformError
+from repro.fuzz.twin import run_twin
 from repro.vm import run_bytecode
 
 SRC = """
@@ -74,9 +75,8 @@ class TestGeneralVariant:
         flat = repro.compile(
             parse_source(SRC), transform="flatten", variant="general", simd=True
         ).tree
-        env = repro.run(
-            flat, nproc=NPROC, bindings=_bindings(k, l), backend="interpreter"
-        ).env
+        # the VM's tree-walking twin
+        env, _ = run_twin(flat, NPROC, _bindings(k, l))
         _assert_matches(env, _reference(k, l), name)
 
     @pytest.mark.parametrize("name,k,l", DATASETS, ids=[d[0] for d in DATASETS])
@@ -139,7 +139,7 @@ class TestOptimizedWithAssertion:
             simd=True,
         ).tree
         env = repro.run(
-            flat_simd, nproc=NPROC, bindings=_bindings(k, l), backend="interpreter"
+            flat_simd, nproc=NPROC, bindings=_bindings(k, l), backend="vm"
         ).env
         _assert_matches(env, ref, f"{variant}/simd/{name}")
         env, _ = run_bytecode(flat_simd, NPROC, bindings=_bindings(k, l))
@@ -156,6 +156,6 @@ class TestAutoVariant:
             parse_source(SRC), transform="flatten", variant="auto", simd=True
         ).tree
         env = repro.run(
-            flat, nproc=NPROC, bindings=_bindings(k, l), backend="interpreter"
+            flat, nproc=NPROC, bindings=_bindings(k, l), backend="vm"
         ).env
         _assert_matches(env, _reference(k, l), name)

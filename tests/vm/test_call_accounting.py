@@ -5,8 +5,8 @@ cached active-lane count and defers the per-lane activity update to
 the next mask transition, like every other VM event.  The counters it
 produces must be exactly those of the per-call ``mask=`` path: pinned
 below from the small Table-1 sweep as that path recorded it, and
-compared field by field against the tree-walking interpreter, which
-still takes the per-call path.
+compared field by field against the VM's tree-walking twin
+(:mod:`repro.fuzz.twin`), which still takes the per-call path.
 
 Host time cannot gate on shared runners, so the number of full-width
 lane updates the VM pays on the same cells is pinned as a count.
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.exec.counters import ExecutionCounters
+from repro.fuzz.twin import run_twin
 from repro.kernels import nbforce
 from repro.lang import parse_source
 from repro.md.molecule import synthetic_sod
@@ -53,6 +54,8 @@ def _run(molecule, kernel, cutoff, backend):
         text, bindings, externals = nbforce.unflat_kernel_setup(
             molecule, pairlist, dist, select_layers=kernel == "Lu_l"
         )
+    if backend == "twin":
+        return run_twin(text, NPROC, bindings, externals)[1]
     result = Engine().compile(text).run(
         bindings, nproc=NPROC, backend=backend, externals=externals
     )
@@ -83,7 +86,7 @@ def test_vm_call_counters_match_per_call_path(molecule, kernel, cutoff):
         int((lanes * weights).sum()),
     ) == PINNED[(kernel, cutoff)]
 
-    _assert_same_state(vm, _run(molecule, kernel, cutoff, "interpreter"))
+    _assert_same_state(vm, _run(molecule, kernel, cutoff, "twin"))
 
 
 def test_vm_records_calls_on_the_epoch_path(molecule, monkeypatch):

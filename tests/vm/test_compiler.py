@@ -96,11 +96,17 @@ class TestControlFlow:
                 ast.Routine("program", "p", [], [ast.ExitStmt()])
             )
 
-    def test_user_call_rejected(self):
-        with pytest.raises(TransformError, match="external"):
-            compile_text(
-                "PROGRAM p\n  CALL f(x)\nEND\nSUBROUTINE f(a)\n  a = 1\nEND"
-            )
+    def test_user_call_enters_the_subroutine(self):
+        code = compile_text(
+            "PROGRAM p\n  CALL f(x)\nEND\nSUBROUTINE f(a)\n  a = 1\nEND"
+        )
+        enter = next(i for i in code.instructions if i.op is Op.ENTER)
+        name, params, arg_exprs, entry = enter.arg
+        assert (name, params, len(arg_exprs)) == ("f", ("a",), 1)
+        assert code.entries == {"p": 0, "f": entry}
+        assert code.instructions[entry - 1].op is Op.HALT
+        assert code.instructions[-1].op is Op.RET
+        assert not any(i.op is Op.CALL for i in code.instructions)
 
     def test_external_call_compiles(self):
         code = compile_text("PROGRAM p\n  CALL force(f, i, j)\nEND")

@@ -188,3 +188,32 @@ class TestReuse:
         env = vm.run(code)
         assert vm.mask.tolist() == [True, False, True, True]
         assert env["w"].tolist() == [2, 0, 6, 8]
+
+
+class TestStatementHooks:
+    def test_hook_sees_each_executed_statement_once(self):
+        # a WHILE's back-edge and a CYCLE re-enter its head without
+        # running the WHILE statement again; a callee's statements are
+        # hooked too, each with the frame's environment
+        code = compile_program(parse_source(
+            "PROGRAM w\n  INTEGER k\n  k = 0\n  WHILE (k < 3)\n"
+            "    k = k + 1\n    IF (k == 2) CYCLE\n    k = k + 0\n"
+            "  ENDWHILE\n  CALL s(k)\nEND\n"
+            "SUBROUTINE s(j)\n  j = j * 2\nEND\n"
+        ))
+        seen = []
+        vm = SIMDVirtualMachine(
+            2, statement_hook=lambda stmt, env, mask: seen.append(
+                (type(stmt).__name__, sorted(env))
+            )
+        )
+        env = vm.run(code)
+        assert [kind for kind, _names in seen] == [
+            "Decl", "Assign", "While",
+            "Assign", "If", "Assign",
+            "Assign", "If", "CycleStmt",
+            "Assign", "If", "Assign",
+            "CallStmt", "Assign",
+        ]
+        assert seen[-1][1] == ["j"]
+        assert env["k"] == 6
