@@ -165,8 +165,9 @@ class Run:
     * ``hooked`` — the VM under a :class:`ValidatingHook`; with
       ``layout`` set the hook also counts per-lane work for the Eq. 1
       check;
-    * ``vm-fuse`` — the VM with fused and with unfused dispatch; the
-      fused run is the twin, and the fused code must verify too;
+    * ``vm-fuse`` — the VM with block closures and per instruction;
+      the block-compiled run is the twin, its code must verify too, and
+      a fault must leave the same crash dump in both modes;
     * ``resume`` — ``backend`` (``vm`` or ``scalar``) killed at a
       seeded interior step while checkpointing, then resumed from its
       last checkpoint; the uninterrupted run is the twin;
@@ -830,8 +831,9 @@ class DifferentialOracle:
         )
 
     def _fused(self, case: _Case, leg: Leg, program) -> _Ran | None:
-        """Fused and unfused VM runs; a program that legitimately
-        faults must fault identically in both modes."""
+        """Block-compiled and per-instruction VM runs; a program that
+        legitimately faults must fault identically in both modes, down
+        to the crash dump."""
         label, verdict = leg.label, case.verdict
         code = program.bytecode()
         if code is None:
@@ -864,6 +866,10 @@ class DifferentialOracle:
         elif fused_kind == "fault" and type(fused) is not type(plain):
             _record(verdict, "backend-disagreement", label,
                     f"fused and unfused VM faulted differently: {types}",
+                    leg="diverged")
+        elif fused_kind == "fault" and crash_dump_for(fused) != crash_dump_for(plain):
+            _record(verdict, "backend-disagreement", label,
+                    "block-compiled and per-instruction VM crash dumps differ",
                     leg="diverged")
         elif fused_kind == "fault":
             case.mark(label, "ok", "both modes faulted alike")

@@ -174,6 +174,14 @@ def reference_nbforce(molecule: Molecule, pairlist) -> np.ndarray:
     return totals
 
 
+def _flat(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """``values`` broadcast to ``shape``, flattened (a view when it
+    already has that shape)."""
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape)
+    return values.reshape(-1)
+
+
 def make_simd_force_external(molecule: Molecule):
     """External ``CALL force(f, at1, at2)`` for the lockstep backends.
 
@@ -218,8 +226,8 @@ def make_simd_force_external(molecule: Molecule):
             # Integer-index compaction: cheaper than boolean indexing
             # twice plus a boolean scatter.  Raw ufuncs for the clamp —
             # np.clip's dispatch wrapper is hot here.
-            live1 = np.broadcast_to(at1, shape).reshape(-1)[index]
-            live2 = np.broadcast_to(at2, shape).reshape(-1)[index]
+            live1 = _flat(at1, shape).take(index)
+            live2 = _flat(at2, shape).take(index)
             live1 = np.minimum(np.maximum(live1, 1), n_atoms)
             live2 = np.minimum(np.maximum(live2, 1), n_atoms)
             values.reshape(-1)[index] = pair_energy(molecule, live1, live2)

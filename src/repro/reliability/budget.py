@@ -9,17 +9,10 @@ malformed flattened loop (zero-progress ``next``/``done`` flag logic,
 a ``DO`` stride bug) spin forever.
 
 Deadlines are polled every :attr:`Budget.check_every` ticks so the
-guard costs one integer compare on the hot path.
-
-The VM's superinstruction path (:mod:`repro.vm.fuse`) accounts a whole
-straight-line run with one :meth:`BudgetMeter.tick_block` call *after*
-the run retires.  This amortization has a bounded, documented slack: a
-run may retire up to ``block - 1`` steps past ``max_steps`` (at most
-``repro.vm.fuse.MAX_FUSE_LEN - 1``) before :class:`BudgetExceeded`
-raises, and a deadline is noticed at the end of the current block
-rather than at the next ``check_every`` boundary.  A budget can never
-trip *early*: a program that finishes within ``max_steps`` is never
-killed by block accounting.
+guard costs one integer compare on the hot path.  The VM accounts a
+compiled block in one :meth:`BudgetMeter.advance`, and runs a block
+only when all its steps fit in what remains, so a budget trips on the
+exact step whether or not blocks run.
 """
 
 from __future__ import annotations
@@ -96,30 +89,26 @@ class BudgetMeter:
                 location if location is not None else UNKNOWN_LOCATION,
             )
 
-    def tick_block(self, count: int, location=UNKNOWN_LOCATION) -> None:
-        """Account ``count`` already-retired steps in one call.
+    def advance(self, count: int, location=UNKNOWN_LOCATION) -> None:
+        """Account ``count`` retired steps that fit in the step budget.
 
-        The superinstruction fast path calls this once per fused run,
-        after the run executes.  Detection is therefore late by at most
-        ``count - 1`` steps (see the module docstring for the slack
-        contract); it is never early.  The deadline is polled on every
-        block — blocks are rarer than ``check_every`` single ticks, so
-        this keeps deadline latency at one block of work.
+        The VM's block closures call this once per block; the machine
+        runs a block only when its steps fit, so only the deadline is
+        checked here, polled once per block (blocks are rarer than
+        ``check_every`` single ticks).
         """
         self.steps += count
-        max_steps = self.budget.max_steps
-        if max_steps is not None and self.steps > max_steps:
-            raise BudgetExceeded(
-                f"step budget exceeded ({max_steps} steps); "
-                "suspected runaway loop",
-                location if location is not None else UNKNOWN_LOCATION,
-            )
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceeded(
                 f"deadline exceeded ({self.budget.deadline_seconds}s "
                 f"after {self.steps} steps)",
                 location if location is not None else UNKNOWN_LOCATION,
             )
+
+    def remaining(self) -> int | None:
+        """Steps left before the next tick trips (None = unbounded)."""
+        max_steps = self.budget.max_steps
+        return None if max_steps is None else max_steps - self.steps
 
     def add_silent(self, count: int) -> None:
         """Account steps without raising (error paths already unwinding)."""

@@ -34,7 +34,8 @@ class BackendConfig:
             or None for the default step cap
             (:data:`~repro.reliability.budget.DEFAULT_MAX_STEPS`).
         fault_plan: Deterministic fault injection plan, or None.
-        vm_fuse: Enable superinstruction fusion (VM only).
+        vm_fuse: Run straight-line blocks as compiled closures (VM only;
+            False steps per instruction, the reference mode).
         workers: Worker-process pool size (pmimd only; None picks a
             per-core default).
         shards: Shard count for the processor partition (pmimd only;

@@ -55,6 +55,7 @@ class Compiler:
         self._loop_stack: list[tuple[_Label, _Label, bool]] = []
         self._stmt_labels: dict[int, _Label] = {}
         self._temp = 0
+        self._where_depth = 0  # WHERE scopes open at the current statement
 
     # -- low-level emission -----------------------------------------------------
 
@@ -178,10 +179,13 @@ class Compiler:
     def _compile_do(self, stmt: ast.Do) -> None:
         limit = self._fresh("limit")
         stride_name = self._fresh("stride")
+        counter = self._fresh(f"{stmt.var}_")
         # Bounds are evaluated exactly once (Fortran counted-loop
         # semantics); the loop-control state lives in hidden names and
         # is maintained by unpriced control opcodes, so the per-trip
-        # cost is a single ACU event.
+        # cost is a single ACU event.  FOR tests the hidden trip
+        # counter and sets the loop variable from it, so the body
+        # assigning the variable does not change the trip count.
         self._compile_expr(stmt.lo)
         self._compile_expr(stmt.hi)
         if stmt.stride is not None:
@@ -190,14 +194,14 @@ class Compiler:
             self._emit(Op.PUSH_CONST, 1)
         self._emit(Op.CTL_STORE, (stride_name, "int"), stmt.loc)
         self._emit(Op.CTL_STORE, (limit, "int"), stmt.loc)
-        self._emit(Op.CTL_STORE, (stmt.var, "int"), stmt.loc)
+        self._emit(Op.CTL_STORE, (counter, "int"), stmt.loc)
 
         head = self._new_label()
         cont = self._new_label()
         exit_ = self._new_label()
         self._bind(head)
         site = self._emit(
-            Op.FOR, (stmt.var, limit, stride_name, exit_.index), stmt.loc
+            Op.FOR, (stmt.var, counter, limit, stride_name, exit_.index), stmt.loc
         )
         if exit_.index is None:
             exit_.patch_sites.append(site)
@@ -205,7 +209,7 @@ class Compiler:
         self._compile_body(stmt.body)
         self._loop_stack.pop()
         self._bind(cont)
-        self._emit(Op.FOR_INCR, (stmt.var, stride_name), stmt.loc)
+        self._emit(Op.FOR_INCR, (counter, stride_name), stmt.loc)
         self._jump(Op.JUMP, head)
         self._bind(exit_)
 
@@ -244,10 +248,12 @@ class Compiler:
     def _compile_where(self, stmt: ast.Where) -> None:
         self._compile_expr(stmt.mask)
         self._emit(Op.PUSH_MASK, None, stmt.loc)
+        self._where_depth += 1
         self._compile_body(stmt.then_body)
         if stmt.else_body:
             self._emit(Op.ELSE_MASK, None, stmt.loc)
             self._compile_body(stmt.else_body)
+        self._where_depth -= 1
         self._emit(Op.POP_MASK, None, stmt.loc)
 
     def _compile_forall(self, stmt: ast.Forall) -> None:
@@ -260,8 +266,10 @@ class Compiler:
         if stmt.mask is not None:
             self._compile_expr(stmt.mask)
             self._emit(Op.PUSH_MASK, None, stmt.loc)
+            self._where_depth += 1
         self._compile_body(stmt.body)
         if stmt.mask is not None:
+            self._where_depth -= 1
             self._emit(Op.POP_MASK, None, stmt.loc)
 
     def _compile_goto(self, stmt: ast.Goto) -> None:
@@ -287,6 +295,11 @@ class Compiler:
         self._emit(Op.RET, None, stmt.loc)
 
     def _compile_stop(self, stmt) -> None:
+        # Close the WHERE scopes the STOP sits in, so HALT finds none of
+        # this routine's open (a STOP in a CALLed subroutine leaves the
+        # caller's scopes to the VM, which unwinds the frames).
+        for _ in range(self._where_depth):
+            self._emit(Op.POP_MASK, None, stmt.loc)
         self._emit(Op.HALT, None, stmt.loc)
 
     def _compile_callstmt(self, stmt: ast.CallStmt) -> None:

@@ -103,7 +103,7 @@ def stack_effect(instr: Instr) -> tuple[int, int]:
     if op is Op.FUSED:
         # Compose the components' effects: the run's pops are the
         # deepest cumulative deficit, so internal underflow surfaces
-        # as a V004 of the superinstruction itself.
+        # as a V004 of the block head itself.
         components = getattr(arg, "instrs", None)
         if not components:
             raise ValueError("FUSED with no component instructions")
@@ -134,11 +134,10 @@ def _jump_targets(instr: Instr, index: int, size: int):
     if op is Op.JUMP_IF_FALSE:
         return [index + 1, instr.arg]
     if op is Op.FOR:
-        _var, _limit, _stride, exit_index = instr.arg
-        return [index + 1, exit_index]
+        return [index + 1, instr.arg[-1]]
     if op is Op.FUSED:
-        # The run occupies len(components) slots (NOP padding preserves
-        # instruction indices); control falls through past the padding.
+        # The block occupies len(components) slots (each keeps its own
+        # instruction); control falls through past the last.
         return [index + len(instr.arg.instrs)]
     return [index + 1]
 
@@ -153,11 +152,11 @@ def _reads(instr: Instr):
     if op is Op.LOAD:
         return (instr.arg,)
     if op is Op.FOR:
-        var, limit, stride, _exit = instr.arg
-        return (var, limit, stride)
+        _var, counter, limit, stride, _exit = instr.arg
+        return (counter, limit, stride)
     if op is Op.FOR_INCR:
-        var, stride = instr.arg
-        return (var, stride)
+        counter, stride = instr.arg
+        return (counter, stride)
     if op is Op.FUSED:
         # A read is external only if no earlier component defined it.
         reads = []

@@ -20,9 +20,9 @@ def test_fuzz_smoke_campaign():
     assert report.leg_stats.get("none/mimd") == 200
     assert report.leg_stats.get("spmd/general/block", 0) > 20
     assert report.leg_stats.get("flatten/optimized/simd", 0) > 50
-    # superinstruction legs: fused vs unfused VM dispatch must agree
-    # (and the verifier must accept every fused CodeObject) on every
-    # program of the campaign
+    # block-closure legs: block-compiled vs per-instruction VM dispatch
+    # must agree (and the verifier must accept every block-compiled
+    # CodeObject) on every program of the campaign
     assert report.leg_stats.get("none/vm-fuse") == 200
     assert report.leg_stats.get("flatten/auto/vm-fuse") == 200
     # durable-execution legs: interrupt at a seeded random step +

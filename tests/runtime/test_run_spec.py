@@ -93,9 +93,11 @@ class TestDurableChains:
         _assert_same_run(result, reference)
         ckpt = CheckpointStore(str(tmp_path)).load_latest("run")
         assert ckpt is not None and ckpt.backend == "vm" and ckpt.step > 60
-        # fault injection runs the VM unfused, and so did its captures
-        unfused = BackendConfig(vm_fuse=False)
-        _assert_same_run(program.run(resume_from=ckpt, config=unfused), reference)
+        # fault injection steps the VM per instruction; its captures
+        # resume in either mode
+        for fuse in (False, True):
+            resumed = program.run(resume_from=ckpt, config=BackendConfig(vm_fuse=fuse))
+            _assert_same_run(resumed, reference)
 
 
 class TestPlainRun:
@@ -114,7 +116,14 @@ class TestPlainRun:
 
 
 class TestFold:
-    def test_explicit_keywords_win_over_config(self, program):
+    def test_explicit_keywords_win_over_config(self, program, monkeypatch):
+        import repro.vm.machine as machine
+
+        compiled = []
+        fuse_code = machine.fuse_code
+        monkeypatch.setattr(
+            machine, "fuse_code", lambda code: compiled.append(code) or fuse_code(code)
+        )
         captured = []
         result = program.run(
             nproc=4,
@@ -125,7 +134,7 @@ class TestFold:
         assert result.nproc == 4
         assert captured and all(c.nproc == 4 for c in captured)
         # vm_fuse and checkpoint_every come through from the config
-        assert all(c.meta["fuse"] is False for c in captured)
+        assert compiled == []
         assert captured[0].step == 3
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Bytecode compiler unit tests."""
 
+import numpy as np
 import pytest
 
 from repro.lang import ast, parse_source
@@ -118,3 +119,88 @@ class TestControlFlow:
         code = compile_text("PROGRAM p\n  x = 1\nEND")
         text = code.disassemble()
         assert "PUSH_CONST" in text and "STORE" in text
+
+
+class TestBackendAgreement:
+    """Control constructs whose VM lowering once disagreed with the
+    scalar level, the MIMD level and the twin."""
+
+    #: The body assigns its own DO variable (Fortran forbids it; the
+    #: trip count still comes from the bounds on every backend).
+    DO_ASSIGNS_VAR = (
+        "PROGRAM p\n  INTEGER i, n\n  n = 0\n  DO i = 1, 6\n"
+        "    n = n + 1\n    i = i + 1\n  ENDDO\nEND"
+    )
+
+    #: STOP inside a WHERE of the main program (a lockstep program: the
+    #: scalar and MIMD levels cannot take a vector WHERE mask).
+    STOP_IN_WHERE = (
+        "PROGRAM p\n  INTEGER v(2)\n  v = [1 : 2]\n  w = 0\n"
+        "  WHERE (v > 1)\n    w = v\n    STOP\n  ENDWHERE\n  w = 5\nEND"
+    )
+
+    def _runs(self, text, nproc=2, lockstep_only=False):
+        """``label -> (env or per-processor envs, counters, steps)`` on
+        every backend (only the lockstep ones if asked) and the twin."""
+        from repro.fuzz.twin import run_twin
+        from repro.runtime import BackendConfig, Engine
+
+        program = Engine().compile(text)
+        env, counters = run_twin(text, nproc)
+        runs = {"twin": (env, counters, None)}
+        configs = {
+            "scalar": ("scalar", 0, BackendConfig()),
+            "mimd": ("mimd", nproc, BackendConfig()),
+            "pmimd": ("pmimd", nproc, BackendConfig(workers=1)),
+            "vm": ("vm", nproc, BackendConfig(vm_fuse=True)),
+            "vm per-instruction": ("vm", nproc, BackendConfig(vm_fuse=False)),
+        }
+        for label, (backend, width, config) in configs.items():
+            if lockstep_only and backend != "vm":
+                continue
+            result = program.run(backend=backend, nproc=width, config=config)
+            runs[label] = (result.env, result.counters, result.steps)
+        return runs
+
+    def test_do_trip_count_comes_from_the_bounds(self):
+        from repro.reliability import check_agreement
+
+        runs = self._runs(self.DO_ASSIGNS_VAR)
+        for label, (envs, _counters, steps) in runs.items():
+            for env in envs if isinstance(envs, list) else [envs]:
+                assert (env["n"], env["i"]) == (6, 7), label
+            # one retired instruction per trip, as before: no new opcode
+            assert steps in (None, 31), label
+        for label in ("vm", "vm per-instruction"):
+            check_agreement(*runs[label][:2], *runs["twin"][:2], (label, "twin"))
+
+    #: The same STOP inside a WHERE of a CALLed subroutine.
+    STOP_IN_SUBROUTINE_WHERE = (
+        "PROGRAM p\n  INTEGER v(2)\n  v = [1 : 2]\n  w = 0\n  CALL s(v, w)\n"
+        "  w = 5\nEND\nSUBROUTINE s(v, w)\n  INTEGER v(2)\n"
+        "  WHERE (v > 1)\n    w = v\n    STOP\n  ENDWHERE\nEND"
+    )
+
+    # A STOP in a subroutine ends the run with the main program's
+    # environment: the callee's writeback of w never happens.
+    @pytest.mark.parametrize("text, w", [(STOP_IN_WHERE, [0, 2]),
+                                         (STOP_IN_SUBROUTINE_WHERE, 0)],
+                             ids=["main", "subroutine"])
+    def test_stop_inside_where_closes_the_scope(self, text, w):
+        from repro.reliability import check_agreement
+        from repro.vm import verify_code
+
+        assert not verify_code(compile_text(text)).errors
+        runs = self._runs(text, lockstep_only=True)
+        for label in ("vm", "vm per-instruction"):
+            env, counters, _steps = runs[label]
+            check_agreement(env, counters, *runs["twin"][:2], (label, "twin"))
+            assert np.asarray(env["w"]).tolist() == w
+
+    def test_stop_inside_where_of_the_entry_routine(self):
+        from repro.runtime import Engine
+
+        program = Engine().compile(self.STOP_IN_SUBROUTINE_WHERE)
+        bindings = {"v": np.array([1, 2]), "w": np.array([0, 0])}
+        env = program.run(bindings, nproc=2, backend="vm", routine_name="s").env
+        assert env["w"].tolist() == [0, 2]
