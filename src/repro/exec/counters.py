@@ -24,8 +24,6 @@ Event kinds:
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 #: All event kinds an interpreter may record.
@@ -40,6 +38,23 @@ EVENT_KINDS = (
     "mask",
     "acu",
     "call",
+)
+
+
+#: The per-key tallies of :class:`ExecutionCounters`, in
+#: :meth:`~ExecutionCounters.state_dict` order.  The first four are
+#: keyed by event kind and always hold the same kinds; the two section
+#: tallies hold the kinds with a multi-layer event, the two call
+#: tallies the routines called.
+TALLIES = (
+    "events",
+    "layer_steps",
+    "element_ops",
+    "active_elements",
+    "calls",
+    "call_layer_steps",
+    "section_events",
+    "section_layer_steps",
 )
 
 
@@ -86,6 +101,12 @@ def _block_plan(events: tuple) -> tuple:
 class ExecutionCounters:
     """Accumulates execution events for one program run.
 
+    The tallies are plain dicts.  A dict subclass such as ``Counter``
+    misses CPython's specialised subscript paths: its ``c[k] += 1``
+    costs about three times a plain dict's.  A key is inserted by the
+    first event that names it, so a kind never recorded is absent:
+    read with ``.get(kind, 0)``.
+
     Attributes:
         nproc: Lane count (1 for the sequential interpreter).
         events: vector-instruction count per kind.
@@ -101,14 +122,14 @@ class ExecutionCounters:
 
     def __init__(self, nproc: int = 1):
         self.nproc = nproc
-        self.events: Counter[str] = Counter()
-        self.layer_steps: Counter[str] = Counter()
-        self.element_ops: Counter[str] = Counter()
-        self.active_elements: Counter[str] = Counter()
-        self.calls: Counter[str] = Counter()
-        self.call_layer_steps: Counter[str] = Counter()
-        self.section_events: Counter[str] = Counter()
-        self.section_layer_steps: Counter[str] = Counter()
+        self.events: dict[str, int] = {}
+        self.layer_steps: dict[str, int] = {}
+        self.element_ops: dict[str, int] = {}
+        self.active_elements: dict[str, int] = {}
+        self.calls: dict[str, int] = {}
+        self.call_layer_steps: dict[str, int] = {}
+        self.section_events: dict[str, int] = {}
+        self.section_layer_steps: dict[str, int] = {}
         self.lane_active_steps = np.zeros(nproc, dtype=np.int64)
 
     # -- recording -------------------------------------------------------------
@@ -144,15 +165,24 @@ class ExecutionCounters:
             (0 for front-end ``acu`` work) — the amount a deferring
             caller must accumulate.
         """
-        self.events[kind] += 1
-        self.layer_steps[kind] += layers
-        self.element_ops[kind] += width * layers
-        if layers > 1:
-            self.section_events[kind] += 1
-            self.section_layer_steps[kind] += layers
         if active is None:
             active = width if mask is None else int(np.count_nonzero(mask))
-        self.active_elements[kind] += active * layers
+        events = self.events
+        if kind in events:
+            events[kind] += 1
+            self.layer_steps[kind] += layers
+            self.element_ops[kind] += width * layers
+            self.active_elements[kind] += active * layers
+        else:
+            events[kind] = 1
+            self.layer_steps[kind] = layers
+            self.element_ops[kind] = width * layers
+            self.active_elements[kind] = active * layers
+        if layers > 1:
+            section_events = self.section_events
+            section_events[kind] = section_events.get(kind, 0) + 1
+            section_layer_steps = self.section_layer_steps
+            section_layer_steps[kind] = section_layer_steps.get(kind, 0) + layers
         if kind == "acu":
             return 0
         if not defer_lanes and mask is not None:
@@ -163,13 +193,18 @@ class ExecutionCounters:
         """Record one width-1, single-layer, unmasked instruction.
 
         Exactly what ``record(kind)`` does, for the scalar
-        interpreter's per-statement events.  It reads the ``Counter``
-        attributes on every call, since :meth:`load_state` replaces them.
+        interpreter's per-statement events: four dict adds once the
+        kind has been seen.  It reads the tally attributes on every
+        call, since :meth:`load_state` replaces them.
         """
-        self.events[kind] += 1
-        self.layer_steps[kind] += 1
-        self.element_ops[kind] += 1
-        self.active_elements[kind] += 1
+        events = self.events
+        if kind in events:
+            events[kind] += 1
+            self.layer_steps[kind] += 1
+            self.element_ops[kind] += 1
+            self.active_elements[kind] += 1
+        else:
+            self.record(kind)
 
     def record_block(
         self,
@@ -208,13 +243,22 @@ class ExecutionCounters:
         element_ops = self.element_ops
         active_elements = self.active_elements
         for kind, count, layers in kinds:
-            events_c[kind] += count
-            layer_steps[kind] += layers
-            element_ops[kind] += width * layers
-            active_elements[kind] += active * layers
-        for kind, count, layers in sections:
-            self.section_events[kind] += count
-            self.section_layer_steps[kind] += layers
+            if kind in events_c:
+                events_c[kind] += count
+                layer_steps[kind] += layers
+                element_ops[kind] += width * layers
+                active_elements[kind] += active * layers
+            else:
+                events_c[kind] = count
+                layer_steps[kind] = layers
+                element_ops[kind] = width * layers
+                active_elements[kind] = active * layers
+        if sections:
+            section_events = self.section_events
+            section_layer_steps = self.section_layer_steps
+            for kind, count, layers in sections:
+                section_events[kind] = section_events.get(kind, 0) + count
+                section_layer_steps[kind] = section_layer_steps.get(kind, 0) + layers
         if not defer_lanes and mask is not None and total_layers:
             self.lane_active_steps += np.asarray(mask, dtype=np.int64) * total_layers
         return total_layers
@@ -252,8 +296,13 @@ class ExecutionCounters:
         as in :meth:`record`, so a caller on the mask-epoch path pays no
         per-call lane reduction or per-lane update.
         """
-        self.calls[name] += 1
-        self.call_layer_steps[name] += layers
+        calls = self.calls
+        if name in calls:
+            calls[name] += 1
+            self.call_layer_steps[name] += layers
+        else:
+            calls[name] = 1
+            self.call_layer_steps[name] = layers
         return self.record(
             "call",
             width=self.nproc,
@@ -300,15 +349,15 @@ class ExecutionCounters:
         return float(self.utilization().mean())
 
     def merge(self, other: "ExecutionCounters") -> None:
-        """Fold another counter set into this one (same lane count)."""
-        self.events.update(other.events)
-        self.layer_steps.update(other.layer_steps)
-        self.element_ops.update(other.element_ops)
-        self.active_elements.update(other.active_elements)
-        self.calls.update(other.calls)
-        self.call_layer_steps.update(other.call_layer_steps)
-        self.section_events.update(other.section_events)
-        self.section_layer_steps.update(other.section_layer_steps)
+        """Fold another counter set into this one (same lane count).
+
+        Adds per key (``dict.update`` would replace); kinds new to this
+        set are appended in ``other``'s order.
+        """
+        for name in TALLIES:
+            mine = getattr(self, name)
+            for key, value in getattr(other, name).items():
+                mine[key] = mine.get(key, 0) + value
         if other.nproc == self.nproc:
             self.lane_active_steps += other.lane_active_steps
 
@@ -319,18 +368,11 @@ class ExecutionCounters:
         bit-identical to this one — unlike :meth:`summary`, which is a
         human-facing digest.
         """
-        return {
-            "nproc": self.nproc,
-            "events": dict(self.events),
-            "layer_steps": dict(self.layer_steps),
-            "element_ops": dict(self.element_ops),
-            "active_elements": dict(self.active_elements),
-            "calls": dict(self.calls),
-            "call_layer_steps": dict(self.call_layer_steps),
-            "section_events": dict(self.section_events),
-            "section_layer_steps": dict(self.section_layer_steps),
-            "lane_active_steps": self.lane_active_steps.copy(),
-        }
+        state: dict = {"nproc": self.nproc}
+        for name in TALLIES:
+            state[name] = dict(getattr(self, name))
+        state["lane_active_steps"] = self.lane_active_steps.copy()
+        return state
 
     def load_state(self, state: dict) -> None:
         """Replace this accumulator's contents with a state dict's.
@@ -340,14 +382,8 @@ class ExecutionCounters:
         totals.
         """
         self.nproc = int(state["nproc"])
-        self.events = Counter(state["events"])
-        self.layer_steps = Counter(state["layer_steps"])
-        self.element_ops = Counter(state["element_ops"])
-        self.active_elements = Counter(state["active_elements"])
-        self.calls = Counter(state["calls"])
-        self.call_layer_steps = Counter(state["call_layer_steps"])
-        self.section_events = Counter(state["section_events"])
-        self.section_layer_steps = Counter(state["section_layer_steps"])
+        for name in TALLIES:
+            setattr(self, name, dict(state[name]))
         self.lane_active_steps = np.array(
             state["lane_active_steps"], dtype=np.int64
         )

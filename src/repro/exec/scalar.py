@@ -191,6 +191,7 @@ class ScalarInterpreter:
         self._bodies: dict[int, tuple] = {}
         self._exprs: dict[int, tuple] = {}
         self._stores: dict[int, tuple] = {}
+        self._arm_prologue()
 
     @classmethod
     def from_config(cls, source: ast.SourceFile, config) -> "ScalarInterpreter":
@@ -280,6 +281,7 @@ class ScalarInterpreter:
         else:
             self._ckpt_next = None
         self._frames = [] if (capturing or resume_from is not None) else None
+        self._arm_prologue()
         try:
             self.exec_body(routine.body, env)
         except (ReturnSignal, StopSignal):
@@ -291,6 +293,39 @@ class ScalarInterpreter:
             self._frames = None
             self._ckpt_next = None
         return env
+
+    def _arm_prologue(self) -> None:
+        """Bind the statement prologue's ``tick`` and ``trace`` steps.
+
+        A plain run ticks the budget meter and appends to the trace
+        ring.  The optional parts wrap these steps only when the
+        interpreter has them: the injected-fault check follows the tick
+        (inside the tick's error handling, as a budget trip), the
+        statement hook follows the trace entry (outside the statement's
+        location stamping).  Re-armed by every :meth:`run`, after the
+        meter and the ring are replaced.
+        """
+        tick = self._meter.tick
+        plan = self.fault_plan
+        if plan is not None:
+            meter_tick = tick
+            raise_op_fault = plan.raise_op_fault
+
+            def tick(loc):
+                meter_tick(loc)
+                raise_op_fault(self.executed_statements, "scalar")
+
+        trace = self._trace.append
+        hook = self.statement_hook
+        if hook is not None:
+            append = trace
+
+            def trace(stmt):
+                append(stmt)
+                hook(stmt, self._env)
+
+        self._tick = tick
+        self._trace_stmt = trace
 
     # -- checkpoint capture / resume ----------------------------------------------
 
@@ -421,13 +456,17 @@ class ScalarInterpreter:
     def _compile_body(self, body: list[ast.Stmt]):
         """Lower a statement list into one ``run(env)`` closure.
 
-        Each statement runs its prologue here — checkpoint due-check,
-        statement count, budget tick, injected fault, trace entry,
-        statement hook — then its compiled action; a ``MiniFError``
-        the action raises is stamped with the statement's location
-        unless a more deeply nested statement already stamped it.
+        Each statement runs one prologue here — statement count,
+        budget tick, trace entry — then its compiled action; a
+        ``MiniFError`` the action raises is stamped with the
+        statement's location unless a more deeply nested statement
+        already stamped it.  An injected fault plan and a statement
+        hook ride on the tick and the trace (:meth:`_arm_prologue`).
+        Only a run that captures or resumes checkpoints keeps a
+        control-path frame, and does its frame bookkeeping and
+        checkpoint due-check before the count.
         """
-        steps = [(stmt, self._compile_stmt(stmt)) for stmt in body]
+        steps = [(stmt, stmt.loc, self._compile_stmt(stmt)) for stmt in body]
         labels = {
             stmt.label: index
             for index, stmt in enumerate(body)
@@ -447,12 +486,11 @@ class ScalarInterpreter:
                 pc, reenter = self._resume_position(count)
                 frame = ["body", pc]
                 frames.append(frame)
-            tick = self._meter.tick
-            fault_plan = self.fault_plan
-            trace = self._trace.append
+            tick = self._tick
+            trace = self._trace_stmt
             try:
                 while pc < count:
-                    stmt, action = steps[pc]
+                    stmt, loc, action = steps[pc]
                     try:
                         if frame is not None:
                             frame[1] = pc
@@ -461,34 +499,27 @@ class ScalarInterpreter:
                                 self._reenter_stmt(stmt, env)
                                 pc += 1
                                 continue
-                        next_at = self._ckpt_next
-                        if (
-                            next_at is not None
-                            and self.executed_statements >= next_at
-                            and not self._call_depth
-                        ):
-                            self._emit_checkpoint(env)
+                            next_at = self._ckpt_next
+                            if (
+                                next_at is not None
+                                and self.executed_statements >= next_at
+                                and not self._call_depth
+                            ):
+                                self._emit_checkpoint(env)
                         self.executed_statements += 1
                         self._env = env
                         try:
-                            tick(stmt.loc)
-                            if fault_plan is not None:
-                                fault_plan.raise_op_fault(
-                                    self.executed_statements, "scalar"
-                                )
+                            tick(loc)
                         except MiniFError:
                             self._settle_trace(self.executed_statements - 1)
                             raise
                         trace(stmt)
-                        hook = self.statement_hook
-                        if hook is not None:
-                            hook(stmt, env)
                         try:
                             action(env)
                         except MiniFError as error:
                             # The innermost statement wins.
                             if not error.location.line:
-                                locate(error, stmt.loc)
+                                locate(error, loc)
                             raise
                     except GotoSignal as signal:
                         if signal.target in labels:

@@ -385,7 +385,13 @@ class SIMDVirtualMachine:
         return buf
 
     def _narrow(self, outer, cond: np.ndarray, depth: int, negate: bool) -> np.ndarray:
-        """``outer ∧ cond`` (or ``outer ∧ ¬cond``) into a pooled buffer."""
+        """``outer ∧ cond`` (or ``outer ∧ ¬cond``) into a pooled buffer.
+
+        This is where the mask discipline's narrowing invariant holds:
+        a WHERE scope's lanes are a subset of its enclosing scope's,
+        since the result is an AND with ``outer`` written into the
+        buffers of ``depth``, never into the enclosing scope's.
+        """
         if cond.ndim == 0:
             cond = np.full(self.nproc, bool(cond))
         if cond.dtype.kind != "b":
@@ -859,21 +865,7 @@ class SIMDVirtualMachine:
         cond_arr = np.asarray(coerce(cond))
         self._mask_stack.append((outer.mask, cond_arr))
         self._epochs.append(outer)
-        inner = self._epoch = _Epoch(
-            np.asarray(self._combine(outer.mask, cond_arr)), self.nproc
-        )
-        # Translation invariant: a WHERE can only narrow activity, i.e.
-        # every active lane is active in the enclosing mask (cannot fire
-        # when every enclosing lane is active).
-        if (
-            outer.active != self.nproc
-            and inner.any_active
-            and np.count_nonzero(inner.lanes & outer.lanes) != inner.active
-        ):
-            raise InterpreterError(
-                "WHERE mask activates a lane outside the enclosing mask "
-                "(translation invariant violated)"
-            )
+        self._epoch = _Epoch(self._combine(outer.mask, cond_arr), self.nproc)
         return pc + 1
 
     def _combine(self, outer, cond):

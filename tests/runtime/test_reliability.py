@@ -264,6 +264,11 @@ class TestFallbackChain:
         assert payload[0]["ok"] is False and payload[1]["ok"] is True
 
 
+def _bump(tally: dict, key: str) -> None:
+    """Add one to a counter tally, inserting the key if absent."""
+    tally[key] = tally.get(key, 0) + 1
+
+
 class TestAgreement:
     def test_env_disagreement_is_a_nonretryable_fault(self):
         from repro.exec.counters import ExecutionCounters
@@ -291,10 +296,10 @@ class TestAgreement:
         "field, skew",
         [
             ("lane_active_steps", lambda c: c.add_lane_steps([True, False], 1)),
-            ("active_elements", lambda c: c.active_elements.update(store=1)),
-            ("element_ops", lambda c: c.element_ops.update(store=1)),
-            ("layer_steps", lambda c: c.layer_steps.update(store=1)),
-            ("calls", lambda c: c.calls.update(force=1)),
+            ("active_elements", lambda c: _bump(c.active_elements, "store")),
+            ("element_ops", lambda c: _bump(c.element_ops, "store")),
+            ("layer_steps", lambda c: _bump(c.layer_steps, "store")),
+            ("calls", lambda c: _bump(c.calls, "force")),
         ],
     )
     def test_every_counter_field_is_compared(self, field, skew):
@@ -320,7 +325,7 @@ class TestAgreement:
         assert "'lane_active_steps' ([1 1] vs [2 1])" in str(excinfo.value)
         b = ExecutionCounters(2)
         b.record("store", width=2, mask=np.array([True, True]))
-        b.layer_steps.update(store=1)
+        _bump(b.layer_steps, "store")
         with pytest.raises(BackendFault) as excinfo:
             check_agreement({}, a, {}, b)
         assert "'layer_steps' ({'store': 1} vs {'store': 2})" in str(excinfo.value)

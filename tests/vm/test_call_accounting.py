@@ -166,5 +166,5 @@ def test_all_active_epoch_flushes_as_a_scalar_add(monkeypatch):
         parse_source("PROGRAM p\n  v = [1 : 4]\n  w = v * 2 + v\nEND"), 4
     )
     assert updates == {"vector": 0, "scalar": 1}
-    steps = counters.total_steps - counters.layer_steps["acu"]
+    steps = counters.total_steps - counters.layer_steps.get("acu", 0)
     assert counters.lane_active_steps.tolist() == [steps] * 4
