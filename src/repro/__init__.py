@@ -114,7 +114,11 @@ def run(source, bindings=None, **options) -> RunResult:
     """Compile and execute in one call; returns a :class:`RunResult`.
 
     ``options`` are :meth:`CompiledProgram.run` keywords (``nproc``,
-    ``backend``, ``externals``, ``budget``, ``config``, ...)::
+    ``backend``, ``externals``, ``budget``, ...), each setting spelled
+    once; a :class:`BackendConfig` passed as ``config`` carries only
+    the backend tuning ``run()`` has no keyword for (``vm_fuse`` and
+    the pmimd pool's ``workers``/``shards``/``shard_layout``/
+    ``supervision``)::
 
         result = repro.run(text, {"n": 8}, nproc=64)
         print(result.backend, result.steps, result.wall_seconds)

@@ -81,23 +81,6 @@ class MIMDSimulator:
         self.budget = budget
         self.fault_plan = fault_plan
 
-    @classmethod
-    def from_config(cls, source: ast.SourceFile, config) -> "MIMDSimulator":
-        """Construct from a :class:`~repro.runtime.BackendConfig`.
-
-        ``config.budget`` guards each processor, as on the scalar
-        backend.  Per-processor interpreters each get fresh counters;
-        ``config.counters``/``vm_fuse`` do not apply to this backend
-        and are ignored.
-        """
-        return cls(
-            source,
-            config.nproc,
-            externals=config.externals,
-            budget=config.budget,
-            fault_plan=config.fault_plan,
-        )
-
     def run(
         self,
         bindings_for=None,

@@ -480,28 +480,6 @@ class PMIMDExecutor:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
 
-    @classmethod
-    def from_config(cls, source: ast.SourceFile, config) -> "PMIMDExecutor":
-        """Construct from a :class:`~repro.runtime.BackendConfig`.
-
-        ``config.budget`` guards each processor, as on the scalar
-        backend; ``config.counters``/``vm_fuse`` do not apply to this
-        backend and are ignored.
-        """
-        return cls(
-            source,
-            config.nproc,
-            externals=config.externals,
-            budget=config.budget,
-            fault_plan=config.fault_plan,
-            workers=config.workers,
-            shards=config.shards,
-            shard_layout=config.shard_layout,
-            supervision=config.supervision,
-            checkpoint_every=config.checkpoint_every,
-            checkpoint_dir=config.checkpoint_dir,
-        )
-
     def run(
         self,
         bindings: dict | None = None,

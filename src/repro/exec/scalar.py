@@ -193,22 +193,6 @@ class ScalarInterpreter:
         self._stores: dict[int, tuple] = {}
         self._arm_prologue()
 
-    @classmethod
-    def from_config(cls, source: ast.SourceFile, config) -> "ScalarInterpreter":
-        """Construct from a :class:`~repro.runtime.BackendConfig`.
-
-        The scalar interpreter has no machine width; ``config.nproc``
-        is ignored.
-        """
-        kwargs = dict(
-            externals=config.externals,
-            counters=config.counters,
-            budget=config.budget,
-            fault_plan=config.fault_plan,
-            checkpoint_every=config.checkpoint_every,
-        )
-        return cls(source, **kwargs)
-
     def snapshot(self) -> MachineSnapshot:
         """The interpreter's state right now (for crash dumps)."""
         return MachineSnapshot(

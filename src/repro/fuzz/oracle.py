@@ -762,11 +762,8 @@ class DifferentialOracle:
             nproc=self.nproc,
             backend="pmimd",
             bindings_for=case.bindings,
-            config=BackendConfig(
-                workers=2,
-                supervision=self.FUZZ_SUPERVISION,
-                checkpoint_every=run.checkpoint_every,
-            ),
+            config=BackendConfig(workers=2, supervision=self.FUZZ_SUPERVISION),
+            checkpoint_every=run.checkpoint_every,
             fault_plan=None if run.plan is None else run.plan(case.prog),
             policy=run.policy,
         )

@@ -1,19 +1,17 @@
 """Run settings: :class:`BackendConfig` and the folded :class:`RunSpec`.
 
-The four execution backends historically grew four different
-constructor signatures (the scalar interpreter has no ``nproc``, the
-MIMD simulator takes no ``counters``, the VM adds ``fuse``...).
-:class:`BackendConfig` is the one bag of settings every backend knows
-how to consume via its ``from_config`` classmethod.
+Every run setting has one spelling.  The settings every backend reads
+(``nproc``, ``externals``, ``budget``, ``fault_plan``,
+``checkpoint_every``, ``checkpoint_dir``) are
+:meth:`CompiledProgram.run` keywords; :class:`BackendConfig` holds
+only the backend tuning that ``run()`` has no keyword for.
 
-:meth:`CompiledProgram.run` folds its keywords over the caller's
-config exactly once, into a frozen :class:`RunSpec`, refusing every
-contradictory argument combination before any backend runs.
-Resolution, execution and the fallback loop all read that one spec.
-
-Fields a backend does not support are simply ignored by its
-``from_config`` (e.g. ``vm_fuse`` outside the VM), so one config can
-drive a whole fallback chain.
+:meth:`CompiledProgram.run` folds its keywords and the config exactly
+once, into a frozen :class:`RunSpec`, refusing every bad value and
+every contradictory argument combination with an
+:class:`~repro.lang.errors.InterpreterError` before any backend runs.
+Resolution, execution and the fallback loop all read that one spec,
+and each backend is built from the spec fields it reads.
 """
 
 from __future__ import annotations
@@ -23,17 +21,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Constructor settings shared by all execution backends.
+    """Backend tuning a run carries beside its ``run()`` keywords.
 
     Attributes:
-        nproc: PE/processor count (0 = sequential-only contexts).
-        externals: External subroutine registry (name → callable).
-        counters: An :class:`~repro.exec.counters.ExecutionCounters`
-            to accumulate into, or None for a fresh accumulator.
-        budget: Execution guard (:class:`~repro.reliability.Budget`),
-            or None for the default step cap
-            (:data:`~repro.reliability.budget.DEFAULT_MAX_STEPS`).
-        fault_plan: Deterministic fault injection plan, or None.
         vm_fuse: Run straight-line blocks as compiled closures (VM only;
             False steps per instruction, the reference mode).
         workers: Worker-process pool size (pmimd only; None picks a
@@ -45,29 +35,17 @@ class BackendConfig:
         supervision: A
             :class:`~repro.reliability.supervisor.SupervisionPolicy`
             for the worker pool (pmimd only; None uses the defaults).
-        checkpoint_every: Capture a restorable
-            :class:`~repro.reliability.checkpoint.Checkpoint` every
-            this many executed steps/statements (vm, scalar and pmimd
-            backends; None disables durable execution).
-        checkpoint_dir: Root of the on-disk
-            :class:`~repro.reliability.checkpoint.CheckpointStore`.
-            For vm/scalar runs the Engine saves each capture there
-            (key ``"run"``); for pmimd the workers keep per-processor
-            keys so shard replays resume instead of rerunning.
     """
 
-    nproc: int = 0
-    externals: dict | None = None
-    counters: object | None = None
-    budget: object | None = None
-    fault_plan: object | None = None
     vm_fuse: bool = True
     workers: int | None = None
     shards: int | None = None
     shard_layout: str = "block"
     supervision: object | None = None
-    checkpoint_every: int | None = None
-    checkpoint_dir: str | None = None
+
+
+#: The config of a run that passes none.
+DEFAULT_CONFIG = BackendConfig()
 
 
 @dataclass(frozen=True)
@@ -76,22 +54,30 @@ class RunSpec:
     :meth:`CompiledProgram.run`.
 
     Attributes:
-        config: The merged :class:`BackendConfig` every backend of the
-            run is built from.
         backend: Canonical requested backend; for a resumed run, the
             checkpoint's own backend (``"vm"`` or ``"scalar"``).
         policy: The caller's :class:`~repro.reliability.FallbackPolicy`,
             or None for a plain run — the one-backend chain
             ``(backend,)`` with no retries and no attempt log.
+        nproc: Machine width; for a vm resume without one, the
+            checkpoint's.
+        config: The caller's :class:`BackendConfig` (or the default).
         routine_name: The routine to run, case-folded.
-        bindings, statement_hook, bindings_for, statement_hook_for,
-        checkpoint_sink, resume_from: The per-call pieces of
-            :meth:`CompiledProgram.run`, unchanged.
+        externals, budget, fault_plan, checkpoint_every,
+        checkpoint_dir, bindings, statement_hook, bindings_for,
+        statement_hook_for, checkpoint_sink, resume_from: The
+            per-call pieces of :meth:`CompiledProgram.run`, unchanged.
     """
 
-    config: BackendConfig
     backend: str
     policy: object | None
+    nproc: int
+    config: BackendConfig
+    externals: dict | None
+    budget: object | None
+    fault_plan: object | None
+    checkpoint_every: int | None
+    checkpoint_dir: str | None
     bindings: dict | None
     statement_hook: object
     routine_name: str | None

@@ -30,7 +30,8 @@ import pickle
 import threading
 import time
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..lang import ast
 from ..lang.errors import InterpreterError, MiniFError, TransformError
@@ -45,7 +46,7 @@ from ..reliability import (
 )
 from ..reliability.policy import canonical_backend
 from ..transform.options import OPTION_FIELDS, CompileOptions
-from .config import BackendConfig, RunSpec
+from .config import DEFAULT_CONFIG, BackendConfig, RunSpec
 from .result import RunResult
 
 
@@ -93,9 +94,29 @@ def _check_width(backend: str, nproc: int) -> None:
     """Refuse canonical ``backend`` at a machine width it cannot run."""
     if backend == "scalar" and nproc:
         raise InterpreterError("backend='scalar' runs with nproc=0")
-    if backend in ("vm", "pmimd") and nproc < 1:
+    if backend in ("vm", "mimd", "pmimd") and nproc < 1:
         raise InterpreterError(
             f"backend={backend!r} needs nproc >= 1 (got {nproc})"
+        )
+
+
+def _check_count(value, name: str, low: int) -> None:
+    """Refuse a run setting that is not a non-bool int ``>= low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InterpreterError(f"{name} must be an int, got {type(value).__name__}")
+    if value < low:
+        raise InterpreterError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_config(config: BackendConfig) -> None:
+    """Refuse backend tuning no backend can run with."""
+    for name in ("workers", "shards"):
+        value = getattr(config, name)
+        if value is not None:
+            _check_count(value, name, 1)
+    if config.shard_layout not in ("block", "cyclic"):
+        raise InterpreterError(
+            f"shard_layout must be 'block' or 'cyclic', got {config.shard_layout!r}"
         )
 
 
@@ -210,7 +231,7 @@ class CompiledProgram:
         """The backend that runs canonical ``name`` for this run shape."""
         if spec.resume_from is not None:
             return name  # the checkpoint's own backend, fixed by the spec
-        nproc = spec.config.nproc
+        nproc = spec.nproc
         _check_width(name, nproc)
         if name == "auto":
             name = "vm" if nproc else "scalar"
@@ -245,16 +266,24 @@ class CompiledProgram:
     ) -> RunResult:
         """Execute the compiled program and return a :class:`RunResult`.
 
+        Each run setting has this one spelling.  A bad value (a
+        non-int or negative ``nproc``, a ``checkpoint_every`` below 1,
+        a ``config`` with ``workers``/``shards`` below 1 or an unknown
+        ``shard_layout``) and every contradictory combination raise
+        :class:`~repro.lang.errors.InterpreterError` before any backend
+        runs.
+
         Args:
             bindings: Initial environment (copied, never mutated).
-            nproc: PE count; 0 runs the sequential execution level.
+            nproc: PE count, an int ``>= 0``; 0 runs the sequential
+                execution level.
             backend: ``"auto"``, ``"vm"``, ``"scalar"``, ``"mimd"`` or
                 ``"pmimd"`` (the process-parallel SPMD pool); any other
                 name raises
                 :class:`~repro.lang.errors.InterpreterError`.  Not
                 used to pick the backend when ``policy`` supplies its
                 own chain.
-            externals: External subroutine registry.
+            externals: External subroutine registry (name → callable).
             statement_hook: ``hook(stmt, env, mask)`` called before
                 every executed statement (the vm passes the activity
                 mask, the scalar level calls ``hook(stmt, env)``); a
@@ -279,16 +308,17 @@ class CompiledProgram:
                 given, faults retry and degrade along its backend chain
                 and every attempt is recorded in
                 :attr:`RunResult.attempts`.
-            config: A :class:`BackendConfig` supplying run settings in
-                one bag; explicit keyword arguments win over it, and
-                its ``counters``/``budget``/``vm_fuse``
-                fields reach the backend constructors unchanged.
+            config: A :class:`BackendConfig` with the backend tuning
+                that has no keyword here: ``vm_fuse`` for the vm, and
+                the pmimd pool's ``workers``, ``shards``,
+                ``shard_layout`` and ``supervision``.
             checkpoint_every: Durable execution — capture a restorable
                 :class:`~repro.reliability.checkpoint.Checkpoint`
-                every this many executed steps (vm/scalar: delivered
-                to ``checkpoint_sink`` or saved under ``checkpoint_dir``;
-                pmimd: workers checkpoint per processor so shard
-                replays resume instead of rerunning).
+                every this many (``>= 1``) executed steps (vm/scalar:
+                delivered to ``checkpoint_sink`` or saved under
+                ``checkpoint_dir``; pmimd: workers checkpoint per
+                processor so shard replays resume instead of
+                rerunning).
             checkpoint_dir: On-disk
                 :class:`~repro.reliability.checkpoint.CheckpointStore`
                 root.  Every vm/scalar attempt — fallback and
@@ -320,8 +350,13 @@ class CompiledProgram:
                     f"unknown routine {routine_name!r} "
                     f"(the program defines: {', '.join(names)})"
                 )
-        if config is not None:
-            nproc = nproc or config.nproc
+        _check_count(nproc, "nproc", 0)
+        if checkpoint_every is not None:
+            _check_count(checkpoint_every, "checkpoint_every", 1)
+        if config is None:
+            config = DEFAULT_CONFIG
+        else:
+            _check_config(config)
         if policy is not None and (resume_from is not None or checkpoint_sink is not None):
             raise InterpreterError(
                 "resume_from/checkpoint_sink cannot be combined with a "
@@ -360,25 +395,16 @@ class CompiledProgram:
                 "backend='pmimd' cannot install statement hooks across "
                 "process boundaries; use backend='mimd'"
             )
-        settings = dict(
+        spec = RunSpec(
+            backend=name,
+            policy=policy,
             nproc=nproc,
+            config=config,
             externals=externals,
             budget=budget,
             fault_plan=fault_plan,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
-        )
-        if config is None:
-            config = BackendConfig(**settings)
-        else:
-            config = replace(
-                config,
-                **{key: value for key, value in settings.items() if value is not None},
-            )
-        spec = RunSpec(
-            config=config,
-            backend=name,
-            policy=policy,
             bindings=bindings,
             statement_hook=statement_hook,
             routine_name=routine_name,
@@ -481,14 +507,13 @@ class CompiledProgram:
         in an on-disk store under one well-known key, stamped with the
         program identity so a later resume refuses a source mismatch.
         """
-        config = spec.config
         if spec.checkpoint_sink is not None or not (
-            config.checkpoint_every and config.checkpoint_dir
+            spec.checkpoint_every and spec.checkpoint_dir
         ):
             return spec.checkpoint_sink
         from ..reliability.checkpoint import CheckpointStore
 
-        store = CheckpointStore(config.checkpoint_dir)
+        store = CheckpointStore(spec.checkpoint_dir)
 
         def save(ckpt):
             ckpt.meta["source_sha"] = self.source_sha
@@ -497,19 +522,29 @@ class CompiledProgram:
         return save
 
     def _execute(self, chosen: str, spec: RunSpec):
-        """Run one already-resolved backend, built from ``spec.config``.
+        """Run one already-resolved backend, built from the spec fields
+        it reads; every attempt counts into fresh counters.
 
         Returns ``(env, counters, statements, events)`` — ``events``
         is the supervision log for the pmimd backend and empty for the
         single-process ones.
         """
-        config, bindings = spec.config, spec.bindings
+        bindings = spec.bindings
+        # what every backend reads; the rest goes to those that read it
+        common = dict(
+            externals=spec.externals, budget=spec.budget, fault_plan=spec.fault_plan
+        )
         if chosen == "vm":
             from ..vm.machine import SIMDVirtualMachine
 
-            vm = SIMDVirtualMachine.from_config(config)
-            vm.checkpoint_sink = self._checkpoint_sink(spec)
-            vm.statement_hook = spec.statement_hook
+            vm = SIMDVirtualMachine(
+                spec.nproc,
+                fuse=spec.config.vm_fuse,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_sink=self._checkpoint_sink(spec),
+                statement_hook=spec.statement_hook,
+                **common,
+            )
             raw = vm.run(
                 self.bytecode(),
                 bindings=dict(bindings or {}),
@@ -521,9 +556,13 @@ class CompiledProgram:
         if chosen == "scalar":
             from ..exec.scalar import ScalarInterpreter
 
-            interp = ScalarInterpreter.from_config(self._tree, config)
-            interp.statement_hook = spec.statement_hook
-            interp.checkpoint_sink = self._checkpoint_sink(spec)
+            interp = ScalarInterpreter(
+                self._tree,
+                statement_hook=spec.statement_hook,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_sink=self._checkpoint_sink(spec),
+                **common,
+            )
             env = interp.run(
                 routine_name=spec.routine_name,
                 bindings=bindings,
@@ -533,7 +572,18 @@ class CompiledProgram:
         if chosen == "pmimd":
             from ..exec.pmimd import PMIMDExecutor
 
-            executor = PMIMDExecutor.from_config(self._tree, config)
+            config = spec.config
+            executor = PMIMDExecutor(
+                self._tree,
+                spec.nproc,
+                workers=config.workers,
+                shards=config.shards,
+                shard_layout=config.shard_layout,
+                supervision=config.supervision,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_dir=spec.checkpoint_dir,
+                **common,
+            )
             res = executor.run(
                 bindings=dict(bindings) if bindings else None,
                 bindings_for=spec.bindings_for,
@@ -552,7 +602,7 @@ class CompiledProgram:
 
             base = dict(bindings)
             bindings_for = lambda p: replicate_bindings(base)  # noqa: E731
-        sim = MIMDSimulator.from_config(self._tree, config)
+        sim = MIMDSimulator(self._tree, spec.nproc, **common)
         mimd = sim.run(
             bindings_for=bindings_for,
             routine_name=spec.routine_name,
@@ -574,7 +624,7 @@ class CompiledProgram:
             env=env,
             counters=counters,
             backend=chosen,
-            nproc=spec.config.nproc,
+            nproc=spec.nproc,
             cache_hit=self.cache_hit,
             wall_seconds=wall,
             steps=steps,

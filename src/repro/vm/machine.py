@@ -318,19 +318,6 @@ class SIMDVirtualMachine:
             Op.HALT: self._op_halt,
         }
 
-    @classmethod
-    def from_config(cls, config) -> "SIMDVirtualMachine":
-        """Construct from a :class:`~repro.runtime.BackendConfig`."""
-        kwargs = dict(
-            externals=config.externals,
-            counters=config.counters,
-            budget=config.budget,
-            fault_plan=config.fault_plan,
-            fuse=config.vm_fuse,
-            checkpoint_every=config.checkpoint_every,
-        )
-        return cls(config.nproc, **kwargs)
-
     def snapshot(self) -> MachineSnapshot:
         """The machine's state right now (for crash dumps)."""
         self._flush_open_epochs()

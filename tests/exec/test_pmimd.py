@@ -173,20 +173,31 @@ class TestSharedMemoryBindings:
 
 
 class TestConfigPlumbing:
-    def test_from_config(self, tree):
-        from repro.runtime.config import BackendConfig
+    def test_run_builds_the_executor_from_its_settings(self, tree, monkeypatch):
+        from repro.runtime import BackendConfig, Engine
 
+        built = []
+        init = PMIMDExecutor.__init__
+
+        def recording(executor, *args, **kwargs):
+            init(executor, *args, **kwargs)
+            built.append(executor)
+
+        monkeypatch.setattr(PMIMDExecutor, "__init__", recording)
         policy = SupervisionPolicy(wedge_timeout=9.0)
         config = BackendConfig(
-            nproc=4, workers=2, shards=3, shard_layout="cyclic",
-            supervision=policy,
+            workers=2, shards=3, shard_layout="cyclic", supervision=policy,
         )
-        executor = PMIMDExecutor.from_config(tree, config)
+        Engine().compile(tree).run(
+            {"n": 16}, nproc=4, backend="pmimd", config=config, checkpoint_every=7
+        )
+        (executor,) = built
         assert executor.nproc == 4
         assert executor.workers == 2
         assert executor.shards == 3
         assert executor.shard_layout == "cyclic"
         assert executor.supervision.wedge_timeout == 9.0
+        assert executor.checkpoint_every == 7
 
     def test_nproc_validation(self, tree):
         with pytest.raises(ValueError, match="nproc"):

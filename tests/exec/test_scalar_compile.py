@@ -222,11 +222,11 @@ def test_intrinsic_event_kinds_agree_with_the_lockstep_backends():
 @pytest.mark.parametrize("backend", ["mimd", "pmimd"])
 def test_max_instructions_caps_every_mimd_processor(backend):
     program = Engine().compile(LOOP)
-    config = BackendConfig(budget=Budget(max_steps=50), workers=1)
+    budget, config = Budget(max_steps=50), BackendConfig(workers=1)
     with pytest.raises(MiniFError) as scalar:
-        program.run(backend="scalar", config=config)
+        program.run(backend="scalar", budget=budget, config=config)
     with pytest.raises(MiniFError) as info:
-        program.run(backend=backend, nproc=2, config=config)
+        program.run(backend=backend, nproc=2, budget=budget, config=config)
     assert isinstance(scalar.value, BudgetExceeded)
     assert type(info.value) is type(scalar.value)
     assert info.value.message == scalar.value.message

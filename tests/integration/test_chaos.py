@@ -11,6 +11,8 @@ simulator's (itself differentially tested against the scalar
 reference), and the recovery taken is visible in the event log.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def reference(engine):
     return result
 
 
-def run_pmimd(engine, plan=None, policy=None, config=None):
+def run_pmimd(engine, plan=None, policy=None, config=None, **settings):
     return engine.run(
         SOURCE,
         nproc=NPROC,
@@ -71,6 +73,7 @@ def run_pmimd(engine, plan=None, policy=None, config=None):
         policy=policy,
         config=config
         or BackendConfig(workers=2, shards=4, supervision=FAST),
+        **settings,
     )
 
 
@@ -241,10 +244,14 @@ class TestCheckpointChaos:
             shards=4,
             shard_layout=layout,
             supervision=FAST,
+        )
+        return run_pmimd(
+            engine,
+            plan=plan,
+            config=config,
             checkpoint_every=self.EVERY,
             checkpoint_dir=str(tmp_path),
         )
-        return run_pmimd(engine, plan=plan, config=config)
 
     @pytest.mark.parametrize("layout", ["block", "cyclic"])
     def test_kill_between_checkpoints_resumes_from_store(
@@ -298,9 +305,9 @@ class TestCheckpointChaos:
             "proc-1",
             Checkpoint(backend="scalar", step=5, pc=0, env={}),
         )
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-1] ^= 0x01
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         store.save(
             "proc-2", Checkpoint(backend="vm", step=5, pc=0, env={})
         )

@@ -19,6 +19,7 @@ Three layers of contract:
 import copy
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestStore:
         store = CheckpointStore(str(tmp_path))
         store.save("run", make_checkpoint(step=5))
         newest = store.save("run", make_checkpoint(step=9))
-        blob = open(newest, "rb").read()
+        blob = Path(newest).read_bytes()
         with open(newest, "wb") as handle:
             handle.write(blob[: len(blob) // 2])  # torn write
         with pytest.raises(CheckpointError, match="truncated"):
@@ -150,7 +151,7 @@ class TestStore:
         store = CheckpointStore(str(tmp_path))
         store.save("run", make_checkpoint(step=5))
         newest = store.save("run", make_checkpoint(step=9))
-        blob = bytearray(open(newest, "rb").read())
+        blob = bytearray(Path(newest).read_bytes())
         blob[-10] ^= 0xFF  # flip one payload byte; length unchanged
         with open(newest, "wb") as handle:
             handle.write(bytes(blob))
@@ -169,7 +170,7 @@ class TestStore:
 
         store = CheckpointStore(str(tmp_path))
         path = store.save("run", make_checkpoint())
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         header, _, _ = blob.partition(b"\n")
         hostile = pickle.dumps(Boom())
         # Forge the length so only the digest stands between the

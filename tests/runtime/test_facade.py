@@ -1,5 +1,5 @@
-"""The top-level API facade: repro.compile/run/lint, BackendConfig
-threading and RunResult.steps."""
+"""The top-level API facade: repro.compile/run/lint, run settings
+reaching the backend, and RunResult.steps."""
 
 import warnings
 
@@ -7,7 +7,6 @@ import numpy as np
 
 import repro
 from repro import BackendConfig
-from repro.exec.counters import ExecutionCounters
 from repro.runtime.engine import Engine
 
 PROGRAM = """
@@ -36,6 +35,18 @@ class TestFacade:
         report = repro.lint(PROGRAM)
         assert not report.errors
 
+    def test_run_passes_externals_to_the_vm(self):
+        calls = []
+
+        def probe(vm, arg_exprs, args, env, mask):
+            calls.append(np.asarray(args[1]).tolist())
+            vm.assign_to(arg_exprs[0], np.asarray(args[1]), env)
+
+        text = "PROGRAM p\n  v = [1 : 4]\n  CALL probe(w, v)\nEND"
+        result = repro.run(text, nproc=4, backend="vm", externals={"probe": probe})
+        assert calls == [[1, 2, 3, 4]]
+        assert result.env["w"].tolist() == [1, 2, 3, 4]
+
     def test_facade_shares_default_engine_cache(self):
         repro.default_engine().clear()
         repro.compile(PROGRAM)
@@ -60,38 +71,6 @@ class TestRunResultSteps:
 
 
 class TestBackendConfig:
-    def test_config_threads_counters_and_fuse(self):
-        counters = ExecutionCounters(4)
-        config = BackendConfig(
-            nproc=4, counters=counters, vm_fuse=False
-        )
-        result = Engine().compile(PROGRAM).run(
-            {"n": 4}, backend="vm", config=config
-        )
-        # the run recorded into the caller's counters object
-        assert result.counters is counters
-        assert counters.total_steps > 0
-
-    def test_explicit_kwargs_win_over_config(self):
-        config = BackendConfig(nproc=2)
-        result = Engine().compile(PROGRAM).run(
-            {"n": 4}, nproc=4, backend="vm", config=config
-        )
-        assert len(result.env["y"].data) == 4
-
-    def test_config_supplies_nproc_and_externals(self):
-        calls = []
-
-        def probe(vm, arg_exprs, args, env, mask):
-            calls.append(np.asarray(args[1]).tolist())
-            vm.assign_to(arg_exprs[0], np.asarray(args[1]), env)
-
-        text = "PROGRAM p\n  v = [1 : 4]\n  CALL probe(w, v)\nEND"
-        config = BackendConfig(nproc=4, externals={"probe": probe})
-        result = Engine().compile(text).run(backend="vm", config=config)
-        assert calls == [[1, 2, 3, 4]]
-        assert result.env["w"].tolist() == [1, 2, 3, 4]
-
     def test_fuse_flag_observable_equivalence(self):
         fused = Engine().compile(PROGRAM).run(
             {"n": 4}, nproc=4, backend="vm",

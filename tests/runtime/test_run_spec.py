@@ -115,8 +115,38 @@ class TestPlainRun:
         assert not hasattr(info.value, "attempts")
 
 
+class TestRetryChecksum:
+    """A run that retries past a transient fault, or degrades, reports
+    the counts of its successful attempt alone: the failed attempt's
+    steps never leak into the result."""
+
+    @pytest.mark.parametrize(
+        "nproc, backend, chain",
+        [
+            (4, "vm", ("vm",)),
+            (0, "scalar", ("scalar",)),
+            (0, "scalar", ("vm", "scalar")),
+        ],
+        ids=["vm", "scalar", "vm-degrades-to-scalar"],
+    )
+    def test_retried_run_counts_like_a_plain_run(self, program, nproc, backend, chain):
+        plain = program.run(nproc=nproc, backend=backend)
+        result = program.run(
+            nproc=nproc,
+            fault_plan=FaultPlan(op_faults=(7,), backends=(backend,)),
+            policy=FallbackPolicy(chain=chain, retries=1),
+        )
+        degraded = [(name, False) for name in chain[:-1]]
+        assert [(a.backend, a.ok) for a in result.attempts] == degraded + [
+            (backend, False),
+            (backend, True),
+        ]
+        assert result.steps == plain.steps
+        assert repr(result.counters.state_dict()) == repr(plain.counters.state_dict())
+
+
 class TestFold:
-    def test_explicit_keywords_win_over_config(self, program, monkeypatch):
+    def test_keywords_and_config_reach_the_vm(self, program, monkeypatch):
         import repro.vm.machine as machine
 
         compiled = []
@@ -128,12 +158,13 @@ class TestFold:
         result = program.run(
             nproc=4,
             backend="vm",
+            checkpoint_every=3,
             checkpoint_sink=captured.append,
-            config=BackendConfig(nproc=2, vm_fuse=False, checkpoint_every=3),
+            config=BackendConfig(vm_fuse=False),
         )
         assert result.nproc == 4
         assert captured and all(c.nproc == 4 for c in captured)
-        # vm_fuse and checkpoint_every come through from the config
+        # vm_fuse=False steps per instruction: no block is compiled
         assert compiled == []
         assert captured[0].step == 3
 
@@ -154,8 +185,51 @@ class TestFold:
                 dict(nproc=2, checkpoint_sink=print, policy=FallbackPolicy()),
                 "FallbackPolicy",
             ),
+            (dict(backend="mimd", nproc=0), "needs nproc >= 1"),
+            (dict(backend="mimd", nproc=-1), "nproc must be >= 0"),
+            (dict(nproc="4"), "nproc must be an int"),
+            (dict(nproc=2.5), "nproc must be an int"),
+            (dict(nproc=True), "nproc must be an int"),
+            (
+                dict(backend="scalar", checkpoint_every=0),
+                "checkpoint_every must be >= 1",
+            ),
+            (dict(backend="mimd", nproc=2, checkpoint_every=0), "checkpoint_every"),
+            (dict(backend="pmimd", nproc=2, checkpoint_every=0), "checkpoint_every"),
+            (dict(nproc=2, checkpoint_every=True), "checkpoint_every must be an int"),
+            (
+                dict(backend="pmimd", nproc=2, config=BackendConfig(workers=-2)),
+                "workers must be >= 1",
+            ),
+            (
+                dict(backend="pmimd", nproc=2, config=BackendConfig(shards=0)),
+                "shards must be >= 1",
+            ),
+            (
+                dict(
+                    backend="pmimd", nproc=2, config=BackendConfig(shard_layout="diag")
+                ),
+                "shard_layout must be 'block' or 'cyclic'",
+            ),
         ],
-        ids=["scalar-nproc", "pmimd-sink", "pmimd-hooks", "policy-sink"],
+        ids=[
+            "scalar-nproc",
+            "pmimd-sink",
+            "pmimd-hooks",
+            "policy-sink",
+            "mimd-nproc-0",
+            "mimd-nproc-negative",
+            "nproc-str",
+            "nproc-float",
+            "nproc-bool",
+            "scalar-checkpoint-every-0",
+            "mimd-checkpoint-every-0",
+            "pmimd-checkpoint-every-0",
+            "checkpoint-every-bool",
+            "workers-negative",
+            "shards-0",
+            "shard-layout",
+        ],
     )
     def test_argument_refusals_raise_before_any_backend(
         self, program, monkeypatch, kwargs, message

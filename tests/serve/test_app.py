@@ -506,13 +506,13 @@ class TestOneRunPath:
         from repro.exec.pmimd import PMIMDExecutor
 
         seen = []
-        build = PMIMDExecutor.from_config.__func__
+        init = PMIMDExecutor.__init__
 
-        def recording(cls, source, config):
-            seen.append(config.workers)
-            return build(cls, source, config)
+        def recording(executor, *args, workers=None, **kwargs):
+            seen.append(workers)
+            init(executor, *args, workers=workers, **kwargs)
 
-        monkeypatch.setattr(PMIMDExecutor, "from_config", classmethod(recording))
+        monkeypatch.setattr(PMIMDExecutor, "__init__", recording)
 
         async def body(app):
             status, out = await request(
