@@ -30,11 +30,11 @@ A workload fails when
 The exit code is 1 when any workload fails, 2 on a usage or set-up
 error.  ``--json FILE`` writes every run and verdict.
 
-Defaults (3 pairs, 5 s windows) keep table1-simd plus table1-mimd
-under 15 minutes on a 2-vCPU runner: a table1-simd run with a 5 s
-window takes about 24 s of wall time, a table1-mimd run less.  With
-them, unchanged code passed its A/A runs and a VM planted 30 % slower
-failed (see CHANGES.md for the runs).
+Defaults (3 pairs, 5 s windows) keep all four workloads under 15
+minutes on a 2-vCPU runner: the four at 3 pairs took 464 s of wall
+time on a 2-vCPU container, against an existing base checkout.
+With them, unchanged code passed its A/A runs and a VM planted 30 %
+slower failed (see CHANGES.md for the runs).
 """
 
 from __future__ import annotations

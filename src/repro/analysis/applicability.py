@@ -26,7 +26,7 @@ from ..transform.flatten import (
     flatten_done,
     flatten_optimized,
 )
-from .dep import ParallelismReport, analyze_outer_parallelism
+from .dep import DependenceGraph, ParallelismReport, analyze_outer_parallelism
 from .sideeffects import referenced_names
 
 
@@ -100,6 +100,7 @@ def evaluate_flattening(
     stmt: ast.Stmt,
     assume_parallel: bool = False,
     assume_min_trips: bool = False,
+    graph: DependenceGraph | None = None,
 ) -> FlatteningReport:
     """Evaluate loop flattening for an outer loop statement.
 
@@ -109,6 +110,8 @@ def evaluate_flattening(
             (e.g. it came from a FORALL).
         assume_min_trips: User asserts the inner loop body runs at
             least once per outer iteration.
+        graph: ``stmt``'s dependence graph, when the caller has
+            already built it (see :func:`analyze_outer_parallelism`).
     """
     try:
         nest = extract_nest(stmt)
@@ -138,7 +141,7 @@ def evaluate_flattening(
         safe: bool | None = True
         reasons.append("safe: parallelism asserted by the user")
     elif isinstance(stmt, ast.Do):
-        parallelism = analyze_outer_parallelism(stmt)
+        parallelism = analyze_outer_parallelism(stmt, graph=graph)
         if parallelism.parallel:
             safe = True
             reasons.append("safe: the outer loop passes the dependence test")

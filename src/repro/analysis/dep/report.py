@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ...lang import ast
 from ..cfg import build_cfg
 from ..dataflow import live_variables, stmt_defs
-from .graph import Access, DependenceEdge, build_dependence_graph
+from .graph import Access, DependenceEdge, DependenceGraph, build_dependence_graph
 
 
 @dataclass
@@ -125,11 +125,14 @@ def _array_findings(
 
 def analyze_outer_parallelism(
     loop: ast.Do | ast.Forall,
+    graph: DependenceGraph | None = None,
 ) -> ParallelismReport:
     """Test whether an outer counted loop is parallelizable.
 
     FORALL loops are parallel by user assertion (their report still
-    notes indirect addressing, for diagnostics).
+    notes indirect addressing, for diagnostics).  ``graph`` is the
+    loop's :func:`build_dependence_graph`, when the caller already has
+    it; without it the test builds one.
     """
     var = loop.var
     body = loop.body
@@ -141,7 +144,8 @@ def analyze_outer_parallelism(
         return report
 
     # --- array dependence: distance/direction-vector framework -------------
-    graph = build_dependence_graph(loop)
+    if graph is None:
+        graph = build_dependence_graph(loop)
     _array_findings(graph, var, report)
 
     # --- scalar dependence: liveness-based privatization argument ----------

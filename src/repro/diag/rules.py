@@ -33,12 +33,12 @@ returns a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..analysis.abstract import AbstractInterpreter, Uniformity, analyze_routine
-from ..analysis.applicability import evaluate_flattening
-from ..analysis.dep import build_dependence_graph
+from ..analysis.applicability import FlatteningReport, evaluate_flattening
+from ..analysis.dep import DependenceGraph, build_dependence_graph
 from ..analysis.dep.explain import outer_loops
 from ..analysis.sideeffects import stmts_have_side_effects
 from ..lang import ast, parse_source
@@ -56,17 +56,69 @@ __all__ = [
 ]
 
 
+_LOOPS = (ast.Do, ast.DoWhile, ast.While, ast.Forall)
+
+
 @dataclass
 class LintContext:
-    """What a rule sees: one routine plus its abstract interpretation."""
+    """What a rule sees: one routine plus its abstract interpretation.
+
+    The context also holds what several rules ask of the same routine,
+    each computed once on first use: the statement list, and per loop
+    one dependence graph and one flattening report.  Rules must not
+    mutate what it hands out.
+    """
 
     routine: ast.Routine
     analysis: AbstractInterpreter
+    _statements: list[ast.Stmt] | None = field(default=None, init=False, repr=False)
+    _graphs: dict = field(default_factory=dict, init=False, repr=False)
+    _flattening: dict = field(default_factory=dict, init=False, repr=False)
 
-    def statements(self) -> Iterator[ast.Stmt]:
-        for node in ast.walk_body(self.routine.body):
-            if isinstance(node, ast.Stmt):
-                yield node
+    def statements(self) -> list[ast.Stmt]:
+        """Every statement of the routine, preorder."""
+        if self._statements is None:
+            # Statements nest only in statement bodies, so the walk
+            # skips expressions.
+            found = []
+            stack = self.routine.body[::-1]
+            while stack:
+                stmt = stack.pop()
+                found.append(stmt)
+                for body in reversed(ast.sub_bodies(stmt)):
+                    stack.extend(reversed(body))
+            self._statements = found
+        return self._statements
+
+    def dependence_graph(self, loop: ast.Do | ast.Forall) -> DependenceGraph | None:
+        """The loop's dependence graph, or None when building it failed."""
+        key = id(loop)
+        if key not in self._graphs:
+            try:
+                graph = build_dependence_graph(loop)
+            except Exception:  # the graph must never kill the lint
+                graph = None
+            self._graphs[key] = graph
+        return self._graphs[key]
+
+    def flattening(self, loop: ast.Stmt) -> FlatteningReport | None:
+        """:func:`evaluate_flattening` of the loop, or None when it failed.
+
+        A DO loop's parallelism test reads :meth:`dependence_graph`, so
+        a DO loop whose graph failed gets no report either.
+        """
+        key = id(loop)
+        if key not in self._flattening:
+            is_do = isinstance(loop, ast.Do)
+            graph = self.dependence_graph(loop) if is_do else None
+            report = None
+            if graph is not None or not is_do:
+                try:
+                    report = evaluate_flattening(loop, graph=graph)
+                except Exception:  # applicability must never kill the lint
+                    pass
+            self._flattening[key] = report
+        return self._flattening[key]
 
 
 @dataclass(frozen=True)
@@ -225,9 +277,8 @@ def _r003(ctx: LintContext) -> Iterator[Diagnostic]:
     for stmt in ctx.statements():
         if not isinstance(stmt, ast.Forall):
             continue
-        try:
-            graph = build_dependence_graph(stmt)
-        except Exception:  # the graph must never kill the lint
+        graph = ctx.dependence_graph(stmt)
+        if graph is None:
             continue
         for edge in graph.carried_edges(1):
             if edge.scalar or edge.unknown or edge.ignorable:
@@ -265,9 +316,8 @@ def _w104(ctx: LintContext) -> Iterator[Diagnostic]:
     for stmt in outer_loops(ctx.routine.body):
         if not isinstance(stmt, ast.Do):
             continue
-        try:
-            graph = build_dependence_graph(stmt)
-        except Exception:
+        graph = ctx.dependence_graph(stmt)
+        if graph is None:
             continue
         if graph.irregular or graph.call_touched:
             continue
@@ -307,7 +357,7 @@ def _w104(ctx: LintContext) -> Iterator[Diagnostic]:
 
 def _first_inner_loop(body: list) -> ast.Stmt | None:
     for inner in body:
-        if isinstance(inner, (ast.Do, ast.DoWhile, ast.While, ast.Forall)):
+        if isinstance(inner, _LOOPS):
             return inner
     return None
 
@@ -316,16 +366,13 @@ def _first_inner_loop(body: list) -> ast.Stmt | None:
 def _w101(ctx: LintContext) -> Iterator[Diagnostic]:
     an = ctx.analysis
     for stmt in ctx.statements():
-        if not isinstance(stmt, (ast.Do, ast.DoWhile, ast.While, ast.Forall)):
+        if not isinstance(stmt, _LOOPS):
             continue
         inner = _first_inner_loop(stmt.body)
         if inner is None:
             continue
-        try:
-            report = evaluate_flattening(stmt)
-        except Exception:  # applicability itself must never kill the lint
-            continue
-        if not (report.applicable and report.profitable and report.safe is not False):
+        report = ctx.flattening(stmt)
+        if report is None or not report.recommended:
             continue
         trips = an.do_trip_interval(inner, an.state_before(inner))
         gap = trips.width
@@ -407,17 +454,14 @@ def _w102(ctx: LintContext) -> Iterator[Diagnostic]:
 def _w103(ctx: LintContext) -> Iterator[Diagnostic]:
     an = ctx.analysis
     for stmt in ctx.statements():
-        if not isinstance(stmt, (ast.Do, ast.DoWhile, ast.While, ast.Forall)):
-            continue
-        if _first_inner_loop(stmt.body) is None:
-            continue
-        try:
-            report = evaluate_flattening(stmt)
-        except Exception:
-            continue
-        if not report.recommended or report.variant != "general":
+        if not isinstance(stmt, _LOOPS):
             continue
         inner = _first_inner_loop(stmt.body)
+        if inner is None:
+            continue
+        report = ctx.flattening(stmt)
+        if report is None or not report.recommended or report.variant != "general":
+            continue
         trips = an.do_trip_interval(inner, an.state_before(inner))
         side_effects = any(
             stmts_have_side_effects(b) for b in ast.sub_bodies(inner)

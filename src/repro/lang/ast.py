@@ -368,29 +368,68 @@ class SourceFile(Node):
 # ---------------------------------------------------------------------------
 
 
+#: Field annotations that never hold a node.
+_LEAF_TYPES = frozenset(
+    ("int", "float", "str", "bool", "int | None", "list[str]", "SourceLocation")
+)
+#: Per node class, filled on first use from ``dataclasses.fields``: all
+#: field names in declaration order (what :func:`clone` copies), and
+#: the names of the fields that may hold a node (what :func:`children`
+#: reads).  One entry per class, so a reader in another thread sees
+#: both tuples or neither.
+_FIELDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+
+def _fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    entry = _FIELDS.get(cls)
+    if entry is None:
+        fields = dataclasses.fields(cls)
+        entry = _FIELDS[cls] = (
+            tuple(f.name for f in fields),
+            tuple(f.name for f in fields if f.type not in _LEAF_TYPES),
+        )
+    return entry
+
+
+def _child_list(node: Node) -> list[Node]:
+    out = []
+    for name in (_FIELDS.get(type(node)) or _fields(type(node)))[1]:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            out.append(value)
+        elif isinstance(value, list):
+            out.extend(item for item in value if isinstance(item, Node))
+    return out
+
+
 def children(node: Node):
     """Yield the direct child nodes of ``node`` (fields and list fields)."""
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+    yield from _child_list(node)
 
 
 def walk(node: Node):
     """Yield ``node`` and every descendant, preorder."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    return _walk_stack([node])
 
 
 def walk_body(body: list[Stmt]):
     """Yield every node in a statement list, preorder."""
-    for stmt in body:
-        yield from walk(stmt)
+    return _walk_stack(body[::-1])
+
+
+def _walk_stack(stack: list[Node]):
+    # ``stack`` holds the nodes still to visit, the next one last.  A
+    # node's children are read only when the caller resumes after
+    # receiving the node, as in the recursive ``yield from`` form.
+    pop = stack.pop
+    push = stack.extend
+    while stack:
+        node = pop()
+        yield node
+        kids = _child_list(node)
+        if kids:
+            kids.reverse()
+            push(kids)
 
 
 def copy_node(node: Node, **overrides):
@@ -399,21 +438,21 @@ def copy_node(node: Node, **overrides):
 
 
 def clone(node):
-    """Deep-copy an AST node (or list of nodes)."""
+    """Deep-copy an AST node (or list of nodes), ``loc`` included."""
     if isinstance(node, list):
         return [clone(item) for item in node]
     if not isinstance(node, Node):
         return node
+    cls = type(node)
     kwargs = {}
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in _fields(cls)[0]:
+        value = getattr(node, name)
         if isinstance(value, Node):
-            kwargs[f.name] = clone(value)
+            value = clone(value)
         elif isinstance(value, list):
-            kwargs[f.name] = [clone(item) for item in value]
-        else:
-            kwargs[f.name] = value
-    return type(node)(**kwargs)
+            value = [clone(item) for item in value]
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 #: Statement classes that contain nested statement bodies.

@@ -189,7 +189,10 @@ class CompiledProgram:
         the transformed tree and, when the routine lowers to bytecode,
         the bytecode verifier (:mod:`repro.vm.verify`) over the code
         object.  Computed lazily on first use and cached with the
-        artifact, so a cache hit reuses the report.
+        artifact, so a cache hit reuses the report.  A program rebuilt
+        from the artifact store is linted and verified again: the
+        store is a trust boundary.  ``stage_seconds`` records the
+        ``lint`` and ``verify`` parts beside the ``diagnostics`` total.
 
         Returns:
             A :class:`~repro.diag.DiagnosticReport`.
@@ -200,6 +203,7 @@ class CompiledProgram:
 
             start = time.perf_counter()
             report = DiagnosticReport()
+            stages = {}
             for unit in self._tree.units:
                 try:
                     report.extend(lint_routine(unit))
@@ -215,13 +219,17 @@ class CompiledProgram:
                             routine=unit.name,
                         )
                     )
+            stages["lint"] = time.perf_counter() - start
             code = self.bytecode()
+            verify_start = time.perf_counter()
             if code is not None:
                 report.extend(verify_code(code))
+            stages["verify"] = time.perf_counter() - verify_start
             report = report.sorted()
             with self._lock:
                 if self._diagnostics is None:
                     self._diagnostics = report
+                    self.stage_seconds.update(stages)
                     self.stage_seconds["diagnostics"] = time.perf_counter() - start
         return self._diagnostics
 
@@ -318,7 +326,9 @@ class CompiledProgram:
                 delivered to ``checkpoint_sink`` or saved under
                 ``checkpoint_dir``; pmimd: workers checkpoint per
                 processor so shard replays resume instead of
-                rerunning).
+                rerunning).  ``mimd`` does not checkpoint: a run whose
+                backend or policy chain names it refuses this and
+                ``checkpoint_dir``.
             checkpoint_dir: On-disk
                 :class:`~repro.reliability.checkpoint.CheckpointStore`
                 root.  Every vm/scalar attempt — fallback and
@@ -394,6 +404,11 @@ class CompiledProgram:
             raise InterpreterError(
                 "backend='pmimd' cannot install statement hooks across "
                 "process boundaries; use backend='mimd'"
+            )
+        if "mimd" in chain and (checkpoint_every is not None or checkpoint_dir is not None):
+            raise InterpreterError(
+                "backend='mimd' does not checkpoint; drop checkpoint_every/"
+                "checkpoint_dir or run on 'vm', 'scalar' or 'pmimd'"
             )
         spec = RunSpec(
             backend=name,

@@ -45,6 +45,16 @@ class TestDiagnosticsOnArtifacts:
         program.diagnostics()
         assert "diagnostics" in program.stage_seconds
 
+    def test_stage_timing_splits_lint_and_verify(self, engine):
+        program = engine.compile(ex.P1_SEQUENTIAL, transform="flatten", simd=True)
+        program.diagnostics()
+        stages = program.stage_seconds
+        assert {"lint", "verify", "diagnostics"} <= set(stages)
+        # The two parts lie inside the total; bytecode, compiled on the
+        # way, is its own stage.
+        assert 0 < stages["lint"] and 0 < stages["verify"]
+        assert stages["lint"] + stages["verify"] <= stages["diagnostics"]
+
 
 class TestStrictMode:
     def test_strict_compile_raises_with_diagnostics(self, engine):

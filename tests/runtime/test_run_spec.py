@@ -211,6 +211,22 @@ class TestFold:
                 ),
                 "shard_layout must be 'block' or 'cyclic'",
             ),
+            (
+                dict(backend="mimd", nproc=2, checkpoint_every=5),
+                "'mimd' does not checkpoint",
+            ),
+            (
+                dict(backend="mimd", nproc=2, checkpoint_dir="never-created"),
+                "'mimd' does not checkpoint",
+            ),
+            (
+                dict(
+                    nproc=2,
+                    checkpoint_every=5,
+                    policy=FallbackPolicy(chain=("pmimd", "mimd")),
+                ),
+                "'mimd' does not checkpoint",
+            ),
         ],
         ids=[
             "scalar-nproc",
@@ -229,6 +245,9 @@ class TestFold:
             "workers-negative",
             "shards-0",
             "shard-layout",
+            "mimd-checkpoint-every",
+            "mimd-checkpoint-dir",
+            "chain-mimd-checkpoint-every",
         ],
     )
     def test_argument_refusals_raise_before_any_backend(
