@@ -194,8 +194,7 @@ class ExecutionCounters:
 
         Exactly what ``record(kind)`` does, for the scalar
         interpreter's per-statement events: four dict adds once the
-        kind has been seen.  It reads the tally attributes on every
-        call, since :meth:`load_state` replaces them.
+        kind has been seen.
         """
         events = self.events
         if kind in events:
@@ -303,6 +302,10 @@ class ExecutionCounters:
         else:
             calls[name] = 1
             self.call_layer_steps[name] = layers
+        if layers == 1 and mask is None and active is None and self.nproc == 1:
+            # A scalar interpreter's call: ``record``'s width-1 case.
+            self.record_scalar("call")
+            return 1
         return self.record(
             "call",
             width=self.nproc,
@@ -382,8 +385,12 @@ class ExecutionCounters:
         totals.
         """
         self.nproc = int(state["nproc"])
+        # In place: the scalar interpreter's generated code holds the
+        # tally dicts themselves.
         for name in TALLIES:
-            setattr(self, name, dict(state[name]))
+            tally = getattr(self, name)
+            tally.clear()
+            tally.update(state[name])
         self.lane_active_steps = np.array(
             state["lane_active_steps"], dtype=np.int64
         )

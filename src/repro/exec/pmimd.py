@@ -61,10 +61,6 @@ from .scalar import ScalarInterpreter
 from .shm import ShmArena, attach
 from .values import FArray
 
-#: Worker heartbeat cadence in interpreted statements.
-HEARTBEAT_STATEMENTS = 64
-
-
 @dataclass(frozen=True)
 class Shard:
     """A contiguous or strided slice of the processor space.
@@ -142,17 +138,14 @@ class PMIMDResult(MIMDResult):
     checkpoint_resumes: int = 0
 
 
-def _heartbeat_hook(slots):
-    """A statement hook that publishes liveness into shared slots."""
-    counter = [0]
+def _beat(slots):
+    """A budget-meter beat that publishes liveness into shared slots."""
 
-    def hook(stmt, env):
-        counter[0] += 1
-        if counter[0] % HEARTBEAT_STATEMENTS == 0:
-            slots[0] = time.monotonic()
-            slots[1] = float(counter[0])
+    def beat(now, steps):
+        slots[0] = now
+        slots[1] = float(steps)
 
-    return hook
+    return beat
 
 
 def _inject_slow(slots, seconds: float) -> None:
@@ -166,19 +159,19 @@ def _inject_slow(slots, seconds: float) -> None:
         time.sleep(min(0.01, deadline - now))
 
 
-def _kill_switch(hook, kill_after: int, counter: list):
-    """Wrap a statement hook to ``_exit`` after ``kill_after`` statements.
+def _kill_switch(kill_after: int, counter: list):
+    """A statement hook that ``_exit``s after ``kill_after`` statements.
 
     Implements :attr:`FaultPlan.kill_after_steps`: the worker runs —
     heartbeating, checkpointing — and then dies abruptly mid-shard,
     exactly the failure checkpointed replay is supposed to bound.
     ``counter`` is shared across the shard attempt's processors, so
     the count is statements *into the attempt*, not into one
-    processor's program.
+    processor's program.  Only a worker whose fault plan arms it runs
+    a statement hook at all.
     """
 
     def killer(stmt, env):
-        hook(stmt, env)
         counter[0] += 1
         if counter[0] >= kill_after:
             os._exit(137)
@@ -216,6 +209,7 @@ def _worker_loop(
     """
     segments = []
     base_bindings = dict(bindings or {})
+    beat = _beat(slots)
     store = (
         CheckpointStore(checkpoint_dir)
         if checkpoint_every and checkpoint_dir
@@ -262,9 +256,11 @@ def _worker_loop(
                         proc_bindings = replicate_bindings(base_bindings)
                     proc_bindings.setdefault("myproc", proc)
                     proc_bindings.setdefault("nproc", nproc)
-                    hook = _heartbeat_hook(slots)
-                    if kill_after is not None:
-                        hook = _kill_switch(hook, kill_after, kill_counter)
+                    hook = (
+                        None
+                        if kill_after is None
+                        else _kill_switch(kill_after, kill_counter)
+                    )
                     key = f"proc-{proc}"
                     resume = None
                     sink = None
@@ -278,6 +274,7 @@ def _worker_loop(
                         externals,
                         statement_hook=hook,
                         budget=budget,
+                        beat=beat,
                         fault_plan=plan_for_run,
                         checkpoint_every=(
                             checkpoint_every if store is not None else None
@@ -508,6 +505,9 @@ class PMIMDExecutor:
                 retryable=True,
             )
         ctx = multiprocessing.get_context("fork")
+        # Each worker is forked afresh: generating the program's code
+        # here hands every worker the compiled sources with the fork.
+        ScalarInterpreter(self.source, self.externals).precompile()
         shards = plan_shards(self.nproc, self.shards, self.shard_layout)
         nworkers = max(1, min(self.workers, len(shards)))
         arena = ShmArena()

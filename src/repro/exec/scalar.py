@@ -9,23 +9,26 @@ The interpreter is dynamically typed (ints, floats, bools,
 :class:`~repro.exec.values.FArray`); whole-array assignments and array
 sections are supported Fortran-90 style.
 
-Execution is by *closure compilation*: the first time a statement list
-runs, it is lowered once into nested Python closures, one per node,
-each specialised at compile time by node type, operator, assignment
-target and subscript rank.  Running a statement is then a call to its
-closure — nothing re-dispatches on AST node types per statement.  The
-hot leaves take host-scalar fast paths (rank-1/rank-2 element loads
-and rank-1 element stores with Python-int subscripts, ``+ - *`` on two
-host ints or two host floats); every other case falls back to the
-generic helpers, so results, counter events and fault texts are the
-same either way.  Compiled closures are cached per interpreter, keyed
-by the AST node (or statement list) they came from.
+Execution is compiled: the first time a statement list runs, it is
+lowered once into a closure per statement, chosen by statement type,
+and nothing re-dispatches on AST node types per statement.  Each
+assignment (its value and its target store), and each other
+expression a statement evaluates, becomes one *generated* Python
+function (:class:`_Emitter`), in the manner of the VM's block closures
+(:mod:`repro.vm.fuse`): every node leaves its value in a local, and
+names, constants and source locations are closure variables, so
+same-shape statements share one code object.  The hot leaves take
+host-scalar fast paths (rank-1/rank-2 element loads and rank-1 element
+stores with Python-int subscripts, ``+ - *`` on two host ints or two
+host floats); every other case calls the generic helpers, so results,
+counter events and fault texts are the same either way.  Compiled
+code is cached per interpreter, keyed by the AST node (or statement
+list) it came from.
 """
 
 from __future__ import annotations
 
 import copy
-import operator
 from collections import deque
 
 import numpy as np
@@ -57,7 +60,7 @@ from .values import FArray, as_bool_scalar, as_int_scalar, check_bounds
 
 #: Arithmetic with a host-scalar fast path: on two Python ints the
 #: result is an ``int_op``, on two Python floats a ``real_op``.
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ARITH = frozenset({"+", "-", "*"})
 
 
 def _scalarize(value):
@@ -83,33 +86,43 @@ def _read(array: FArray, subs: list):
     return _scalarize(result)
 
 
-def _load(expr: ast.ArrayRef, array, subs: list, env: dict):
-    """Load ``expr`` from ``array`` at compiled subscripts ``subs``
-    (the generic path)."""
+def _load(expr: ast.ArrayRef, array, subs: list):
+    """Load ``expr`` from ``array`` (an ``FArray`` or a bound ndarray)
+    at evaluated subscripts (the generic path)."""
     if isinstance(array, FArray):
-        return _read(array, [sub(env) for sub in subs])
-    if isinstance(array, np.ndarray):
-        values = [sub(env) for sub in subs]
-        if len(values) != array.ndim:
-            raise InterpreterError(
-                f"'{expr.name}' subscript rank mismatch", expr.loc
-            )
-        # An undeclared binding has no FArray to check it, so check
-        # here: numpy would wrap 0 and negatives to the far end.
-        try:
-            for dim, s in enumerate(values):
-                if not isinstance(s, slice):
-                    check_bounds(expr.name, array.shape[dim], dim, s)
-        except OutOfBoundsFault as fault:
-            raise locate(fault, expr.loc)
-        index = tuple(
-            s if isinstance(s, slice) else np.asarray(s) - 1 for s in values
-        )
-        result = array[index]
-        if isinstance(result, np.ndarray) and result.ndim == 0:
-            return result.item()
-        return result
-    raise InterpreterError(f"'{expr.name}' is not an array", expr.loc)
+        return _read(array, subs)
+    if len(subs) != array.ndim:
+        raise InterpreterError(f"'{expr.name}' subscript rank mismatch", expr.loc)
+    # An undeclared binding has no FArray to check it, so check
+    # here: numpy would wrap 0 and negatives to the far end.
+    try:
+        for dim, s in enumerate(subs):
+            if not isinstance(s, slice):
+                check_bounds(expr.name, array.shape[dim], dim, s)
+    except OutOfBoundsFault as fault:
+        raise locate(fault, expr.loc)
+    index = tuple(s if isinstance(s, slice) else np.asarray(s) - 1 for s in subs)
+    result = array[index]
+    if isinstance(result, np.ndarray) and result.ndim == 0:
+        return result.item()
+    return result
+
+
+def _not_an_array(expr: ast.ArrayRef) -> InterpreterError:
+    return InterpreterError(f"'{expr.name}' is not an array", expr.loc)
+
+
+def _binop(op: str, left, right, record):
+    """A binary operation off the host-scalar paths."""
+    result = apply_binop(op, left, right)
+    record(op_event_kind(op, result))
+    return _scalarize(result)
+
+
+def _unop(op: str, operand, record):
+    result = apply_unop(op, operand)
+    record(op_event_kind(op, result))
+    return _scalarize(result)
 
 
 def _nothing(env) -> None:
@@ -126,7 +139,7 @@ def _raising(error_type, *args):
 
 
 class ScalarInterpreter:
-    """Sequential interpreter over closure-compiled MiniF.
+    """Sequential interpreter over compiled MiniF.
 
     Args:
         source: Parsed program (may contain subroutines).
@@ -146,6 +159,9 @@ class ScalarInterpreter:
             into MiniF code is on the stack — the interval may stretch
             by one call's duration.  ``None`` disables capture.
         checkpoint_sink: Callable receiving each captured checkpoint.
+        beat: Optional callable ``beat(now, steps)`` the budget meter
+            calls at its polls (:meth:`~repro.reliability.Budget.meter`):
+            a pmimd worker's liveness, published with no statement hook.
     """
 
     def __init__(
@@ -158,6 +174,7 @@ class ScalarInterpreter:
         fault_plan=None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
+        beat=None,
     ):
         if checkpoint_every is not None and checkpoint_every < 1:
             raise InterpreterError(
@@ -171,8 +188,9 @@ class ScalarInterpreter:
         self.fault_plan = fault_plan
         self.checkpoint_every = checkpoint_every
         self.checkpoint_sink = checkpoint_sink
+        self.beat = beat
         self.executed_statements = 0
-        self._meter = self.budget.meter()
+        self._meter = self.budget.meter(beat)
         # The ring holds the executed statements themselves (pcs are
         # counted back from ``executed_statements``) or, once restored
         # from a checkpoint, ``{"pc", "op", "line"}`` dicts.
@@ -249,7 +267,7 @@ class ScalarInterpreter:
         )
         env: dict = dict(bindings or {})
         self._env = env
-        self._meter = self.budget.meter()
+        self._meter = self.budget.meter(self.beat)
         if self.fault_plan is not None:
             try:
                 self.fault_plan.check_backend("scalar")
@@ -405,6 +423,17 @@ class ScalarInterpreter:
 
     # -- compiled-closure caches -------------------------------------------------
 
+    def precompile(self) -> None:
+        """Compile every statement list of every routine now, generating
+        its code into the shared source cache, so that processes forked
+        afterwards (pmimd workers) start with that cache warm."""
+        stack = [unit.body for unit in self.source.units]
+        while stack:
+            body = stack.pop()
+            self._body(body)
+            for stmt in body:
+                stack.extend(ast.sub_bodies(stmt))
+
     def exec_body(self, body: list[ast.Stmt], env: dict) -> None:
         """Execute a statement list, honoring GOTO to labels it contains."""
         self._body(body)(env)
@@ -415,7 +444,9 @@ class ScalarInterpreter:
 
     def assign_to(self, target: ast.Expr, value, env: dict) -> None:
         """Store ``value`` into a Var or ArrayRef target."""
-        self._store(target)(value, env)
+        entry = self._stores.get(id(target))
+        store = self._store(target) if entry is None else entry[1]
+        store(value, env)
 
     def _body(self, body: list):
         entry = self._bodies.get(id(body))
@@ -426,14 +457,24 @@ class ScalarInterpreter:
     def _expr(self, expr: ast.Expr):
         entry = self._exprs.get(id(expr))
         if entry is None:
-            entry = self._exprs[id(expr)] = (expr, self._compile_expr(expr))
+            function = self._generate("env", lambda out: out.value(expr))
+            entry = self._exprs[id(expr)] = (expr, function)
         return entry[1]
 
     def _store(self, target: ast.Expr):
         entry = self._stores.get(id(target))
         if entry is None:
-            entry = self._stores[id(target)] = (target, self._compile_store(target))
+            function = self._generate(
+                "value, env", lambda out: out.store(target, "value")
+            )
+            entry = self._stores[id(target)] = (target, function)
         return entry[1]
+
+    def _generate(self, params: str, emit):
+        """The generated function ``run(<params>)`` whose body ``emit``
+        writes (:func:`_make_function`), recording into this interpreter's
+        counters."""
+        return _make_function(params, emit, self.counters)
 
     # -- statements --------------------------------------------------------------
 
@@ -529,13 +570,9 @@ class ScalarInterpreter:
         return compiler(self, stmt)
 
     def _compile_assign(self, stmt: ast.Assign):
-        value = self._expr(stmt.value)
-        store = self._store(stmt.target)
-
-        def assign(env):
-            store(value(env), env)
-
-        return assign
+        return self._generate(
+            "env", lambda out: out.store(stmt.target, out.value(stmt.value))
+        )
 
     def _compile_do(self, stmt: ast.Do):
         lo = self._expr(stmt.lo)
@@ -604,6 +641,7 @@ class ScalarInterpreter:
         env[var] = value
 
     def _compile_while(self, stmt):
+        self._expr(stmt.cond)  # generated with the statement, for precompile
         return lambda env: self._run_while(stmt, env, fresh=True)
 
     def _run_while(self, stmt, env: dict, fresh: bool) -> None:
@@ -695,6 +733,8 @@ class ScalarInterpreter:
     def _compile_forall(self, stmt: ast.Forall):
         lo = self._expr(stmt.lo)
         hi = self._expr(stmt.hi)
+        if stmt.mask is not None:
+            self._expr(stmt.mask)  # generated with the statement, for precompile
 
         def forall(env):
             first = as_int_scalar(lo(env), "FORALL lower bound")
@@ -749,17 +789,22 @@ class ScalarInterpreter:
             return lambda env: self._call_routine(stmt, env)
         name = stmt.name
         arg_exprs = stmt.args
-        args = []
-        for arg in arg_exprs:
-            if isinstance(arg, ast.Var):
-                # Output arguments may be unset before the call — pass None.
-                args.append(lambda env, _name=arg.name: env.get(_name))
-            else:
-                args.append(self._expr(arg))
+
+        def emit(out):
+            # Output arguments may be unset before the call — pass None.
+            items = [
+                f"env.get({out.const(arg.name)})"
+                if isinstance(arg, ast.Var)
+                else out.value(arg)
+                for arg in arg_exprs
+            ]
+            return f"[{', '.join(items)}]"
+
+        arguments = self._generate("env", emit)
         counters = self.counters
 
         def call(env):
-            values = [arg(env) for arg in args]
+            values = arguments(env)
             counters.record_call(name)
             self._call_depth += 1
             try:
@@ -830,241 +875,6 @@ class ScalarInterpreter:
         for name, value in zip(stmt.names, stmt.values):
             env[name] = self.eval(value, env)
 
-    # -- assignment ----------------------------------------------------------------
-
-    def _compile_store(self, target: ast.Expr):
-        """The closure ``store(value, env)`` assigning to ``target``."""
-        record = self.counters.record_scalar
-        if isinstance(target, ast.Var):
-            name = target.name
-
-            def store_var(value, env):
-                record("store")
-                existing = env.get(name)
-                if isinstance(existing, FArray):
-                    existing.data[...] = coerce(value)
-                elif type(value) is float or type(value) is int:
-                    env[name] = value
-                else:
-                    env[name] = _scalarize(value)
-
-            return store_var
-        if not isinstance(target, ast.ArrayRef):
-
-            def store_invalid(value, env):
-                record("store")
-                raise InterpreterError("invalid assignment target", target.loc)
-
-            return store_invalid
-        name = target.name
-        subs = [self._subscript(s) for s in target.subs]
-
-        def not_an_array():
-            return InterpreterError(f"'{name}' is not an array", target.loc)
-
-        # Rank-1 element stores get a host-int fast path.
-        if len(subs) == 1 and not isinstance(target.subs[0], ast.Slice):
-            sub = subs[0]
-
-            def store_1(value, env):
-                record("store")
-                array = env.get(name)
-                if not isinstance(array, FArray):
-                    raise not_an_array()
-                i = sub(env)
-                shape = array.shape
-                if type(i) is int and len(shape) == 1 and 0 < i <= shape[0]:
-                    array.data[i - 1] = coerce(value)
-                else:
-                    array.data[array.np_index([i])] = coerce(value)
-
-            return store_1
-
-        def store_elements(value, env):
-            record("store")
-            array = env.get(name)
-            if not isinstance(array, FArray):
-                raise not_an_array()
-            index = array.np_index([sub(env) for sub in subs])
-            array.data[index] = coerce(value)
-
-        return store_elements
-
-    # -- expressions -----------------------------------------------------------------
-
-    def _compile_expr(self, expr: ast.Expr):
-        """The closure ``value(env)`` evaluating ``expr``."""
-        for kind in type(expr).__mro__:
-            compiler = _EXPR_COMPILERS.get(kind)
-            if compiler is not None:
-                return compiler(self, expr)
-        return _raising(
-            InterpreterError, f"cannot evaluate {type(expr).__name__} here", expr.loc
-        )
-
-    def _compile_var(self, expr: ast.Var):
-        name = expr.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise InterpreterError(
-                    f"'{name}' used before assignment", expr.loc
-                ) from None
-
-        return var
-
-    def _compile_literal(self, expr):
-        value = expr.value
-        return lambda env: value
-
-    def _subscript(self, sub: ast.Expr):
-        """The closure evaluating one subscript as ``np_index`` takes it."""
-        if isinstance(sub, ast.Slice):
-            lo = self._expr(sub.lo) if sub.lo is not None else None
-            hi = self._expr(sub.hi) if sub.hi is not None else None
-
-            def section(env):
-                first = (
-                    as_int_scalar(lo(env), "section lower bound")
-                    if lo is not None
-                    else 1
-                )
-                last = (
-                    as_int_scalar(hi(env), "section upper bound")
-                    if hi is not None
-                    else None
-                )
-                return slice(first - 1, last)
-
-            return section
-        value = self._expr(sub)
-
-        def subscript(env):
-            result = value(env)
-            if type(result) is int:
-                return result
-            return _subscript_value(result)
-
-        return subscript
-
-    def _compile_arrayref(self, expr: ast.ArrayRef):
-        name = expr.name
-        subs = [self._subscript(s) for s in expr.subs]
-        # Element loads of rank 1 and 2 get a host-int fast path.
-        rank = 0 if any(isinstance(s, ast.Slice) for s in expr.subs) else len(subs)
-        if rank == 1:
-            sub = subs[0]
-
-            def load_1(env):
-                array = env.get(name)
-                if type(array) is not FArray:
-                    return _load(expr, array, subs, env)
-                i = sub(env)
-                shape = array.shape
-                if type(i) is int and len(shape) == 1 and 0 < i <= shape[0]:
-                    return array.data.item(i - 1)
-                return _read(array, [i])
-
-            return load_1
-        if rank == 2:
-            sub0, sub1 = subs
-
-            def load_2(env):
-                array = env.get(name)
-                if type(array) is not FArray:
-                    return _load(expr, array, subs, env)
-                i = sub0(env)
-                j = sub1(env)
-                shape = array.shape
-                if (
-                    type(i) is int
-                    and type(j) is int
-                    and len(shape) == 2
-                    and 0 < i <= shape[0]
-                    and 0 < j <= shape[1]
-                ):
-                    return array.data.item(i - 1, j - 1)
-                return _read(array, [i, j])
-
-            return load_2
-        return lambda env: _load(expr, env.get(name), subs, env)
-
-    def _compile_binop(self, expr: ast.BinOp):
-        op = expr.op
-        left = self._expr(expr.left)
-        right = self._expr(expr.right)
-        record = self.counters.record_scalar
-
-        def generic(a, b):
-            result = apply_binop(op, a, b)
-            record(op_event_kind(op, result))
-            return _scalarize(result)
-
-        if op in _ARITH:
-            fn = _ARITH[op]
-
-            def arith(env):
-                a = left(env)
-                b = right(env)
-                kind = type(a)
-                if kind is type(b):
-                    if kind is float:
-                        result = fn(a, b)
-                        record("real_op")
-                        return result
-                    if kind is int:
-                        result = fn(a, b)
-                        record("int_op")
-                        return result
-                return generic(a, b)
-
-            return arith
-        return lambda env: generic(left(env), right(env))
-
-    def _compile_unop(self, expr: ast.UnOp):
-        op = expr.op
-        operand = self._expr(expr.operand)
-        record = self.counters.record_scalar
-
-        def unop(env):
-            result = apply_unop(op, operand(env))
-            record(op_event_kind(op, result))
-            return _scalarize(result)
-
-        return unop
-
-    def _compile_call(self, expr: ast.Call):
-        name = expr.name
-        args = [self._expr(arg) for arg in expr.args]
-        # The same event kind the lockstep backends record.
-        kind = "reduce" if is_reduction_call(name, len(args)) else "real_op"
-        record = self.counters.record_scalar
-
-        def call(env):
-            values = [arg(env) for arg in args]
-            record(kind)
-            return call_intrinsic(name, values)
-
-        return call
-
-    def _compile_vectorlit(self, expr: ast.VectorLit):
-        items = [self._expr(item) for item in expr.items]
-        return lambda env: np.array([item(env) for item in items])
-
-    def _compile_rangevec(self, expr: ast.RangeVec):
-        lo = self._expr(expr.lo)
-        hi = self._expr(expr.hi)
-
-        def rangevec(env):
-            first = as_int_scalar(lo(env), "range lower bound")
-            last = as_int_scalar(hi(env), "range upper bound")
-            return np.arange(first, last + 1, dtype=np.int64)
-
-        return rangevec
-
-
 def _call_helper(helper):
     """Compile a rare statement kind to a closure calling its helper."""
     return lambda interp, stmt: lambda env: helper(interp, stmt, env)
@@ -1097,17 +907,267 @@ _STMT_COMPILERS = {
     ast.Stop: _const_action(_raising(StopSignal)),
 }
 
-#: Expression compiler per expression class (matched along the MRO).
-_EXPR_COMPILERS = {
-    ast.Var: ScalarInterpreter._compile_var,
-    ast.IntLit: ScalarInterpreter._compile_literal,
-    ast.RealLit: ScalarInterpreter._compile_literal,
-    ast.BoolLit: ScalarInterpreter._compile_literal,
-    ast.StringLit: ScalarInterpreter._compile_literal,
-    ast.ArrayRef: ScalarInterpreter._compile_arrayref,
-    ast.Call: ScalarInterpreter._compile_call,
-    ast.BinOp: ScalarInterpreter._compile_binop,
-    ast.UnOp: ScalarInterpreter._compile_unop,
-    ast.VectorLit: ScalarInterpreter._compile_vectorlit,
-    ast.RangeVec: ScalarInterpreter._compile_rangevec,
+
+# -- generated code for expressions and assignments ---------------------------
+
+
+class _Emitter:
+    """Source text of one generated function.
+
+    Each expression node becomes a few statements that leave its value
+    in a fresh local, in the order the tree evaluates.  Names,
+    constants, error messages and source locations are closure
+    variables (``c0, c1, ...``), so the source depends only on the
+    shape of the tree and same-shape statements share one code object.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: list = []
+        self.fresh = 0
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def temp(self) -> str:
+        self.fresh += 1
+        return f"t{self.fresh}"
+
+    def line(self, text: str) -> None:
+        self.lines.append("        " + text)
+
+    def record(self, kind: str, indent: str = "") -> None:
+        """Emit ``record_scalar(kind)``, with its dict adds inline once
+        the kind has been seen."""
+        self.line(f"{indent}if {kind!r} in events:")
+        for tally in _SCALAR_TALLIES:
+            self.line(f"{indent}    {tally}[{kind!r}] += 1")
+        self.line(f"{indent}else:")
+        self.line(f"{indent}    record({kind!r})")
+
+    def fail(self, message: str, loc) -> None:
+        self.line(f"raise InterpreterError({self.const(message)}, {self.const(loc)})")
+
+    def value(self, expr: ast.Expr) -> str:
+        """Emit ``expr``; the local or closure variable holding its value."""
+        for kind in type(expr).__mro__:
+            emit = _EMIT.get(kind)
+            if emit is not None:
+                return emit(self, expr)
+        self.fail(f"cannot evaluate {type(expr).__name__} here", expr.loc)
+        return "None"
+
+    def var(self, expr: ast.Var) -> str:
+        value = self.temp()
+        message = self.const(f"'{expr.name}' used before assignment")
+        self.line("try:")
+        self.line(f"    {value} = env[{self.const(expr.name)}]")
+        self.line("except KeyError:")
+        self.line(f"    raise InterpreterError({message}, {self.const(expr.loc)}) from None")
+        return value
+
+    def literal(self, expr) -> str:
+        return self.const(expr.value)
+
+    def binop(self, expr: ast.BinOp) -> str:
+        left = self.value(expr.left)
+        right = self.value(expr.right)
+        result = self.temp()
+        generic = f"{result} = binop({self.const(expr.op)}, {left}, {right}, record)"
+        if expr.op not in _ARITH:
+            self.line(generic)
+            return result
+        for test, kind, event in (("if", "float", "real_op"), ("elif", "int", "int_op")):
+            self.line(f"{test} type({left}) is {kind} and type({right}) is {kind}:")
+            self.line(f"    {result} = {left} {expr.op} {right}")
+            self.record(event, "    ")
+        self.line("else:")
+        self.line("    " + generic)
+        return result
+
+    def unop(self, expr: ast.UnOp) -> str:
+        operand = self.value(expr.operand)
+        result = self.temp()
+        self.line(f"{result} = unop({self.const(expr.op)}, {operand}, record)")
+        return result
+
+    def call(self, expr: ast.Call) -> str:
+        args = [self.value(arg) for arg in expr.args]
+        # The same event kind the lockstep backends record.
+        kind = "reduce" if is_reduction_call(expr.name, len(args)) else "real_op"
+        result = self.temp()
+        self.record(kind)
+        self.line(f"{result} = call_intrinsic({self.const(expr.name)}, [{', '.join(args)}])")
+        return result
+
+    def vectorlit(self, expr: ast.VectorLit) -> str:
+        items = [self.value(item) for item in expr.items]
+        result = self.temp()
+        self.line(f"{result} = np.array([{', '.join(items)}])")
+        return result
+
+    def rangevec(self, expr: ast.RangeVec) -> str:
+        first = self.integer(expr.lo, "range lower bound")
+        last = self.integer(expr.hi, "range upper bound")
+        result = self.temp()
+        self.line(f"{result} = np.arange({first}, {last} + 1, dtype=np.int64)")
+        return result
+
+    def integer(self, expr: ast.Expr, what: str) -> str:
+        value = self.value(expr)
+        result = self.temp()
+        self.line(f"{result} = as_int_scalar({value}, {what!r})")
+        return result
+
+    def subscripts(self, subs: list) -> list[str]:
+        """Emit each subscript as ``np_index`` takes it, in order."""
+        names = []
+        for sub in subs:
+            if isinstance(sub, ast.Slice):
+                first = "1" if sub.lo is None else self.integer(sub.lo, "section lower bound")
+                last = "None" if sub.hi is None else self.integer(sub.hi, "section upper bound")
+                name = self.temp()
+                self.line(f"{name} = slice({first} - 1, {last})")
+            else:
+                value = self.value(sub)
+                name = self.temp()
+                self.line(f"{name} = {value} if type({value}) is int else subscript({value})")
+            names.append(name)
+        return names
+
+    def element(self, array: str, subs: list[str], rank: int) -> tuple[str, str]:
+        """The host-int element test of ``array`` at ``subs``, and the
+        element's index arguments (each subscript minus one)."""
+        shape = self.temp()
+        tests = [f"type({s}) is int" for s in subs]
+        tests.append(f"len({shape} := {array}.shape) == {rank}")
+        tests += [f"0 < {s} <= {shape}[{dim}]" for dim, s in enumerate(subs)]
+        return " and ".join(tests), ", ".join(f"{s} - 1" for s in subs)
+
+    def arrayref(self, expr: ast.ArrayRef) -> str:
+        node = self.const(expr)
+        array = self.temp()
+        self.line(f"{array} = env.get({self.const(expr.name)})")
+        self.line(f"if type({array}) is not FArray and not isinstance({array}, ARRAYS):")
+        self.line(f"    raise not_an_array({node})")
+        subs = self.subscripts(expr.subs)
+        result = self.temp()
+        generic = f"{result} = load({node}, {array}, [{', '.join(subs)}])"
+        # Element loads of rank 1 and 2 get a host-int fast path.
+        rank = 0 if any(isinstance(s, ast.Slice) for s in expr.subs) else len(subs)
+        if rank not in (1, 2):
+            self.line(generic)
+            return result
+        test, index = self.element(array, subs, rank)
+        self.line(f"if type({array}) is FArray and {test}:")
+        self.line(f"    {result} = {array}.data.item({index})")
+        self.line("else:")
+        self.line("    " + generic)
+        return result
+
+    def store(self, target: ast.Expr, value: str) -> None:
+        """Emit the store of ``value`` into ``target``."""
+        self.record("store")
+        if isinstance(target, ast.Var):
+            name = self.const(target.name)
+            existing = self.temp()
+            self.line(f"{existing} = env.get({name})")
+            self.line(f"if isinstance({existing}, FArray):")
+            self.line(f"    {existing}.data[...] = coerce({value})")
+            self.line(f"elif type({value}) is float or type({value}) is int:")
+            self.line(f"    env[{name}] = {value}")
+            self.line("else:")
+            self.line(f"    env[{name}] = scalarize({value})")
+            return
+        if not isinstance(target, ast.ArrayRef):
+            self.fail("invalid assignment target", target.loc)
+            return
+        array = self.temp()
+        self.line(f"{array} = env.get({self.const(target.name)})")
+        self.line(f"if not isinstance({array}, FArray):")
+        self.line(f"    raise not_an_array({self.const(target)})")
+        subs = self.subscripts(target.subs)
+        generic = f"{array}.data[{array}.np_index([{', '.join(subs)}])] = coerce({value})"
+        # Rank-1 element stores get a host-int fast path.
+        if len(subs) != 1 or isinstance(target.subs[0], ast.Slice):
+            self.line(generic)
+            return
+        test, index = self.element(array, subs, 1)
+        self.line(f"if {test}:")
+        self.line(f"    {array}.data[{index}] = coerce({value})")
+        self.line("else:")
+        self.line("    " + generic)
+
+
+#: Emitter per expression class (matched along the MRO).
+_EMIT = {
+    ast.Var: _Emitter.var,
+    ast.IntLit: _Emitter.literal,
+    ast.RealLit: _Emitter.literal,
+    ast.BoolLit: _Emitter.literal,
+    ast.StringLit: _Emitter.literal,
+    ast.ArrayRef: _Emitter.arrayref,
+    ast.Call: _Emitter.call,
+    ast.BinOp: _Emitter.binop,
+    ast.UnOp: _Emitter.unop,
+    ast.VectorLit: _Emitter.vectorlit,
+    ast.RangeVec: _Emitter.rangevec,
 }
+
+#: What generated code reads as globals.
+_HELPERS = {
+    "ARRAYS": (FArray, np.ndarray),
+    "FArray": FArray,
+    "InterpreterError": InterpreterError,
+    "as_int_scalar": as_int_scalar,
+    "binop": _binop,
+    "call_intrinsic": call_intrinsic,
+    "coerce": coerce,
+    "load": _load,
+    "not_an_array": _not_an_array,
+    "np": np,
+    "scalarize": _scalarize,
+    "subscript": _subscript_value,
+    "unop": _unop,
+}
+
+#: Function factories by generated source, cleared when it fills.
+#: Names and constants are closure variables, so the source depends
+#: only on a statement's shape and programs share it.
+_FACTORIES: dict = {}
+_MAX_FACTORIES = 512
+
+
+#: The tallies a width-1 event adds one to (``record_scalar``).
+_SCALAR_TALLIES = ("events", "layer_steps", "element_ops", "active_elements")
+
+
+def _make_function(params: str, emit, counters: ExecutionCounters):
+    """Generate ``run(<params>)``: ``emit(out)`` writes its body into an
+    :class:`_Emitter` and returns the expression it returns, or None.
+    The function records its events into ``counters``."""
+    out = _Emitter()
+    result = emit(out)
+    if result is not None:
+        out.line(f"return {result}")
+    consts = "".join(f"c{i}, " for i in range(len(out.consts)))
+    source = "\n".join(
+        [
+            "def bind(record, tallies, consts):",
+            f"    ({', '.join(_SCALAR_TALLIES)}) = tallies",
+            f"    ({consts}) = consts",
+            f"    def run({params}):",
+            *(out.lines or ["        pass"]),
+            "    return run",
+        ]
+    )
+    factory = _FACTORIES.get(source)
+    if factory is None:
+        if len(_FACTORIES) >= _MAX_FACTORIES:
+            _FACTORIES.clear()
+        namespace = dict(_HELPERS)
+        exec(compile(source, "<minif>", "exec"), namespace)
+        factory = _FACTORIES[source] = namespace["bind"]
+    tallies = tuple(getattr(counters, name) for name in _SCALAR_TALLIES)
+    return factory(counters.record_scalar, tallies, tuple(out.consts))

@@ -25,7 +25,7 @@ The cross-cutting robustness layer of the runtime:
   generation fallback) that resume-from-checkpoint recovery reads.
 """
 
-from .budget import DEFAULT_MAX_STEPS, Budget, BudgetMeter
+from .budget import BEAT_TICKS, DEFAULT_MAX_STEPS, Budget, BudgetMeter
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -65,6 +65,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "DEFAULT_MAX_STEPS",
+    "BEAT_TICKS",
     "DivergenceFault",
     "FallbackPolicy",
     "FaultPlan",

@@ -8,8 +8,9 @@ see), or straggle (CPU contention, page-cache cold starts).  The
 :class:`WorkerSupervisor` owns all three:
 
 * **Heartbeats.**  Every worker publishes ``(beat time, steps)`` into
-  a shared slot on each task receipt and every few dozen interpreted
-  statements.  A flight whose heartbeat goes silent for
+  a shared slot on each task receipt and at its budget meter's polls
+  (at most :data:`~repro.reliability.budget.BEAT_TICKS` interpreted
+  statements apart).  A flight whose heartbeat goes silent for
   :attr:`SupervisionPolicy.wedge_timeout` seconds is *wedged*: the
   worker is killed and its shard replayed elsewhere.  A worker whose
   process is simply gone is *dead*: same recovery, different
@@ -184,7 +185,9 @@ class SupervisionPolicy:
 
     Attributes:
         heartbeat_interval: How often workers should publish a beat
-            (advisory; workers also beat every ~64 statements).
+            (advisory; a pmimd worker beats on task receipt and from its
+            budget meter's poll, every ``min(Budget.check_every,
+            BEAT_TICKS)`` statements — 256 by default).
         wedge_timeout: Heartbeat silence after which a running flight
             counts as wedged and its worker is killed.
         shard_deadline_seconds: Hard wall ceiling per shard attempt

@@ -17,12 +17,10 @@ statement lists:
   charged in one batched update after it retires
   (:meth:`~repro.exec.counters.ExecutionCounters.record_block`).
 
-Why generated source rather than composed closures: the scalar
-interpreter composes one closure per AST node, each returning its value
-to its parent.  A block is a slice of stack code, not a tree — it pops
-values pushed before it, leaves values for the instructions after it,
-and a value may be pushed ahead of a statement that runs before the
-value's consumer.  Composing closures over it takes one step closure
+Why generated source rather than composed closures: a block is a
+slice of stack code, not a tree — it pops values pushed before it,
+leaves values for the instructions after it, and a value may be pushed
+ahead of a statement that runs before the value's consumer.  Composing closures over it takes one step closure
 per instruction around the shared list stack, and that costs a call
 and list traffic per instruction: such a lowering (same helpers, same
 accounting) ran table1-simd 2.9 % slower over 10 alternating pairs

@@ -207,3 +207,14 @@ class TestConfigPlumbing:
         shard = Shard(0, (1, 2))
         with pytest.raises(Exception):
             shard.index = 1
+
+
+def test_the_parent_generates_the_code_workers_inherit(tree, monkeypatch):
+    """Workers are forked per run; the parent fills the generated-code
+    cache first, so no worker compiles the program's sources itself."""
+    from repro.exec import scalar
+
+    monkeypatch.setattr(scalar, "_FACTORIES", {})
+    result = PMIMDExecutor(tree, 2, workers=1).run(bindings_for=lambda p: {"n": 8})
+    assert [env["s"] for env in result.envs] == [32.0, 40.0]
+    assert scalar._FACTORIES

@@ -108,6 +108,18 @@ class TestBudget:
         assert np.array_equal(result.env["w"], EXPECTED_W)
         assert result.statements <= 1_000
 
+    @pytest.mark.parametrize("every", [0, -3, True, False, 2.0, "8", None])
+    def test_check_every_must_be_a_positive_int(self, every):
+        with pytest.raises(ValueError, match="check_every"):
+            Budget(check_every=every)
+
+    @pytest.mark.parametrize("backend,nproc", [("scalar", 0), ("mimd", 2)])
+    def test_deadline_polls_every_check_every_ticks(self, engine, backend, nproc):
+        """An already-passed deadline trips at the first poll."""
+        budget = Budget(max_steps=None, deadline_seconds=0.0, check_every=7)
+        with pytest.raises(BudgetExceeded, match="after 7 steps"):
+            engine.run(SPIN_PROGRAM, nproc=nproc, backend=backend, budget=budget)
+
 
 class TestFaultPlan:
     def test_forced_backend_failure_is_deterministic(self, engine):
