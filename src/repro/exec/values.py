@@ -209,6 +209,8 @@ def as_int_scalar(value, what: str = "value") -> int:
         return int(value)
     if isinstance(value, float) and not float(value).is_integer():
         raise InterpreterError(f"{what} is not an integer: {value}")
+    if isinstance(value, FArray):
+        raise InterpreterError(f"{what} is the whole array '{value.name}', not a scalar")
     return int(value)
 
 

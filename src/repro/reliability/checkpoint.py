@@ -34,35 +34,30 @@ What is deliberately **not** checkpointed:
 Store format (``repro.checkpoint/v1``)
 --------------------------------------
 
-One file per generation, ``<root>/<key>/gen-<n>.ckpt``::
+One :mod:`~repro.reliability.records` record (atomic publish,
+digest-verified read) per generation, ``<root>/<key>/gen-<n>.ckpt``,
+whose header carries::
 
     {"format": "repro.checkpoint/v1", "key": ..., "generation": n,
-     "step": ..., "backend": ..., "sha256": ..., "payload_bytes": ...}\n
-    <pickled Checkpoint payload>
+     "step": ..., "backend": ..., "sha256": ..., "payload_bytes": ...}
 
-Writes are crash-safe: payload and header are written to a temporary
-name in the same directory, fsynced, then published with
-``os.replace`` — a reader never observes a half-written generation.
-Reads verify the header's ``payload_bytes`` and sha256 digest *before*
-unpickling, so truncated or bit-flipped files are detected (and never
-reach the unpickler); :meth:`CheckpointStore.load_latest` walks the
-generation ladder newest-first, skipping corrupt files, and returns
-``None`` when no generation survives — the caller's cue for a clean
-rerun from step 0.
+and whose payload is the :class:`Checkpoint`.  The newest ``keep``
+generations survive each save.  :meth:`CheckpointStore.load_latest`
+walks the generation ladder newest-first, skipping corrupt files, and
+returns ``None`` when no generation survives — the caller's cue for a
+clean rerun from step 0.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
-import hashlib
-import json
 import os
-import pickle
 import re
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any
+
+from .records import read_record, write_record
 
 #: On-disk format tag; bump on incompatible layout changes.
 FORMAT = "repro.checkpoint/v1"
@@ -173,40 +168,25 @@ class CheckpointStore:
     def save(self, key: str, checkpoint: Checkpoint) -> str:
         """Atomically persist a new generation for ``key``; returns its path."""
         directory = _key_dir(self.root, key)
-        os.makedirs(directory, exist_ok=True)
         generation = self.latest_generation(key) + 1
-        payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": FORMAT,
-            "key": str(key),
-            "generation": generation,
-            "step": int(checkpoint.step),
-            "backend": checkpoint.backend,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_bytes": len(payload),
-        }
-        blob = json.dumps(header).encode() + b"\n" + payload
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=f".tmp-gen-{generation}-", dir=directory
+        final = write_record(
+            os.path.join(directory, f"gen-{generation}.ckpt"),
+            {
+                "format": FORMAT,
+                "key": str(key),
+                "generation": generation,
+                "step": int(checkpoint.step),
+                "backend": checkpoint.backend,
+            },
+            checkpoint,
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            final = os.path.join(directory, f"gen-{generation}.ckpt")
-            os.replace(tmp_path, final)
-        except BaseException:
-            with _suppress():
-                os.unlink(tmp_path)
-            raise
         self._prune(directory)
         return final
 
     def _prune(self, directory: str) -> None:
         generations = self._generations(directory)
         for gen, name in generations[: -self.keep]:
-            with _suppress():
+            with contextlib.suppress(OSError):
                 os.unlink(os.path.join(directory, name))
 
     # -- reading ---------------------------------------------------------------
@@ -222,55 +202,14 @@ class CheckpointStore:
         for gen, name in reversed(self._generations(directory)):
             try:
                 return self.load_file(os.path.join(directory, name))
-            except CheckpointError:
+            except (CheckpointError, FileNotFoundError):  # corrupt or pruned
                 continue
         return None
 
     def load_file(self, path: str) -> Checkpoint:
-        """Validate and load one store file; raises :class:`CheckpointError`.
-
-        The header's byte length and sha256 digest are verified before
-        the payload reaches the unpickler, so hostile bit-flips are
-        rejected as corruption, not executed as pickles.
-        """
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError as exc:
-            raise CheckpointError(f"{path}: unreadable: {exc}") from exc
-        newline = blob.find(b"\n")
-        if newline < 0:
-            raise CheckpointError(f"{path}: truncated header")
-        try:
-            header = json.loads(blob[:newline].decode())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT:
-            raise CheckpointError(
-                f"{path}: not a {FORMAT} file "
-                f"(format={header.get('format') if isinstance(header, dict) else None!r})"
-            )
-        payload = blob[newline + 1:]
-        expected_bytes = header.get("payload_bytes")
-        if not isinstance(expected_bytes, int) or len(payload) != expected_bytes:
-            raise CheckpointError(
-                f"{path}: truncated payload "
-                f"({len(payload)} bytes, header says {expected_bytes})"
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("sha256"):
-            raise CheckpointError(
-                f"{path}: digest mismatch (content corrupted)"
-            )
-        try:
-            checkpoint = pickle.loads(payload)
-        except Exception as exc:  # digest-valid yet unloadable payload
-            raise CheckpointError(f"{path}: unloadable payload: {exc}") from exc
-        if not isinstance(checkpoint, Checkpoint):
-            raise CheckpointError(
-                f"{path}: payload is {type(checkpoint).__name__}, "
-                "not a Checkpoint"
-            )
+        """Validate and load one store file; raises :class:`CheckpointError`
+        (``FileNotFoundError`` when it is missing)."""
+        _header, checkpoint = read_record(path, FORMAT, CheckpointError, Checkpoint)
         if checkpoint.version > CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: forward version {checkpoint.version} "
@@ -289,9 +228,9 @@ class CheckpointStore:
         """Drop every generation of ``key`` (idempotent)."""
         directory = _key_dir(self.root, key)
         for gen, name in self._generations(directory):
-            with _suppress():
+            with contextlib.suppress(OSError):
                 os.unlink(os.path.join(directory, name))
-        with _suppress():
+        with contextlib.suppress(OSError):
             os.rmdir(directory)
 
     def keys(self) -> list[str]:
@@ -319,10 +258,6 @@ class CheckpointStore:
                 found.append((int(match.group(1)), name))
         found.sort()
         return found
-
-
-def _suppress():
-    return contextlib.suppress(OSError)
 
 
 __all__ = [

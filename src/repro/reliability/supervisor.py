@@ -184,12 +184,11 @@ class SupervisionPolicy:
     """Knobs of the worker-pool failure model.
 
     Attributes:
-        heartbeat_interval: How often workers should publish a beat
-            (advisory; a pmimd worker beats on task receipt and from its
-            budget meter's poll, every ``min(Budget.check_every,
-            BEAT_TICKS)`` statements — 256 by default).
         wedge_timeout: Heartbeat silence after which a running flight
-            counts as wedged and its worker is killed.
+            counts as wedged and its worker is killed.  A pmimd worker
+            beats on task receipt and from its budget meter's poll,
+            every ``min(Budget.check_every, BEAT_TICKS)`` statements
+            (256 by default).
         shard_deadline_seconds: Hard wall ceiling per shard attempt
             (None = no deadline beyond the wedge timeout).
         straggler_factor: A flight running longer than this multiple
@@ -213,7 +212,6 @@ class SupervisionPolicy:
         poll_interval: Supervisor event-loop sleep when idle.
     """
 
-    heartbeat_interval: float = 0.02
     wedge_timeout: float = 5.0
     shard_deadline_seconds: float | None = None
     straggler_factor: float = 4.0

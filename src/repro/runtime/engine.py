@@ -26,7 +26,6 @@ compilers do:
 from __future__ import annotations
 
 import hashlib
-import pickle
 import threading
 import time
 from collections import Counter, OrderedDict
@@ -45,6 +44,7 @@ from ..reliability import (
     crash_dump_for,
 )
 from ..reliability.policy import canonical_backend
+from ..reliability.records import EncodeError
 from ..transform.options import OPTION_FIELDS, CompileOptions
 from .config import DEFAULT_CONFIG, BackendConfig, RunSpec
 from .result import RunResult
@@ -58,7 +58,7 @@ class EngineStats:
     transform pipeline rejected is one too; ``disk_hits`` counts
     artifacts served from the persistent
     :class:`~repro.runtime.store.ArtifactStore` tier (a disk hit skips
-    the transform pipeline but still pays one load+unpickle);
+    the transform pipeline but still pays one load and decode);
     ``misses`` counts full compiles.
     """
 
@@ -865,7 +865,7 @@ class Engine:
                 payload,
                 meta={"source_sha": sha, "transform": options.transform},
             )
-        except (OSError, pickle.PicklingError):
+        except (OSError, EncodeError):
             return
         with self._lock:
             self.stats.store_saves += 1

@@ -17,20 +17,16 @@ millions of entries::
 
     <root>/ab/cd/abcd01...ef.art
 
-Each file is a one-line JSON header followed by a pickled payload::
+Each file is a :mod:`~repro.reliability.records` record (atomic
+publish, digest-verified read) whose header carries::
 
-    {"format": "repro.artifact/v1", "digest": ..., "source_sha": ...,
-     "sha256": <payload digest>, "payload_bytes": N, ...}\n
-    <pickled payload dict>
+    {"format": "repro.artifact/v1", "digest": ..., "sha256": ...,
+     "payload_bytes": N, <meta>...}
 
-Writes reuse the :class:`~repro.reliability.checkpoint.CheckpointStore`
-hygiene: payload and header go to a temporary name *in the shard
-directory*, are fsynced, then published with ``os.replace`` — readers
-never observe a half-written artifact, and two processes publishing
-the same digest concurrently both succeed (last replace wins, the
-bytes are identical anyway).  Reads verify ``payload_bytes`` and the
-sha256 digest *before* unpickling, so truncated or bit-flipped entries
-are reported as corruption (and evicted), never executed as pickles.
+(the Engine's ``meta`` is ``source_sha`` and ``transform``) and whose
+payload is a dict.  A corrupt entry is evicted and reported as a miss;
+two processes publishing the same digest concurrently both succeed
+(last replace wins; the payloads differ only in their stage timings).
 
 Eviction is LRU by mtime: every hit touches the file's mtime, and
 :meth:`ArtifactStore.evict` (run after each save) removes
@@ -46,8 +42,8 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
-import tempfile
+
+from ..reliability.records import read_record, write_record
 
 #: On-disk format tag; bump on incompatible layout changes.
 FORMAT = "repro.artifact/v1"
@@ -74,10 +70,6 @@ def artifact_digest(source_sha: str, options) -> str:
     }
     blob = json.dumps(identity, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _suppress():
-    return contextlib.suppress(OSError)
 
 
 class ArtifactStore:
@@ -117,35 +109,13 @@ class ArtifactStore:
     # -- writing ---------------------------------------------------------------
 
     def save(self, digest: str, payload: dict, meta: dict | None = None) -> str:
-        """Atomically publish ``payload`` under ``digest``; returns its path.
-
-        Concurrent publishes of the same digest are safe: each writer
-        builds its own temporary file and the final ``os.replace`` is
-        atomic, so readers always see one complete artifact.
-        """
-        final = self.path_for(digest)
-        directory = os.path.dirname(final)
-        os.makedirs(directory, exist_ok=True)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": FORMAT,
-            "digest": str(digest),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "payload_bytes": len(blob),
-            **(meta or {}),
-        }
-        data = json.dumps(header, default=str).encode() + b"\n" + blob
-        fd, tmp_path = tempfile.mkstemp(prefix=".tmp-art-", dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, final)
-        except BaseException:
-            with _suppress():
-                os.unlink(tmp_path)
-            raise
+        """Atomically publish ``payload`` under ``digest``; returns its path."""
+        final = write_record(
+            self.path_for(digest),
+            {"format": FORMAT, "digest": str(digest)},
+            payload,
+            meta,
+        )
         self.evict()
         return final
 
@@ -165,57 +135,17 @@ class ArtifactStore:
         except FileNotFoundError:
             return None
         except ArtifactError:
-            with _suppress():
+            with contextlib.suppress(OSError):
                 os.unlink(path)
             return None
-        with _suppress():
+        with contextlib.suppress(OSError):
             os.utime(path)
         return payload
 
     def load_file(self, path: str) -> dict:
-        """Validate and load one artifact file; raises :class:`ArtifactError`.
-
-        The header's byte length and sha256 digest are verified before
-        the payload reaches the unpickler, so hostile bit-flips are
-        rejected as corruption, not executed as pickles.
-        """
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
-            raise
-        except OSError as exc:
-            raise ArtifactError(f"{path}: unreadable: {exc}") from exc
-        newline = blob.find(b"\n")
-        if newline < 0:
-            raise ArtifactError(f"{path}: truncated header")
-        try:
-            header = json.loads(blob[:newline].decode())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ArtifactError(f"{path}: malformed header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT:
-            raise ArtifactError(
-                f"{path}: not a {FORMAT} file "
-                f"(format={header.get('format') if isinstance(header, dict) else None!r})"
-            )
-        payload = blob[newline + 1:]
-        expected = header.get("payload_bytes")
-        if not isinstance(expected, int) or len(payload) != expected:
-            raise ArtifactError(
-                f"{path}: truncated payload "
-                f"({len(payload)} bytes, header says {expected})"
-            )
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            raise ArtifactError(f"{path}: digest mismatch (content corrupted)")
-        try:
-            obj = pickle.loads(payload)
-        except Exception as exc:  # digest-valid yet unloadable payload
-            raise ArtifactError(f"{path}: unloadable payload: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ArtifactError(
-                f"{path}: payload is {type(obj).__name__}, not a dict"
-            )
-        return obj
+        """Validate and load one artifact file; raises :class:`ArtifactError`
+        (``FileNotFoundError`` when it is missing)."""
+        return read_record(path, FORMAT, ArtifactError, dict)[1]
 
     # -- eviction & housekeeping -----------------------------------------------
 
@@ -268,7 +198,7 @@ class ArtifactStore:
             or (self.max_bytes is not None and total > self.max_bytes)
         ):
             _mtime, size, path = entries[index]
-            with _suppress():
+            with contextlib.suppress(OSError):
                 os.unlink(path)
             total -= size
             evicted += 1
@@ -292,7 +222,7 @@ class ArtifactStore:
     def clear(self) -> None:
         """Drop every artifact (idempotent; shard dirs are retained)."""
         for _mtime, _size, path in self._entries():
-            with _suppress():
+            with contextlib.suppress(OSError):
                 os.unlink(path)
 
     def stats(self) -> dict:

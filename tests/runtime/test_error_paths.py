@@ -144,3 +144,30 @@ class TestBareMaskOpcodes:
         snap = excinfo.value.snapshot
         assert snap is not None and snap.backend == "vm"
         assert snap.pc == 0
+
+
+class TestWholeArraySubscript:
+    """P4 subscripts ``l`` with the whole array ``iprime``: a located
+    interpreter error with a crash dump, never a bare ``TypeError``
+    (nor, on pmimd, a worker crash that burns replays)."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "mimd", "pmimd"])
+    def test_is_a_located_non_retryable_error(self, engine, backend):
+        from repro.kernels.example import P4_NAIVE_SIMD, example_bindings
+
+        nproc = {} if backend == "scalar" else {"nproc": 2}
+        with pytest.raises(InterpreterError) as excinfo:
+            engine.run(P4_NAIVE_SIMD, example_bindings(), backend=backend, **nproc)
+        error = excinfo.value
+        assert "subscript is the whole array 'iprime'" in str(error)
+        assert error.location.line == 7
+        assert error.snapshot is not None
+        dump = crash_dump_for(error)
+        assert dump["retryable"] is False and "env" in dump
+        if backend == "pmimd":
+            attempts = {
+                (event["shard"], event["attempt"])
+                for event in error.supervision_events
+                if event["event"] == "dispatch"
+            }
+            assert {attempt for _shard, attempt in attempts} == {0}
