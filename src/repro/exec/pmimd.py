@@ -24,7 +24,16 @@ Plumbing choices, all in service of a 1-copy data path:
   copies plain-ndarray bindings into private storage before the
   program can write).
 * Per-processor results stream back over a pipe as they finish, so a
-  dead worker loses only the processors it had not yet reported.
+  dead worker loses only the processors it had not yet reported.  A
+  ``proc`` message carries the processor's env, counters and statement
+  count, but each shared-memory input the processor left byte-for-byte
+  as bound travels as an :class:`UnchangedInput` marker (name, shape,
+  dtype, FArray or not); the parent rebuilds it as the message
+  arrives, as a fresh private copy of the caller's binding, so the
+  returned envs are exactly the ones a full shipment would give, and
+  the pairlist is not pickled back once per processor.
+* The supervisor waits on the workers' pipes and process sentinels
+  when idle, so a result or a death is handled as soon as it happens.
 * Each worker runs its shard's processors through the ordinary
   :class:`~repro.exec.scalar.ScalarInterpreter` with the per-worker
   :class:`~repro.reliability.Budget`; failures are serialized as
@@ -118,6 +127,74 @@ def replicate_bindings(bindings: dict) -> dict:
     return copied
 
 
+@dataclass(frozen=True)
+class UnchangedInput:
+    """Stands in a ``proc`` message for a shared input left as bound.
+
+    Attributes:
+        name: The array's name (an ``FArray``'s own ``name``).
+        shape: The shape the processor's env held it in.
+        dtype: numpy dtype string.
+        farray: Whether the env held an ``FArray`` or a plain ndarray.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    dtype: str
+    farray: bool
+
+    def rebuild(self, binding):
+        """A fresh private copy of the caller's ``binding`` in the
+        form the processor's env held it."""
+        data = binding if isinstance(binding, np.ndarray) else binding.data
+        copy = np.array(data, dtype=self.dtype, order="C").reshape(self.shape)
+        return FArray.wrap(self.name, copy) if self.farray else copy
+
+
+def _same_bytes(data: np.ndarray, segment: np.ndarray) -> bool:
+    """Equal dtype, size and bytes (so ``-0.0`` and NaN compare exactly).
+
+    The bytes are compared as unsigned ints of the element's width
+    where there is one: eight times fewer compares than byte by byte
+    for the int64 pairlists.
+    """
+    if data.dtype != segment.dtype or data.size != segment.size:
+        return False
+    width = data.dtype.itemsize
+    unit = np.dtype(f"u{width}") if width in (1, 2, 4, 8) else np.uint8
+    return np.array_equal(
+        np.ascontiguousarray(data).reshape(-1).view(unit),
+        segment.reshape(-1).view(unit),
+    )
+
+
+def mark_unchanged(env: dict, shared: dict) -> dict:
+    """The env a ``proc`` message ships: ``env`` with every entry that
+    is still byte-identical to its shared-memory input ``shared[name]``
+    replaced by an :class:`UnchangedInput`."""
+    shipped = dict(env)
+    for name, segment in shared.items():
+        value = env.get(name)
+        farray = isinstance(value, FArray)
+        data = value.data if farray else value
+        if isinstance(data, np.ndarray) and _same_bytes(data, segment):
+            shipped[name] = UnchangedInput(
+                value.name if farray else name,
+                tuple(data.shape),
+                data.dtype.str,
+                farray,
+            )
+    return shipped
+
+
+def restore_unchanged(env: dict, bindings: dict) -> None:
+    """Replace each :class:`UnchangedInput` in ``env`` by its rebuild
+    from the caller's ``bindings`` (in place)."""
+    for name, value in env.items():
+        if isinstance(value, UnchangedInput):
+            env[name] = value.rebuild(bindings[name])
+
+
 @dataclass
 class PMIMDResult(MIMDResult):
     """A :class:`MIMDResult` plus the supervision story of the run.
@@ -197,7 +274,9 @@ def _worker_loop(
     """One worker process: attach inputs, then serve shard tasks forever.
 
     Everything heavy (``source``, ``externals``, ``bindings_for``)
-    arrived through fork, not through these arguments' pickles.
+    arrived through fork, not through these arguments' pickles, and
+    the shared-memory inputs a processor leaves unchanged go back as
+    :class:`UnchangedInput` markers (:func:`mark_unchanged`).
 
     With checkpointing configured, each processor writes a restorable
     checkpoint to the shared on-disk store every ``checkpoint_every``
@@ -208,6 +287,7 @@ def _worker_loop(
     keys are cleared so the store only ever describes in-flight work.
     """
     segments = []
+    shared = {}
     base_bindings = dict(bindings or {})
     beat = _beat(slots)
     store = (
@@ -219,7 +299,7 @@ def _worker_loop(
         for spec in shm_specs:
             array, segment = attach(spec)
             segments.append(segment)
-            base_bindings[spec.name] = array
+            base_bindings[spec.name] = shared[spec.name] = array
         while True:
             try:
                 task = conn.recv()
@@ -305,7 +385,7 @@ def _worker_loop(
                             "attempt": attempt,
                             "proc": proc,
                             "payload": {
-                                "env": env,
+                                "env": mark_unchanged(env, shared),
                                 "counters": interp.counters,
                                 "statements": interp.executed_statements,
                             },
@@ -356,10 +436,16 @@ class ProcessWorkerHandle:
 
     Owns the task/result pipe and the shared heartbeat slots
     ``[last beat (monotonic), statements, current shard]``.
+    :meth:`recv` rebuilds a ``proc`` message's :class:`UnchangedInput`
+    markers from the caller's ``bindings`` as the message arrives, so
+    the copies overlap the other workers' run instead of trailing it.
     """
 
-    def __init__(self, worker_id: int, ctx, worker_args: tuple):
+    def __init__(
+        self, worker_id: int, ctx, worker_args: tuple, bindings: dict | None
+    ):
         self.worker_id = worker_id
+        self._bindings = bindings
         self._slots = ctx.Array("d", 3, lock=False)
         self._slots[0] = time.monotonic()
         parent_conn, child_conn = ctx.Pipe()
@@ -379,7 +465,15 @@ class ProcessWorkerHandle:
         return self._conn.poll()
 
     def recv(self) -> dict:
-        return self._conn.recv()
+        message = self._conn.recv()
+        if message.get("type") == "proc":
+            restore_unchanged(message["payload"]["env"], self._bindings)
+        return message
+
+    def waitables(self) -> tuple:
+        """What ``multiprocessing.connection.wait`` wakes on: a message
+        on the pipe or the process's exit."""
+        return (self._conn, self.process.sentinel)
 
     def is_alive(self) -> bool:
         return self.process.is_alive()
@@ -408,8 +502,12 @@ class ProcessWorkerHandle:
 
 
 def default_workers(nproc: int) -> int:
-    """Pool size heuristic: per-core, floored at 2 for overlap."""
-    return max(1, min(nproc, max(2, os.cpu_count() or 1)))
+    """Pool size heuristic: one per CPU this process may run on (its
+    affinity mask, where the platform has one), floored at 2 for
+    overlap."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    return max(1, min(nproc, max(2, cpus)))
 
 
 class PMIMDExecutor:
@@ -535,7 +633,7 @@ class PMIMDExecutor:
             )
             supervisor = WorkerSupervisor(
                 lambda worker_id: ProcessWorkerHandle(
-                    worker_id, ctx, worker_args
+                    worker_id, ctx, worker_args, bindings
                 ),
                 nworkers,
                 self.supervision,

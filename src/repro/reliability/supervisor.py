@@ -25,6 +25,11 @@ see), or straggle (CPU contention, page-cache cold starts).  The
   an idle worker.  First completion wins; duplicate per-processor
   results are idempotently ignored.  The slow copy is never killed —
   it may still finish first.
+* **Event-driven idle.**  A pass over the pool that changes nothing
+  ends in one wait on every worker's pipe end and process sentinel,
+  bounded by :attr:`SupervisionPolicy.poll_interval`: a message or a
+  worker death wakes the loop at once, and the checks above still run
+  at least every ``poll_interval``.
 * **Checkpointed replay.**  Workers stream one message per completed
   *processor*, not one per shard, so the supervisor's result table is
   a checkpoint: replaying a half-finished shard re-executes only the
@@ -64,6 +69,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_any
 from statistics import median
 
 from ..lang.errors import UNKNOWN_LOCATION, SourceLocation
@@ -209,7 +215,10 @@ class SupervisionPolicy:
             ``None`` disables jitter entirely.
         max_respawns: Replacement workers the pool may spawn before a
             dead pool is declared unrecoverable.
-        poll_interval: Supervisor event-loop sleep when idle.
+        poll_interval: Longest the supervisor's event loop waits when
+            idle.  The loop waits on every worker's pipe and process
+            exit, so a message or a death wakes it at once; liveness,
+            deadline and straggler checks still run at least this often.
     """
 
     wedge_timeout: float = 5.0
@@ -314,9 +323,10 @@ class WorkerSupervisor:
 
     A worker handle must provide ``worker_id`` (int),
     ``send(task_dict)``, ``poll()``/``recv()`` (message availability /
-    retrieval), ``is_alive()``, ``heartbeat() -> (last_beat, steps)``
-    (monotonic seconds, interpreted statements), ``kill()`` and
-    ``close()``.
+    retrieval), ``waitables()`` (the objects ``wait`` watches for this
+    worker: its pipe end and process sentinel), ``is_alive()``,
+    ``heartbeat() -> (last_beat, steps)`` (monotonic seconds,
+    interpreted statements), ``kill()`` and ``close()``.
 
     Messages from workers are dicts: ``{"type": "proc", "shard",
     "attempt", "proc", "payload"}`` per finished processor,
@@ -330,7 +340,9 @@ class WorkerSupervisor:
         policy: The :class:`SupervisionPolicy` in force.
         backend: Name used in raised faults ("pmimd").
         clock: Monotonic time source (injectable for tests).
-        sleep: Sleep function (injectable for tests).
+        wait: ``wait(waitables, timeout)`` returning once one is ready
+            or the timeout passed (``multiprocessing.connection.wait``;
+            injectable for tests).
     """
 
     def __init__(
@@ -341,7 +353,7 @@ class WorkerSupervisor:
         *,
         backend: str = "pmimd",
         clock=time.monotonic,
-        sleep=time.sleep,
+        wait=wait_for_any,
     ):
         if nworkers < 1:
             raise ValueError(f"need at least one worker, got {nworkers}")
@@ -350,7 +362,7 @@ class WorkerSupervisor:
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.backend = backend
         self._clock = clock
-        self._sleep = sleep
+        self._wait = wait
         self._backoff_rng = (
             None
             if self.policy.jitter_seed is None
@@ -469,7 +481,7 @@ class WorkerSupervisor:
                 progressed |= self._dispatch()
                 self._check_recoverable()
                 if not progressed:
-                    self._sleep(self.policy.poll_interval)
+                    self._idle()
             # A shard's last processor result can arrive a poll before
             # its "done": collect the outstanding ones (or see their
             # workers die).  Flights of a speculated shard are not
@@ -481,7 +493,7 @@ class WorkerSupervisor:
                 progressed = self._drain_messages()
                 progressed |= self._check_liveness()
                 if not progressed:
-                    self._sleep(self.policy.poll_interval)
+                    self._idle()
         finally:
             self.shutdown()
         return SupervisionOutcome(
@@ -490,6 +502,16 @@ class WorkerSupervisor:
             recoveries=self.recoveries,
             speculations=self.speculations,
         )
+
+    def _idle(self) -> None:
+        """Wait for any worker's message or exit, at most one
+        ``poll_interval``."""
+        waitables = [
+            waitable
+            for handle in self._workers.values()
+            for waitable in handle.waitables()
+        ]
+        self._wait(waitables, self.policy.poll_interval)
 
     # -- message handling ----------------------------------------------------
 

@@ -7,8 +7,11 @@ from repro.exec.mimd import MIMDSimulator
 from repro.exec.pmimd import (
     PMIMDExecutor,
     Shard,
+    UnchangedInput,
+    mark_unchanged,
     plan_shards,
     replicate_bindings,
+    restore_unchanged,
 )
 from repro.exec.values import FArray
 from repro.lang.parser import parse_source
@@ -218,3 +221,270 @@ def test_the_parent_generates_the_code_workers_inherit(tree, monkeypatch):
     result = PMIMDExecutor(tree, 2, workers=1).run(bindings_for=lambda p: {"n": 8})
     assert [env["s"] for env in result.envs] == [32.0, 40.0]
     assert scalar._FACTORIES
+
+
+def test_default_workers_follows_the_affinity_mask(monkeypatch):
+    """Sized from the CPUs this process may run on, not the host's
+    count, floored at 2 and capped at nproc."""
+    from repro.exec import pmimd
+
+    monkeypatch.setattr(pmimd.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pmimd.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pmimd.default_workers(8) == 2
+    monkeypatch.setattr(
+        pmimd.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False
+    )
+    assert pmimd.default_workers(8) == 5
+    assert pmimd.default_workers(3) == 3
+    assert pmimd.default_workers(1) == 1
+    monkeypatch.delattr(pmimd.os, "sched_getaffinity", raising=False)
+    assert pmimd.default_workers(8) == 8  # no affinity call: cpu_count
+
+
+N = 1024  # 8 KiB of float64: above the shared-memory threshold
+
+READS = """PROGRAM reads
+  INTEGER i, myproc
+  REAL x(1024), s
+  s = 0.0
+  DO i = myproc, 1024, 7
+    s = s + x(i)
+  ENDDO
+END
+"""
+
+WRITES = """PROGRAM writes
+  INTEGER myproc
+  REAL x(1024)
+  x(myproc) = 0.0
+  x(myproc + 3) = x(myproc + 3) * 2.0
+END
+"""
+
+
+def _signature(value):
+    """Everything that makes two env values bit-identical."""
+    if isinstance(value, FArray):
+        return ("FArray", value.name) + _signature(value.data)
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value)
+        ints = data.reshape(-1).view(np.uint8).tolist()
+        return (value.dtype.str, value.shape, ints)
+    return (type(value).__name__, np.asarray(value).tobytes())
+
+
+def _assert_bit_identical(envs, reference):
+    assert len(envs) == len(reference)
+    for env, ref in zip(envs, reference):
+        assert sorted(env) == sorted(ref)
+        for name in ref:
+            assert _signature(env[name]) == _signature(ref[name]), name
+
+
+def _arrays(value):
+    if isinstance(value, FArray):
+        return [value.data]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def _assert_private(envs, bindings):
+    """No array of one env shares memory with another env's or with the
+    caller's bindings, and writing one changes nothing elsewhere."""
+    caller = [a for value in bindings.values() for a in _arrays(value)]
+    owned = [
+        (p, a) for p, env in enumerate(envs) for value in env.values()
+        for a in _arrays(value)
+    ]
+    for i, (p, array) in enumerate(owned):
+        assert not any(np.shares_memory(array, other) for other in caller)
+        for q, other in owned[i + 1 :]:
+            assert p == q or not np.shares_memory(array, other)
+    before = [_signature(v) for v in bindings.values()]
+    others = [_signature(v) for env in envs[1:] for v in env.values()]
+    for array in (a for value in envs[0].values() for a in _arrays(value)):
+        array.reshape(-1)[0] = 99
+    assert [_signature(v) for v in bindings.values()] == before
+    assert [_signature(v) for env in envs[1:] for v in env.values()] == others
+
+
+def _both(source, bindings=None, bindings_for=None, nproc=3):
+    from repro.runtime import Engine
+
+    program = Engine().compile(source)
+    runs = [
+        program.run(
+            bindings, nproc=nproc, backend=backend, bindings_for=bindings_for
+        )
+        for backend in ("mimd", "pmimd")
+    ]
+    assert runs[1].backend == "pmimd"
+    assert [c.state_dict() for c in runs[1].counters] == [
+        c.state_dict() for c in runs[0].counters
+    ]
+    return runs[0].env, runs[1].env
+
+
+class TestShippedEnvs:
+    """pmimd envs are bit-identical to mimd's whether a shared input
+    ships in full or as an UnchangedInput marker, and each is private."""
+
+    def _check(self, source, bindings):
+        mimd, pmimd = _both(source, bindings)
+        _assert_bit_identical(pmimd, mimd)
+        _assert_private(pmimd, bindings)
+        return pmimd
+
+    def test_untouched_shared_input(self):
+        x = np.linspace(-1.0, 1.0, N)
+        envs = self._check(READS, {"x": x})
+        assert isinstance(envs[0]["x"], FArray)
+
+    def test_written_shared_input(self):
+        x = np.linspace(-1.0, 1.0, N)
+        envs = self._check(WRITES, {"x": x})
+        assert envs[1]["x"].data[1] == 0.0 and envs[1]["x"].data[0] == x[0]
+
+    def test_real_declaration_over_int64_binding(self):
+        envs = self._check(READS, {"x": np.arange(N, dtype=np.int64)})
+        assert envs[0]["x"].data.dtype == np.float64
+
+    def test_negative_zero_and_nan(self):
+        x = np.full(N, np.nan)
+        x[::2] = -0.0
+        envs = self._check(READS, {"x": x})
+        assert np.signbit(envs[2]["x"].data[0])
+        # Writing 0.0 over -0.0 is a change, though ``==`` calls it equal.
+        envs = self._check(WRITES, {"x": x})
+        assert not np.signbit(envs[0]["x"].data[0])
+        assert np.signbit(envs[1]["x"].data[0])
+
+    def test_farray_wrap_binding(self):
+        self._check(READS, {"x": FArray.wrap("x", np.linspace(0.0, 3.0, N))})
+
+    def test_undeclared_shared_input(self):
+        source = "PROGRAM u\n  INTEGER myproc\n  REAL s\n  s = myproc\nEND\n"
+        envs = self._check(source, {"y": np.arange(N, dtype=np.float64)})
+        assert type(envs[0]["y"]) is np.ndarray
+
+    def test_bindings_for(self):
+        x = np.linspace(-1.0, 1.0, N)
+        mimd, pmimd = _both(
+            WRITES, bindings_for=lambda p: {"x": x * p}
+        )
+        _assert_bit_identical(pmimd, mimd)
+        _assert_private(pmimd, {"x": x})
+
+
+class TestMarkUnchanged:
+    def test_bytes_decide(self):
+        segment = np.array([-0.0, np.nan] * 4)
+        same = FArray.wrap("x", segment.copy())
+        flipped = FArray.wrap("x", np.array([0.0, np.nan] * 4))
+        shipped = mark_unchanged({"x": same, "s": 1.0}, {"x": segment})
+        assert shipped["x"] == UnchangedInput("x", (8,), "<f8", True)
+        assert shipped["s"] == 1.0
+        assert mark_unchanged({"x": flipped}, {"x": segment})["x"] is flipped
+        other = FArray.wrap("x", segment.astype(np.float32))
+        assert mark_unchanged({"x": other}, {"x": segment})["x"] is other
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<i4", "|b1", "<c16"])
+    def test_every_element_width(self, dtype):
+        segment = (np.arange(6) % 3).astype(dtype)
+        flipped = segment.copy()
+        flipped.reshape(-1).view(np.uint8)[-1] ^= 1  # one bit of the last byte
+        same = mark_unchanged({"a": segment.copy()}, {"a": segment})["a"]
+        assert isinstance(same, UnchangedInput)
+        assert mark_unchanged({"a": flipped}, {"a": segment})["a"] is flipped
+
+    def test_reshaped_declaration_keeps_its_shape(self):
+        binding = np.arange(12, dtype=np.int64)
+        env = {"a": FArray.wrap("a", binding.reshape(3, 4).copy())}
+        shipped = mark_unchanged(env, {"a": binding})
+        restore_unchanged(shipped, {"a": binding})
+        assert shipped["a"].shape == (3, 4)
+        assert _signature(shipped["a"]) == _signature(env["a"])
+        assert not np.shares_memory(shipped["a"].data, binding)
+
+
+#: The table1-mimd kernel: one block of the shared pairlist per processor.
+NBFORCE = """PROGRAM nbforce
+  INTEGER natoms, nbounds, maxpcnt, at1, at2, prc
+  INTEGER pcnt(natoms), partners(natoms, maxpcnt), bounds(nbounds)
+  REAL f(natoms), fpair
+  DO at1 = bounds(myproc) + 1, bounds(myproc + 1)
+    f(at1) = 0.0
+    DO prc = 1, pcnt(at1)
+      at2 = partners(at1, prc)
+      CALL force(fpair, at1, at2)
+      f(at1) = f(at1) + fpair
+    ENDDO
+  ENDDO
+END
+"""
+
+
+def test_proc_messages_of_the_md_kernel_stay_small():
+    """Every ``proc`` message of the 600-atom, 6 Å pairlist run pickles
+    to at most 16 KiB: the pairlist goes back as a marker."""
+    import pickle
+
+    from repro.exec import pmimd
+    from repro.exec.shm import ShmArena
+    from repro.kernels.nbforce import make_scalar_force_external
+    from repro.md.molecule import synthetic_sod
+    from repro.md.pairlist import build_pairlist
+
+    molecule = synthetic_sod(n_atoms=600, seed=1)
+    pairlist = build_pairlist(molecule, 6.0)
+    blocks = np.array_split(np.arange(600), 8)
+    bounds = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
+    bindings = {
+        "natoms": 600,
+        "nbounds": len(bounds),
+        "maxpcnt": int(pairlist.partners.shape[1]),
+        "pcnt": pairlist.pcnt.astype(np.int64),
+        "partners": pairlist.partners.astype(np.int64),
+        "bounds": bounds.astype(np.int64),
+    }
+    assert bindings["partners"].nbytes > 400_000
+
+    class Spy:
+        def __init__(self):
+            self.tasks = [{"shard": 0, "procs": tuple(range(1, 9))}]
+            self.sizes = {}
+
+        def recv(self):
+            return self.tasks.pop() if self.tasks else {"cmd": "stop"}
+
+        def send(self, message):
+            if message["type"] == "proc":
+                self.sizes[message["proc"]] = len(pickle.dumps(message))
+
+        def close(self):
+            pass
+
+    spy = Spy()
+    with ShmArena() as arena:
+        light, specs = arena.share_bindings(bindings)
+        assert {spec.name for spec in specs} == {"pcnt", "partners"}
+        pmimd._worker_loop(
+            spy, [0.0] * 3, parse_source(NBFORCE), 8,
+            {"force": make_scalar_force_external(molecule)}, None, None,
+            light, None, None, tuple(specs),
+        )
+    assert sorted(spy.sizes) == list(range(1, 9))
+    assert max(spy.sizes.values()) <= 16 * 1024, spy.sizes
+
+
+def test_an_idle_supervisor_wakes_on_the_first_message():
+    """With a 2 s poll interval, a tiny run still finishes in well
+    under 2 s: worker messages end every idle wait."""
+    import time
+
+    policy = SupervisionPolicy(poll_interval=2.0)
+    source = parse_source("PROGRAM t\n  INTEGER myproc, s\n  s = myproc\nEND\n")
+    began = time.monotonic()
+    result = PMIMDExecutor(source, 4, workers=2, supervision=policy).run()
+    elapsed = time.monotonic() - began
+    assert [env["s"] for env in result.envs] == [1, 2, 3, 4]
+    assert elapsed < 1.0, elapsed

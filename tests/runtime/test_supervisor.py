@@ -33,8 +33,13 @@ class FakeClock:
     def __call__(self):
         return self.now
 
-    def sleep(self, seconds):
-        self.now += seconds
+    def wait(self, waitables, timeout):
+        """``multiprocessing.connection.wait`` on fake workers: return
+        the ready ones at once, else let the timeout pass."""
+        ready = [worker for worker in waitables if worker.ready()]
+        if not ready:
+            self.now += timeout
+        return ready
 
 
 class FakeWorker:
@@ -63,6 +68,12 @@ class FakeWorker:
         if not self.inbox:
             raise EOFError
         return self.inbox.popleft()
+
+    def waitables(self):
+        return (self,)
+
+    def ready(self):
+        return bool(self.inbox) or not self.alive
 
     def is_alive(self):
         return self.alive
@@ -142,7 +153,7 @@ def make_supervisor(behaviors, nworkers=2, policy=None, worker=FakeWorker):
         nworkers,
         policy if policy is not None else SupervisionPolicy(),
         clock=clock,
-        sleep=clock.sleep,
+        wait=clock.wait,
     )
     return supervisor, clock, spawned
 
@@ -178,6 +189,50 @@ class TestHappyPath:
         supervisor, _, spawned = make_supervisor(succeed, nworkers=3)
         supervisor.run(SHARDS)
         assert sum(len(w.tasks) for w in spawned) == 3
+
+
+class InTransitWorker(FakeWorker):
+    """A worker whose messages are still on the pipe when the
+    supervisor goes idle; they land 1 ms into its wait."""
+
+    def __init__(self, worker_id, behavior):
+        super().__init__(worker_id, behavior)
+        self.in_transit = deque()
+
+    def send(self, task):
+        super().send(task)
+        self.in_transit.extend(self.inbox)
+        self.inbox.clear()
+
+
+class TestIdleWait:
+    def test_a_queued_message_ends_the_wait(self):
+        clock = FakeClock()
+        waits = []
+
+        def wait(waitables, timeout):
+            waits.append((timeout, [w.worker_id for w in waitables]))
+            landing = [w for w in waitables if w.in_transit]
+            for worker in landing:
+                worker.inbox.extend(worker.in_transit)
+                worker.in_transit.clear()
+            if landing:
+                clock.now += 0.001
+                return landing
+            return clock.wait(waitables, timeout)
+
+        supervisor = WorkerSupervisor(
+            lambda worker_id: InTransitWorker(worker_id, succeed),
+            2,
+            SupervisionPolicy(poll_interval=5.0),
+            clock=clock,
+            wait=wait,
+        )
+        outcome = supervisor.run(SHARDS)
+        assert sorted(outcome.results) == [1, 2, 3, 4, 5]
+        # One wait over both live workers per idle pass, none run out.
+        assert waits and all(wait == (5.0, [0, 1]) for wait in waits)
+        assert clock.now < 0.01
 
 
 class TestRetryAndBackoff:
