@@ -10,8 +10,8 @@ The package contains everything the paper's pipeline needs:
 
 * :mod:`repro.lang` — MiniF, the pseudo-Fortran dialect of the paper
   (F77 control flow + F90simd WHERE/FORALL + Fortran-D directives);
-* :mod:`repro.analysis` — loop nests, CFG/dataflow, dependence
-  testing, interval × lane-uniformity abstract interpretation, and the
+* :mod:`repro.analysis` — CFG and liveness, dependence testing,
+  interval × lane-uniformity abstract interpretation, and the
   Section 6 applicability/profitability/safety report;
 * :mod:`repro.diag` — the lint engine: stable-coded compile-time
   diagnostics (divergence races, provable bounds violations, Eq.2−Eq.1
@@ -117,8 +117,7 @@ def run(source, bindings=None, **options) -> RunResult:
     ``backend``, ``externals``, ``budget``, ...), each setting spelled
     once; a :class:`BackendConfig` passed as ``config`` carries only
     the backend tuning ``run()`` has no keyword for (``vm_fuse`` and
-    the pmimd pool's ``workers``/``shards``/``shard_layout``/
-    ``supervision``)::
+    the pmimd pool's ``workers``/``supervision``)::
 
         result = repro.run(text, {"n": 8}, nproc=64)
         print(result.backend, result.steps, result.wall_seconds)

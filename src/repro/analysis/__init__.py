@@ -11,9 +11,7 @@ from .applicability import FlatteningCost, FlatteningReport, evaluate_flattening
 from .cfg import CFGNode, ControlFlowGraph, build_cfg
 from .dataflow import (
     Liveness,
-    ReachingDefinitions,
     live_variables,
-    reaching_definitions,
     stmt_defs,
     stmt_uses,
 )
@@ -27,13 +25,6 @@ from .dep import (
     build_dependence_graph,
     parse_affine,
     parse_affine_expr,
-)
-from .loopnest import (
-    LoopNode,
-    build_loop_tree,
-    flattenable_nests,
-    loop_tree_of,
-    max_nest_depth,
 )
 from .sideeffects import (
     assigned_names,
@@ -51,8 +42,6 @@ __all__ = [
     "build_cfg",
     "ControlFlowGraph",
     "CFGNode",
-    "reaching_definitions",
-    "ReachingDefinitions",
     "live_variables",
     "Liveness",
     "stmt_defs",
@@ -69,11 +58,6 @@ __all__ = [
     "evaluate_flattening",
     "FlatteningReport",
     "FlatteningCost",
-    "loop_tree_of",
-    "build_loop_tree",
-    "flattenable_nests",
-    "max_nest_depth",
-    "LoopNode",
     "stmts_have_side_effects",
     "assigned_names",
     "referenced_names",

@@ -64,10 +64,6 @@ class Interval:
         return self.lo > self.hi
 
     @property
-    def is_top(self) -> bool:
-        return self.lo == -_INF and self.hi == _INF
-
-    @property
     def is_constant(self) -> bool:
         """A single known value (degenerate interval)."""
         return self.lo == self.hi and not math.isinf(self.lo)
@@ -193,10 +189,6 @@ class AbstractValue:
 
     interval: Interval = TOP_INTERVAL
     uniformity: Uniformity = Uniformity.VARYING
-
-    @property
-    def is_varying(self) -> bool:
-        return self.uniformity is Uniformity.VARYING
 
     @property
     def is_uniform(self) -> bool:

@@ -25,10 +25,6 @@ class CFGNode:
     succs: list[int] = field(default_factory=list)
     preds: list[int] = field(default_factory=list)
 
-    @property
-    def is_entry(self) -> bool:
-        return self.index == 0
-
     def __repr__(self) -> str:
         kind = type(self.stmt).__name__ if self.stmt is not None else "ENTRY/EXIT"
         return f"CFGNode({self.index}, {kind}, succs={self.succs})"

@@ -1,11 +1,11 @@
-"""Dataflow analyses over the statement-level CFG.
+"""Live variables over the statement-level CFG.
 
-Classic worklist implementations of reaching definitions and live
-variables.  They back two users:
-
-* the dependence test's scalar reasoning (a scalar carried across
-  outer iterations blocks parallelization, hence flattening safety);
-* dead-guard detection when cleaning up transformed code.
+A classic backward worklist analysis, plus the per-statement
+:func:`stmt_defs` / :func:`stmt_uses` it is built from.  Its one user
+is the dependence test's scalar reasoning (:mod:`repro.analysis.dep`):
+a scalar live into the loop body and redefined in it is carried
+across outer iterations, which blocks parallelization and hence
+flattening safety.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..lang import ast
-from .cfg import CFGNode, ControlFlowGraph
+from .cfg import ControlFlowGraph
 
 
 def stmt_defs(stmt: ast.Stmt | None) -> set[str]:
@@ -77,56 +77,6 @@ def stmt_uses(stmt: ast.Stmt | None) -> set[str]:
             out |= _expr_uses(arg)
         return out
     return set()
-
-
-@dataclass
-class ReachingDefinitions:
-    """Result of reaching-definitions analysis.
-
-    ``in_sets[n]`` / ``out_sets[n]`` hold ``(name, def_node)`` pairs
-    reaching the entry / exit of CFG node ``n``.
-    """
-
-    cfg: ControlFlowGraph
-    in_sets: list[set[tuple[str, int]]]
-    out_sets: list[set[tuple[str, int]]]
-
-    def defs_reaching(self, node_index: int, name: str) -> set[int]:
-        """CFG nodes whose definition of ``name`` reaches ``node_index``."""
-        return {
-            def_node
-            for def_name, def_node in self.in_sets[node_index]
-            if def_name == name
-        }
-
-
-def reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
-    """Forward may-analysis: which definitions reach each node."""
-    count = len(cfg.nodes)
-    gen: list[set[tuple[str, int]]] = [set() for _ in range(count)]
-    kill_names: list[set[str]] = [set() for _ in range(count)]
-    for node in cfg.nodes:
-        for name in stmt_defs(node.stmt):
-            gen[node.index].add((name, node.index))
-            kill_names[node.index].add(name)
-    in_sets: list[set[tuple[str, int]]] = [set() for _ in range(count)]
-    out_sets: list[set[tuple[str, int]]] = [set(gen[i]) for i in range(count)]
-    worklist = list(range(count))
-    while worklist:
-        index = worklist.pop()
-        node = cfg.nodes[index]
-        new_in: set[tuple[str, int]] = set()
-        for pred in node.preds:
-            new_in |= out_sets[pred]
-        survivors = {
-            (name, where) for name, where in new_in if name not in kill_names[index]
-        }
-        new_out = gen[index] | survivors
-        if new_in != in_sets[index] or new_out != out_sets[index]:
-            in_sets[index] = new_in
-            out_sets[index] = new_out
-            worklist.extend(node.succs)
-    return ReachingDefinitions(cfg, in_sets, out_sets)
 
 
 @dataclass

@@ -18,16 +18,6 @@ from __future__ import annotations
 from ..lang import ast
 
 
-def expr_calls(expr: ast.Expr) -> bool:
-    """True when evaluating ``expr`` invokes anything beyond intrinsics.
-
-    MiniF expressions cannot call user functions (the parser resolves
-    only intrinsics to Call nodes), so this is always False today; it
-    is kept as the documented extension point.
-    """
-    return False
-
-
 def stmts_have_side_effects(stmts: list[ast.Stmt]) -> bool:
     """True when a statement list may have side effects beyond its
     obvious assignments — i.e. it contains a CALL or a STOP."""

@@ -256,9 +256,7 @@ def _print_supervision(result) -> None:
     if not events:
         return
     recoveries = sum(
-        1
-        for e in events
-        if e.get("event") in ("worker-dead", "worker-wedged", "shard-deadline")
+        1 for e in events if e.get("event") in ("worker-dead", "worker-wedged")
     )
     retries = sum(1 for e in events if e.get("event") == "retry")
     speculations = sum(1 for e in events if e.get("event") == "speculate")

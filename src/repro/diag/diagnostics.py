@@ -130,9 +130,6 @@ class DiagnosticReport:
             return None
         return max(d.severity for d in self.diagnostics)
 
-    def by_code(self, code: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     def at_least(self, severity: Severity) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity >= severity]
 

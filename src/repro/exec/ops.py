@@ -115,15 +115,3 @@ def _is_int_like_result(result) -> bool:
     if isinstance(result, np.ndarray):
         return result.dtype.kind in ("i", "u", "b")
     return isinstance(result, (int, np.integer))
-
-
-def value_event_kind(value) -> str:
-    """Classify a stored value for execution accounting."""
-    value = coerce(value)
-    if isinstance(value, bool):
-        return "logical"
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "b":
-            return "logical"
-        return "int_op" if value.dtype.kind in ("i", "u") else "real_op"
-    return "int_op" if isinstance(value, (int, np.integer)) else "real_op"

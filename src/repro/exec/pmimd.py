@@ -3,11 +3,11 @@
 The MIMD simulator (:mod:`repro.exec.mimd`) *models* the paper's
 ``max_p Σ_i L_i^p`` by running P sequential interpreters in one
 process.  This backend makes the wall clock real: the P processors
-are partitioned into block or cyclic *shards*, and the shards run on
-a pool of forked worker processes driven by a
+are partitioned into ``min(P, 2 × workers)`` contiguous *shards*, and
+the shards run on a pool of forked worker processes driven by a
 :class:`~repro.reliability.supervisor.WorkerSupervisor` — heartbeats,
-per-shard deadlines, straggler speculation, crash recovery with
-bounded retries, and degradation through the Engine's
+straggler speculation, crash recovery with bounded retries, and
+degradation through the Engine's
 :class:`~repro.reliability.policy.FallbackPolicy` when the pool is
 unrecoverable.
 
@@ -72,7 +72,7 @@ from .values import FArray
 
 @dataclass(frozen=True)
 class Shard:
-    """A contiguous or strided slice of the processor space.
+    """A contiguous slice of the processor space.
 
     Attributes:
         index: 0-based shard index (the unit of scheduling/recovery).
@@ -83,31 +83,19 @@ class Shard:
     procs: tuple[int, ...]
 
 
-def plan_shards(nproc: int, nshards: int, layout: str = "block") -> list[Shard]:
-    """Partition processors ``1..nproc`` into shards.
-
-    ``"block"`` gives contiguous runs (shard 0 gets the lowest ids),
-    ``"cyclic"`` deals processors round-robin — the same two
-    distributions the SPMD transform supports, so a shard's processors
-    match the data layout the program text was generated for.
-    """
+def plan_shards(nproc: int, nshards: int) -> list[Shard]:
+    """Partition processors ``1..nproc`` into ``nshards`` contiguous
+    runs (clamped to ``1..nproc``); shard 0 gets the lowest ids and
+    the first ``nproc % nshards`` shards one processor more."""
     nshards = max(1, min(nshards, nproc))
-    procs = list(range(1, nproc + 1))
-    if layout == "cyclic":
-        groups = [tuple(procs[s::nshards]) for s in range(nshards)]
-    elif layout == "block":
-        base, extra = divmod(nproc, nshards)
-        groups = []
-        start = 0
-        for s in range(nshards):
-            size = base + (1 if s < extra else 0)
-            groups.append(tuple(procs[start : start + size]))
-            start += size
-    else:
-        raise ValueError(f"unknown shard layout {layout!r}")
-    return [
-        Shard(index, group) for index, group in enumerate(groups) if group
-    ]
+    base, extra = divmod(nproc, nshards)
+    shards = []
+    start = 1
+    for index in range(nshards):
+        size = base + (1 if index < extra else 0)
+        shards.append(Shard(index, tuple(range(start, start + size))))
+        start += size
+    return shards
 
 
 def replicate_bindings(bindings: dict) -> dict:
@@ -201,7 +189,7 @@ class PMIMDResult(MIMDResult):
 
     Attributes:
         events: The supervisor's ordered recovery/decision log.
-        recoveries: Dead/wedged/deadline recoveries performed.
+        recoveries: Dead/wedged recoveries performed.
         speculations: Straggler duplicates dispatched.
         workers: Worker-pool size used.
         checkpoint_resumes: Processor replays that continued from a
@@ -522,10 +510,9 @@ class PMIMDExecutor:
             pool-level faults, interpreter-level faults fire on first
             attempts only.
         workers: Worker-process pool size
-            (default: :func:`default_workers`).
-        shards: Shard count (default ``min(nproc, 2 × workers)`` so
-            the supervisor has spare shards to load-balance with).
-        shard_layout: ``"block"`` or ``"cyclic"``.
+            (default: :func:`default_workers`).  The processors run as
+            ``min(nproc, 2 × workers)`` contiguous shards, so the
+            supervisor has spare shards to load-balance with.
         supervision: The :class:`SupervisionPolicy` in force.
         checkpoint_every: Per-processor checkpoint interval in
             interpreted statements; ``None`` disables durable
@@ -547,8 +534,6 @@ class PMIMDExecutor:
         fault_plan=None,
         *,
         workers: int | None = None,
-        shards: int | None = None,
-        shard_layout: str = "block",
         supervision: SupervisionPolicy | None = None,
         checkpoint_every: int | None = None,
         checkpoint_dir: str | None = None,
@@ -565,10 +550,6 @@ class PMIMDExecutor:
         self.budget = budget
         self.fault_plan = fault_plan
         self.workers = workers if workers else default_workers(nproc)
-        self.shards = (
-            shards if shards else max(1, min(nproc, 2 * self.workers))
-        )
-        self.shard_layout = shard_layout
         self.supervision = (
             supervision if supervision is not None else SupervisionPolicy()
         )
@@ -606,7 +587,7 @@ class PMIMDExecutor:
         # Each worker is forked afresh: generating the program's code
         # here hands every worker the compiled sources with the fork.
         ScalarInterpreter(self.source, self.externals).precompile()
-        shards = plan_shards(self.nproc, self.shards, self.shard_layout)
+        shards = plan_shards(self.nproc, 2 * self.workers)
         nworkers = max(1, min(self.workers, len(shards)))
         arena = ShmArena()
         ckpt_dir = self.checkpoint_dir

@@ -141,11 +141,14 @@ def _raising(error_type, *args):
 class ScalarInterpreter:
     """Sequential interpreter over compiled MiniF.
 
+    Events are recorded into the interpreter's own ``counters`` (a
+    fresh :class:`~repro.exec.counters.ExecutionCounters`, restored
+    from the checkpoint on a resume), read back after :meth:`run`.
+
     Args:
         source: Parsed program (may contain subroutines).
         externals: Mapping from subroutine name to a Python callable
             ``fn(interp, arg_exprs, arg_values, env)`` implementing it.
-        counters: Event accumulator (created fresh when omitted).
         statement_hook: Optional callable ``hook(stmt, env)`` invoked
             before each executed statement — used by trace recorders.
         budget: Execution guard (None = ``Budget()``, the default step
@@ -168,7 +171,6 @@ class ScalarInterpreter:
         self,
         source: ast.SourceFile,
         externals: dict | None = None,
-        counters: ExecutionCounters | None = None,
         statement_hook=None,
         budget: Budget | None = None,
         fault_plan=None,
@@ -182,7 +184,7 @@ class ScalarInterpreter:
             )
         self.source = source
         self.externals = externals or {}
-        self.counters = counters if counters is not None else ExecutionCounters(1)
+        self.counters = ExecutionCounters(1)
         self.statement_hook = statement_hook
         self.budget = budget if budget is not None else Budget()
         self.fault_plan = fault_plan

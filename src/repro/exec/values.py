@@ -172,11 +172,6 @@ def align_mask(mask, value_ndim: int):
     return mask
 
 
-def is_vector(value) -> bool:
-    """True for per-PE vector values (1-D numpy arrays)."""
-    return isinstance(value, np.ndarray) and value.ndim >= 1
-
-
 def as_bool_scalar(value, what: str = "condition"):
     """Coerce a value to a host boolean; vectors must be uniform.
 

@@ -28,7 +28,6 @@ from .lexer import tokenize
 from .parser import parse_expression, parse_source, parse_statements
 from .printer import (
     format_expr,
-    format_routine,
     format_source,
     format_statements,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "parse_statements",
     "parse_expression",
     "format_source",
-    "format_routine",
     "format_statements",
     "format_expr",
     "check_source",

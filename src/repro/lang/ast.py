@@ -432,11 +432,6 @@ def _walk_stack(stack: list[Node]):
             push(kids)
 
 
-def copy_node(node: Node, **overrides):
-    """Shallow-copy a node, overriding the given fields."""
-    return dataclasses.replace(node, **overrides)
-
-
 def clone(node):
     """Deep-copy an AST node (or list of nodes), ``loc`` included."""
     if isinstance(node, list):
@@ -453,10 +448,6 @@ def clone(node):
             value = [clone(item) for item in value]
         kwargs[name] = value
     return cls(**kwargs)
-
-
-#: Statement classes that contain nested statement bodies.
-BLOCK_STMTS = (Do, DoWhile, While, If, Where, Forall)
 
 
 def sub_bodies(stmt: Stmt) -> list[list[Stmt]]:

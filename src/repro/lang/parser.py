@@ -73,10 +73,6 @@ class Parser:
     def _cur(self) -> Token:
         return self._tokens[self._pos]
 
-    def _peek(self, offset: int = 1) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
     def _advance(self) -> Token:
         token = self._cur
         if token.kind is not TokenKind.EOF:

@@ -30,7 +30,6 @@ _PRECEDENCE = {
 
 _NOT_PRECEDENCE = 3
 _UNARY_MINUS_PRECEDENCE = 7
-_PRIMARY = 9
 
 #: Non-associative comparison operators.
 COMPARISON_OPS = frozenset({"==", "/=", "<", "<=", ">", ">="})
@@ -229,13 +228,6 @@ def format_source(source: ast.SourceFile) -> str:
     """Render a whole source file."""
     printer = Printer()
     printer.print_source(source)
-    return printer.text()
-
-
-def format_routine(routine: ast.Routine) -> str:
-    """Render one routine."""
-    printer = Printer()
-    printer.print_routine(routine)
     return printer.text()
 
 

@@ -14,33 +14,34 @@ see), or straggle (CPU contention, page-cache cold starts).  The
   :attr:`SupervisionPolicy.wedge_timeout` seconds is *wedged*: the
   worker is killed and its shard replayed elsewhere.  A worker whose
   process is simply gone is *dead*: same recovery, different
-  classification detail.
-* **Per-shard deadlines.**  Independent of heartbeats, a shard attempt
-  running past :attr:`SupervisionPolicy.shard_deadline_seconds` is
-  killed and replayed — a worker can be heartbeating and still stuck
-  in one long external call the per-worker ``Budget`` cannot see.
-* **Straggler speculation.**  Once enough shards have completed to
-  estimate a median duration, a flight exceeding
-  ``straggler_factor ×`` that median is *speculatively duplicated* on
-  an idle worker.  First completion wins; duplicate per-processor
-  results are idempotently ignored.  The slow copy is never killed —
-  it may still finish first.
+  classification detail.  A worker that heartbeats but runs too long
+  is the budget's business, not the pool's: each worker's interpreter
+  runs under the run's :class:`~repro.reliability.Budget` (step cap,
+  ``deadline_seconds``).
+* **Straggler speculation.**  Once :data:`MIN_STRAGGLER_SAMPLES`
+  shards have completed, a flight exceeding :data:`STRAGGLER_FACTOR`
+  × their median duration (and at least
+  :attr:`SupervisionPolicy.straggler_floor_seconds`) is
+  *speculatively duplicated* on an idle worker.  First completion
+  wins; duplicate per-processor results are idempotently ignored.  The
+  slow copy is never killed — it may still finish first.
 * **Event-driven idle.**  A pass over the pool that changes nothing
   ends in one wait on every worker's pipe end and process sentinel,
-  bounded by :attr:`SupervisionPolicy.poll_interval`: a message or a
-  worker death wakes the loop at once, and the checks above still run
-  at least every ``poll_interval``.
+  bounded by :data:`POLL_INTERVAL`: a message or a worker death wakes
+  the loop at once, and the checks above still run at least every
+  ``POLL_INTERVAL``.
 * **Checkpointed replay.**  Workers stream one message per completed
   *processor*, not one per shard, so the supervisor's result table is
   a checkpoint: replaying a half-finished shard re-executes only the
   processors that never reported.  When a worker is retired, its pipe
   is drained first so results it produced before dying still count.
-* **Bounded retries with exponential backoff.**  Each shard gets
-  :attr:`SupervisionPolicy.max_retries` replays; replay ``n`` waits
-  ``backoff_base · backoff_factor^(n−1)`` (capped) before
-  redispatching.  A shard that exhausts its retries — or a pool with
-  no live workers and no respawn budget left — makes the pool
-  *unrecoverable*: a retryable
+* **Bounded retries with jittered exponential backoff.**  Each shard
+  gets :data:`MAX_RETRIES` replays; replay ``n`` waits a delay drawn
+  around ``backoff_base · BACKOFF_FACTOR^(n−1)`` (see
+  :meth:`SupervisionPolicy.backoff_seconds`) before redispatching.
+  The pool replaces at most :data:`MAX_RESPAWNS` workers.  A shard
+  that exhausts its retries — or a pool with no live workers and no
+  respawn budget left — makes the pool *unrecoverable*: a retryable
   :class:`~repro.reliability.errors.BackendFault` is raised so the
   Engine's :class:`~repro.reliability.policy.FallbackPolicy` degrades
   to a single-process backend.
@@ -57,8 +58,8 @@ the program, and replaying them on another worker would only re-fail.
 
 Every decision is recorded as an event dict (``dispatch``,
 ``proc-complete``, ``shard-complete``, ``checkpoint-resume``,
-``worker-dead``, ``worker-wedged``, ``shard-deadline``, ``speculate``,
-``backoff``, ``retry``, ``respawn``, ``fault``, ``unrecoverable``) so chaos tests
+``worker-dead``, ``worker-wedged``, ``speculate``, ``backoff``,
+``retry``, ``respawn``, ``fault``, ``unrecoverable``) so chaos tests
 can assert the exact recovery path taken, and ``repro run`` can show
 it.
 """
@@ -185,9 +186,31 @@ def error_from_dump(dump: dict) -> ReliabilityError:
         )
 
 
+#: A flight running longer than this multiple of the median
+#: completed-shard duration is speculated.
+STRAGGLER_FACTOR = 4.0
+#: Completed shards needed before that median is trusted.
+MIN_STRAGGLER_SAMPLES = 3
+#: Replays allowed per shard after its first attempt.
+MAX_RETRIES = 2
+#: Backoff multiplier per further replay.
+BACKOFF_FACTOR = 2.0
+#: Seed of the supervisor's backoff-jitter RNG.
+JITTER_SEED = 0
+#: Replacement workers the pool may spawn before a dead pool is
+#: declared unrecoverable.
+MAX_RESPAWNS = 4
+#: Longest the event loop waits when idle (seconds).  The loop waits
+#: on every worker's pipe and process exit, so a message or a death
+#: wakes it at once; liveness and straggler checks still run at least
+#: this often.
+POLL_INTERVAL = 0.004
+
+
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Knobs of the worker-pool failure model.
+    """The worker-pool timings a caller may tune; the rest of the
+    failure model is the module constants above.
 
     Attributes:
         wedge_timeout: Heartbeat silence after which a running flight
@@ -195,74 +218,36 @@ class SupervisionPolicy:
             beats on task receipt and from its budget meter's poll,
             every ``min(Budget.check_every, BEAT_TICKS)`` statements
             (256 by default).
-        shard_deadline_seconds: Hard wall ceiling per shard attempt
-            (None = no deadline beyond the wedge timeout).
-        straggler_factor: A flight running longer than this multiple
-            of the median completed-shard duration is speculated.
-        min_straggler_samples: Completed shards needed before the
-            median is trusted.
+        backoff_base_seconds: Backoff before the first replay.
+        backoff_max_seconds: Backoff ceiling.
         straggler_floor_seconds: Never speculate below this elapsed
             time — medians of sub-millisecond shards are noise.
-        max_retries: Replays allowed per shard after its first attempt.
-        backoff_base_seconds: Backoff before the first replay.
-        backoff_factor: Multiplier per further replay.
-        backoff_max_seconds: Backoff ceiling.
-        jitter_seed: Seed of the supervisor's backoff-jitter RNG.
-            Simultaneous shard failures on a pure exponential schedule
-            replay in synchronized storms; the supervisor therefore
-            decorrelates replays by drawing each delay from a seeded
-            RNG (see :meth:`backoff_seconds`).  Deterministic per seed;
-            ``None`` disables jitter entirely.
-        max_respawns: Replacement workers the pool may spawn before a
-            dead pool is declared unrecoverable.
-        poll_interval: Longest the supervisor's event loop waits when
-            idle.  The loop waits on every worker's pipe and process
-            exit, so a message or a death wakes it at once; liveness,
-            deadline and straggler checks still run at least this often.
     """
 
     wedge_timeout: float = 5.0
-    shard_deadline_seconds: float | None = None
-    straggler_factor: float = 4.0
-    min_straggler_samples: int = 3
-    straggler_floor_seconds: float = 0.05
-    max_retries: int = 2
     backoff_base_seconds: float = 0.02
-    backoff_factor: float = 2.0
     backoff_max_seconds: float = 0.5
-    jitter_seed: int | None = 0
-    max_respawns: int = 4
-    poll_interval: float = 0.004
+    straggler_floor_seconds: float = 0.05
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.straggler_factor <= 1.0:
-            raise ValueError(
-                f"straggler_factor must be > 1, got {self.straggler_factor}"
-            )
         if self.wedge_timeout <= 0:
             raise ValueError(
                 f"wedge_timeout must be positive, got {self.wedge_timeout}"
             )
 
-    def backoff_seconds(self, attempt: int, rng=None) -> float:
+    def backoff_seconds(self, attempt: int, rng) -> float:
         """Delay before dispatching replay ``attempt`` (1-based).
 
-        Without ``rng`` the schedule is the pure capped exponential
-        ``base · factor^(attempt−1)`` — deterministic, for tests and
-        for callers that do their own spreading.  With ``rng`` (a
-        ``random.Random``) the delay is decorrelated-jittered: drawn
-        uniformly from ``[base, min(cap, 3 · exponential)]``, so
-        simultaneous failures fan out instead of replaying in
-        lockstep, while the base delay stays a hard floor and the cap
-        a hard ceiling.
+        Simultaneous shard failures on a pure exponential schedule
+        replay in synchronized storms, so the delay is
+        decorrelated-jittered: drawn with ``rng`` (a
+        ``random.Random``) uniformly from ``[base, min(cap, 3 ·
+        base · BACKOFF_FACTOR^(attempt−1))]``.  The base delay stays a
+        hard floor and the cap a hard ceiling.
         """
         if attempt <= 0:
             return 0.0
-        delay = self.backoff_base_seconds * self.backoff_factor ** (attempt - 1)
-        if rng is None:
-            return min(delay, self.backoff_max_seconds)
+        delay = self.backoff_base_seconds * BACKOFF_FACTOR ** (attempt - 1)
         low = self.backoff_base_seconds
         high = max(low, min(3.0 * delay, self.backoff_max_seconds))
         return min(rng.uniform(low, high), self.backoff_max_seconds)
@@ -304,7 +289,7 @@ class SupervisionOutcome:
     Attributes:
         results: Per-processor payloads keyed by 1-based processor id.
         events: Ordered recovery/decision log (event dicts).
-        recoveries: Count of dead/wedged/deadline recoveries performed.
+        recoveries: Count of dead/wedged recoveries performed.
         speculations: Count of straggler duplicates dispatched.
     """
 
@@ -363,11 +348,7 @@ class WorkerSupervisor:
         self.backend = backend
         self._clock = clock
         self._wait = wait
-        self._backoff_rng = (
-            None
-            if self.policy.jitter_seed is None
-            else random.Random(self.policy.jitter_seed)
-        )
+        self._backoff_rng = random.Random(JITTER_SEED)
         self._workers: dict[int, object] = {}
         self._flights: dict[int, _Flight] = {}  # worker_id -> flight
         self._next_worker_id = 0
@@ -418,7 +399,7 @@ class WorkerSupervisor:
     def _replace_worker(self, worker_id: int) -> None:
         """Retire a failed worker; respawn a replacement if budget allows."""
         self._retire_worker(worker_id, kill=True)
-        if self._respawns < self.policy.max_respawns:
+        if self._respawns < MAX_RESPAWNS:
             self._respawns += 1
             if self._spawn_worker() is not None:
                 self._log("respawn", replaced=worker_id)
@@ -504,14 +485,14 @@ class WorkerSupervisor:
         )
 
     def _idle(self) -> None:
-        """Wait for any worker's message or exit, at most one
-        ``poll_interval``."""
+        """Wait for any worker's message or exit, at most
+        :data:`POLL_INTERVAL`."""
         waitables = [
             waitable
             for handle in self._workers.values()
             for waitable in handle.waitables()
         ]
-        self._wait(waitables, self.policy.poll_interval)
+        self._wait(waitables, POLL_INTERVAL)
 
     # -- message handling ----------------------------------------------------
 
@@ -606,7 +587,7 @@ class WorkerSupervisor:
                 raise error
             self._requeue(task)
 
-    # -- liveness, deadlines, stragglers -------------------------------------
+    # -- liveness and stragglers --------------------------------------------
 
     def _check_liveness(self) -> bool:
         now = self._clock()
@@ -643,22 +624,10 @@ class WorkerSupervisor:
                         f"(steps={int(steps)})"
                     ),
                 )
-                continue
-            deadline = self.policy.shard_deadline_seconds
-            if deadline is not None and now - flight.started > deadline:
-                progressed = True
-                self._on_worker_lost(
-                    worker_id,
-                    flight,
-                    kind="shard-deadline",
-                    detail=(
-                        f"shard ran {now - flight.started:.2f}s > {deadline}s"
-                    ),
-                )
         return progressed
 
     def _on_worker_lost(self, worker_id, flight, *, kind, detail) -> None:
-        """A worker is dead/wedged/over-deadline: salvage, recover, replay."""
+        """A worker is dead or wedged: salvage, recover, replay."""
         handle = self._workers.get(worker_id)
         # Salvage per-processor checkpoints still sitting in the pipe so
         # the replay only re-executes processors that never reported.
@@ -686,12 +655,11 @@ class WorkerSupervisor:
             self._requeue(flight.task)
 
     def _maybe_speculate(self) -> None:
-        policy = self.policy
-        if len(self._durations) < policy.min_straggler_samples:
+        if len(self._durations) < MIN_STRAGGLER_SAMPLES:
             return
         typical = median(self._durations)
         threshold = max(
-            policy.straggler_factor * typical, policy.straggler_floor_seconds
+            STRAGGLER_FACTOR * typical, self.policy.straggler_floor_seconds
         )
         now = self._clock()
         for flight in list(self._flights.values()):
@@ -728,7 +696,7 @@ class WorkerSupervisor:
             # A speculative copy is still running this shard; let it win.
             return
         replays_used = task.attempt - 1  # the first attempt is free
-        if replays_used >= self.policy.max_retries:
+        if replays_used >= MAX_RETRIES:
             self._log(
                 "unrecoverable",
                 shard=task.index,
@@ -823,7 +791,7 @@ class WorkerSupervisor:
             return
         if all(task.complete for task in self._tasks.values()):
             return
-        if self._respawns < self.policy.max_respawns:
+        if self._respawns < MAX_RESPAWNS:
             self._respawns += 1
             if self._spawn_worker() is not None:
                 self._log("respawn", replaced=None)

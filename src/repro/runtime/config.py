@@ -4,7 +4,12 @@ Every run setting has one spelling.  The settings every backend reads
 (``nproc``, ``externals``, ``budget``, ``fault_plan``,
 ``checkpoint_every``, ``checkpoint_dir``) are
 :meth:`CompiledProgram.run` keywords; :class:`BackendConfig` holds
-only the backend tuning that ``run()`` has no keyword for.
+only the backend tuning that ``run()`` has no keyword for and that
+callers need different values of: ``vm_fuse``, ``workers`` and
+``supervision``.  Tuning no caller sets is a constant of the module
+that reads it (the pmimd shard plan in :mod:`repro.exec.pmimd`, the
+retry, backoff, straggler and respawn constants in
+:mod:`repro.reliability.supervisor`).
 
 :meth:`CompiledProgram.run` folds its keywords and the config exactly
 once, into a frozen :class:`RunSpec`, refusing every bad value and
@@ -27,11 +32,8 @@ class BackendConfig:
         vm_fuse: Run straight-line blocks as compiled closures (VM only;
             False steps per instruction, the reference mode).
         workers: Worker-process pool size (pmimd only; None picks a
-            per-core default).
-        shards: Shard count for the processor partition (pmimd only;
-            None picks ``min(nproc, 2 × workers)``).
-        shard_layout: ``"block"`` or ``"cyclic"`` processor-to-shard
-            distribution (pmimd only).
+            per-core default).  The pool runs ``min(nproc, 2 ×
+            workers)`` contiguous shards of processors.
         supervision: A
             :class:`~repro.reliability.supervisor.SupervisionPolicy`
             for the worker pool (pmimd only; None uses the defaults).
@@ -39,8 +41,6 @@ class BackendConfig:
 
     vm_fuse: bool = True
     workers: int | None = None
-    shards: int | None = None
-    shard_layout: str = "block"
     supervision: object | None = None
 
 

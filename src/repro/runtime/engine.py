@@ -110,14 +110,8 @@ def _check_count(value, name: str, low: int) -> None:
 
 def _check_config(config: BackendConfig) -> None:
     """Refuse backend tuning no backend can run with."""
-    for name in ("workers", "shards"):
-        value = getattr(config, name)
-        if value is not None:
-            _check_count(value, name, 1)
-    if config.shard_layout not in ("block", "cyclic"):
-        raise InterpreterError(
-            f"shard_layout must be 'block' or 'cyclic', got {config.shard_layout!r}"
-        )
+    if config.workers is not None:
+        _check_count(config.workers, "workers", 1)
 
 
 class CompiledProgram:
@@ -276,8 +270,8 @@ class CompiledProgram:
 
         Each run setting has this one spelling.  A bad value (a
         non-int or negative ``nproc``, a ``checkpoint_every`` below 1,
-        a ``config`` with ``workers``/``shards`` below 1 or an unknown
-        ``shard_layout``) and every contradictory combination raise
+        a ``config`` with ``workers`` below 1) and every contradictory
+        combination raise
         :class:`~repro.lang.errors.InterpreterError` before any backend
         runs.
 
@@ -318,8 +312,7 @@ class CompiledProgram:
                 :attr:`RunResult.attempts`.
             config: A :class:`BackendConfig` with the backend tuning
                 that has no keyword here: ``vm_fuse`` for the vm, and
-                the pmimd pool's ``workers``, ``shards``,
-                ``shard_layout`` and ``supervision``.
+                the pmimd pool's ``workers`` and ``supervision``.
             checkpoint_every: Durable execution — capture a restorable
                 :class:`~repro.reliability.checkpoint.Checkpoint`
                 every this many (``>= 1``) executed steps (vm/scalar:
@@ -592,8 +585,6 @@ class CompiledProgram:
                 self._tree,
                 spec.nproc,
                 workers=config.workers,
-                shards=config.shards,
-                shard_layout=config.shard_layout,
                 supervision=config.supervision,
                 checkpoint_every=spec.checkpoint_every,
                 checkpoint_dir=spec.checkpoint_dir,

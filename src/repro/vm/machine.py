@@ -221,11 +221,15 @@ class _Epoch:
 class SIMDVirtualMachine:
     """Executes SIMD bytecode on ``nproc`` lockstep lanes.
 
+    Events are recorded into the machine's own ``counters`` (a fresh
+    ``nproc``-lane :class:`~repro.exec.counters.ExecutionCounters`,
+    restored from the checkpoint on a resume), read back after
+    :meth:`run`.
+
     Args:
         nproc: Processing-element count.
         externals: Mapping name -> callable with the interpreter
             external convention ``fn(vm, arg_exprs, args, env, mask)``.
-        counters: Event accumulator (fresh when omitted).
         budget: Runaway-loop guard (None = ``Budget()``, the default
             step cap).
         fault_plan: Deterministic fault injection
@@ -251,7 +255,6 @@ class SIMDVirtualMachine:
         self,
         nproc: int,
         externals: dict | None = None,
-        counters: ExecutionCounters | None = None,
         budget: Budget | None = None,
         fault_plan=None,
         fuse: bool = True,
@@ -267,7 +270,7 @@ class SIMDVirtualMachine:
             )
         self.nproc = nproc
         self.externals = externals or {}
-        self.counters = counters if counters is not None else ExecutionCounters(nproc)
+        self.counters = ExecutionCounters(nproc)
         self.budget = budget if budget is not None else Budget()
         self.fault_plan = fault_plan
         self.fuse = fuse

@@ -4,7 +4,7 @@ survive — empty loop bodies, nested WHERE, and unreachable blocks."""
 import pytest
 
 from repro.analysis import build_cfg
-from repro.analysis.dataflow import live_variables, reaching_definitions
+from repro.analysis.dataflow import live_variables
 from repro.lang import ast, parse_statements
 from repro.lang.errors import TransformError
 
@@ -107,22 +107,6 @@ def test_nested_where_liveness_joins_arms():
     assert "a" in live.live_in[use.index]
 
 
-def test_nested_where_reaching_defs_merge():
-    cfg = cfg_of(
-        "a = 0\n"
-        "WHERE (m .GT. 0)\n"
-        "  WHERE (n .GT. 0)\n"
-        "    a = 1\n"
-        "  ENDWHERE\n"
-        "ENDWHERE\n"
-        "b = a"
-    )
-    rd = reaching_definitions(cfg)
-    use = node_for(cfg, lambda s: isinstance(s, ast.Assign) and s.target.name == "b")
-    # Both the initial def and the guarded redef reach the use.
-    assert len(rd.defs_reaching(use.index, "a")) == 2
-
-
 # -- unreachable blocks -------------------------------------------------------
 
 
@@ -139,26 +123,6 @@ def test_code_after_return_is_unreachable():
     dead = node_for(cfg, lambda s: isinstance(s, ast.Assign))
     assert dead.index not in reachable(cfg)
     assert cfg.EXIT in reachable(cfg)
-
-
-def test_unreachable_def_filtered_by_reachability():
-    # Reaching definitions is a may-analysis over the wired graph: the
-    # dead `a = 99` still falls through to label 10, so its def shows
-    # up — clients prune with reachability, as the abstract interpreter
-    # does via `is_reachable`.
-    cfg = cfg_of("a = 1\nGOTO 10\na = 99\n10 b = a")
-    rd = reaching_definitions(cfg)
-    use = node_for(cfg, lambda s: isinstance(s, ast.Assign) and s.target.name == "b")
-    first = node_for(
-        cfg,
-        lambda s: isinstance(s, ast.Assign)
-        and s.target.name == "a"
-        and s.value.value == 1,
-    )
-    defs = rd.defs_reaching(use.index, "a")
-    assert first.index in defs
-    live_defs = defs & reachable(cfg)
-    assert live_defs == {first.index}
 
 
 def test_loop_only_exit_via_exit_stmt():
@@ -199,10 +163,8 @@ def test_dataflow_ignores_unreachable_cycle():
     # An unreachable GOTO self-loop must not prevent the worklists from
     # terminating or pollute results of the reachable region.
     cfg = cfg_of("b = 1\nGOTO 20\n10 a = a + 1\nGOTO 10\n20 c = b")
-    rd = reaching_definitions(cfg)
     live = live_variables(cfg)
     use = node_for(cfg, lambda s: isinstance(s, ast.Assign) and s.target.name == "c")
-    assert len(rd.defs_reaching(use.index, "b")) == 1
     assert "b" in live.live_in[use.index]
     # `a` only feeds the dead cycle; it must not leak into the entry.
     first = node_for(cfg, lambda s: isinstance(s, ast.Assign) and s.target.name == "b")

@@ -1,9 +1,8 @@
-"""Dataflow analysis tests: reaching definitions and liveness."""
+"""Dataflow analysis tests: per-statement defs/uses and liveness."""
 
 from repro.analysis import (
     build_cfg,
     live_variables,
-    reaching_definitions,
     stmt_defs,
     stmt_uses,
 )
@@ -45,40 +44,6 @@ class TestDefsUses:
         [stmt] = parse_statements("CALL f(a, b + c)")
         assert "a" in stmt_defs(stmt)
         assert stmt_uses(stmt) >= {"a", "b", "c"}
-
-
-class TestReachingDefinitions:
-    def test_straight_line_kill(self):
-        cfg = cfg_of("x = 1\nx = 2\ny = x")
-        rd = reaching_definitions(cfg)
-        use = node_for(cfg, lambda s: isinstance(s, ast.Assign) and s.target.name == "y")
-        reaching = rd.defs_reaching(use.index, "x")
-        assert len(reaching) == 1
-        # the surviving def is the second assignment
-        def2 = node_for(
-            cfg,
-            lambda s: isinstance(s, ast.Assign)
-            and s.target.name == "x"
-            and s.value == ast.IntLit(2),
-        )
-        assert reaching == {def2.index}
-
-    def test_branch_merges_defs(self):
-        cfg = cfg_of("IF (c) THEN\n  x = 1\nELSE\n  x = 2\nENDIF\ny = x")
-        rd = reaching_definitions(cfg)
-        use = node_for(cfg, lambda s: isinstance(s, ast.Assign) and s.target.name == "y")
-        assert len(rd.defs_reaching(use.index, "x")) == 2
-
-    def test_loop_def_reaches_itself(self):
-        cfg = cfg_of("s = 0\nDO i = 1, 3\n  s = s + i\nENDDO")
-        rd = reaching_definitions(cfg)
-        update = node_for(
-            cfg,
-            lambda s: isinstance(s, ast.Assign)
-            and s.target.name == "s"
-            and isinstance(s.value, ast.BinOp),
-        )
-        assert update.index in rd.defs_reaching(update.index, "s")
 
 
 class TestLiveness:

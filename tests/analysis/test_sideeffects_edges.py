@@ -2,7 +2,6 @@
 
 from repro.analysis.sideeffects import (
     assigned_names,
-    expr_calls,
     referenced_names,
     stmts_have_side_effects,
     subscripts_depending_on,
@@ -26,10 +25,6 @@ class TestSideEffects:
     def test_stop_is_a_side_effect(self):
         stmts = parse_statements("IF (n .LT. 0) THEN\n  STOP\nENDIF")
         assert stmts_have_side_effects(stmts)
-
-    def test_expressions_never_call(self):
-        assert not expr_calls(parse_expression("max(a(i), b(i))"))
-
 
 class TestAssignedNames:
     def test_nested_loop_vars_and_targets(self):

@@ -15,6 +15,7 @@ from repro.exec.pmimd import (
 )
 from repro.exec.values import FArray
 from repro.lang.parser import parse_source
+from repro.reliability import supervisor as supervisor_mod
 from repro.reliability.supervisor import SupervisionPolicy
 
 SPMD_SOURCE = """PROGRAM spmd
@@ -31,34 +32,25 @@ END
 
 class TestPlanShards:
     def test_block_contiguous(self):
-        shards = plan_shards(8, 3, "block")
+        shards = plan_shards(8, 3)
         assert [s.procs for s in shards] == [(1, 2, 3), (4, 5, 6), (7, 8)]
         assert [s.index for s in shards] == [0, 1, 2]
 
-    def test_cyclic_round_robin(self):
-        shards = plan_shards(8, 3, "cyclic")
-        assert [s.procs for s in shards] == [(1, 4, 7), (2, 5, 8), (3, 6)]
-
     def test_every_proc_exactly_once(self):
-        for layout in ("block", "cyclic"):
-            for nshards in (1, 2, 5, 7, 12):
-                shards = plan_shards(7, nshards, layout)
-                procs = sorted(p for s in shards for p in s.procs)
-                assert procs == list(range(1, 8))
+        for nshards in (1, 2, 5, 7, 12):
+            shards = plan_shards(7, nshards)
+            procs = sorted(p for s in shards for p in s.procs)
+            assert procs == list(range(1, 8))
 
     def test_clamps_to_nproc(self):
-        shards = plan_shards(3, 10, "block")
+        shards = plan_shards(3, 10)
         assert len(shards) == 3
         assert all(len(s.procs) == 1 for s in shards)
 
     def test_at_least_one_shard(self):
-        shards = plan_shards(4, 0, "block")
+        shards = plan_shards(4, 0)
         assert len(shards) == 1
         assert shards[0].procs == (1, 2, 3, 4)
-
-    def test_unknown_layout(self):
-        with pytest.raises(ValueError, match="layout"):
-            plan_shards(4, 2, "diagonal")
 
 
 class TestReplicateBindings:
@@ -116,16 +108,30 @@ class TestParityWithMIMD:
         assert pmimd.workers <= 16
         assert len(pmimd.envs) == 2
 
-    def test_cyclic_shards_same_answer(self, tree):
-        mimd, pmimd = _run_pair(
-            tree, 5, workers=2, shards=3, shard_layout="cyclic"
-        )
+    def test_two_block_shards_per_worker(self, tree):
+        """The pool runs ``min(nproc, 2 × workers)`` contiguous shards,
+        dispatched in shard order."""
+        mimd, pmimd = _run_pair(tree, 5, workers=2)
         assert [env["s"] for env in pmimd.envs] == [
             env["s"] for env in mimd.envs
         ]
+        dispatches = [
+            e
+            for e in pmimd.events
+            if e["event"] == "dispatch" and not e["speculative"]
+        ]
+        assert [(e["shard"], e["procs"]) for e in dispatches] == [
+            (0, 2), (1, 1), (2, 1), (3, 1)
+        ]
+        owner = {
+            e["proc"]: e["shard"]
+            for e in pmimd.events
+            if e["event"] == "proc-complete"
+        }
+        assert owner == {1: 0, 2: 0, 3: 1, 4: 2, 5: 3}
 
     def test_event_log_covers_all_shards(self, tree):
-        _, pmimd = _run_pair(tree, 4, workers=2, shards=4)
+        _, pmimd = _run_pair(tree, 4, workers=2)
         dispatched = {
             e["shard"] for e in pmimd.events if e["event"] == "dispatch"
         }
@@ -188,17 +194,13 @@ class TestConfigPlumbing:
 
         monkeypatch.setattr(PMIMDExecutor, "__init__", recording)
         policy = SupervisionPolicy(wedge_timeout=9.0)
-        config = BackendConfig(
-            workers=2, shards=3, shard_layout="cyclic", supervision=policy,
-        )
+        config = BackendConfig(workers=2, supervision=policy)
         Engine().compile(tree).run(
             {"n": 16}, nproc=4, backend="pmimd", config=config, checkpoint_every=7
         )
         (executor,) = built
         assert executor.nproc == 4
         assert executor.workers == 2
-        assert executor.shards == 3
-        assert executor.shard_layout == "cyclic"
         assert executor.supervision.wedge_timeout == 9.0
         assert executor.checkpoint_every == 7
 
@@ -476,15 +478,15 @@ def test_proc_messages_of_the_md_kernel_stay_small():
     assert max(spy.sizes.values()) <= 16 * 1024, spy.sizes
 
 
-def test_an_idle_supervisor_wakes_on_the_first_message():
+def test_an_idle_supervisor_wakes_on_the_first_message(monkeypatch):
     """With a 2 s poll interval, a tiny run still finishes in well
     under 2 s: worker messages end every idle wait."""
     import time
 
-    policy = SupervisionPolicy(poll_interval=2.0)
+    monkeypatch.setattr(supervisor_mod, "POLL_INTERVAL", 2.0)
     source = parse_source("PROGRAM t\n  INTEGER myproc, s\n  s = myproc\nEND\n")
     began = time.monotonic()
-    result = PMIMDExecutor(source, 4, workers=2, supervision=policy).run()
+    result = PMIMDExecutor(source, 4, workers=2).run()
     elapsed = time.monotonic() - began
     assert [env["s"] for env in result.envs] == [1, 2, 3, 4]
     assert elapsed < 1.0, elapsed

@@ -8,6 +8,7 @@ from repro.exec import pmimd
 from repro.exec.scalar import ScalarInterpreter
 from repro.lang.parser import parse_source
 from repro.reliability import BEAT_TICKS, Budget, FaultPlan
+from repro.reliability import supervisor as supervisor_mod
 from repro.reliability.supervisor import SupervisionPolicy
 from repro.runtime import BackendConfig, Engine
 
@@ -111,9 +112,12 @@ class TestBeats:
         per_proc = [float(step) for step in range(every, 2004, every)]
         assert slots.steps == per_proc + per_proc
 
-    def test_a_huge_check_every_still_beats_inside_the_wedge_timeout(self):
+    def test_a_huge_check_every_still_beats_inside_the_wedge_timeout(
+        self, monkeypatch
+    ):
         """A run far longer than the wedge timeout, with a deadline
         cadence that never polls, is not declared wedged."""
+        monkeypatch.setattr(supervisor_mod, "MIN_STRAGGLER_SAMPLES", 1000)
         program = Engine().compile(LOOP)
         result = program.run(
             {"n": 200_000},
@@ -122,9 +126,7 @@ class TestBeats:
             budget=Budget(check_every=10**9),
             config=BackendConfig(
                 workers=2,
-                supervision=SupervisionPolicy(
-                    wedge_timeout=0.25, min_straggler_samples=1000
-                ),
+                supervision=SupervisionPolicy(wedge_timeout=0.25),
             ),
         )
         assert [env["s"] for env in result.env] == [20_000_100_000] * 2
@@ -132,7 +134,8 @@ class TestBeats:
         assert "worker-wedged" not in kinds
 
 
-def test_a_hang_is_still_reported_as_worker_wedged():
+def test_a_hang_is_still_reported_as_worker_wedged(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "MIN_STRAGGLER_SAMPLES", 1000)
     program = Engine().compile(LOOP)
     plan = FaultPlan(
         seed=1, worker_hang=(0,), hang_seconds=3.0, backends=("pmimd",)
@@ -144,10 +147,8 @@ def test_a_hang_is_still_reported_as_worker_wedged():
         fault_plan=plan,
         config=BackendConfig(
             workers=2,
-            shards=2,
             supervision=SupervisionPolicy(
-                wedge_timeout=0.3, backoff_base_seconds=0.01,
-                min_straggler_samples=1000,
+                wedge_timeout=0.3, backoff_base_seconds=0.01
             ),
         ),
     )

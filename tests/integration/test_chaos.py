@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.reliability import supervisor as supervisor_mod
 from repro.reliability.supervisor import SupervisionPolicy
 from repro.runtime import (
     BackendConfig,
@@ -42,10 +43,20 @@ FAST = SupervisionPolicy(
     wedge_timeout=0.6,
     backoff_base_seconds=0.01,
     backoff_max_seconds=0.05,
-    straggler_factor=3.0,
-    min_straggler_samples=2,
     straggler_floor_seconds=0.2,
 )
+
+
+@pytest.fixture
+def speculate(monkeypatch):
+    """Set the supervisor's straggler constants: speculate past
+    ``factor`` × the median of ``samples`` completed shards."""
+
+    def set_constants(factor=3.0, samples=2):
+        monkeypatch.setattr(supervisor_mod, "STRAGGLER_FACTOR", factor)
+        monkeypatch.setattr(supervisor_mod, "MIN_STRAGGLER_SAMPLES", samples)
+
+    return set_constants
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +83,7 @@ def run_pmimd(engine, plan=None, policy=None, config=None, **settings):
         fault_plan=plan,
         policy=policy,
         config=config
-        or BackendConfig(workers=2, shards=4, supervision=FAST),
+        or BackendConfig(workers=2, supervision=FAST),
         **settings,
     )
 
@@ -89,7 +100,8 @@ def assert_matches_reference(result, reference):
 class TestFastRecovery:
     """Tier-1: recoveries that settle in well under a second."""
 
-    def test_worker_kill_recovered(self, engine, reference):
+    def test_worker_kill_recovered(self, engine, reference, speculate):
+        speculate()
         plan = FaultPlan(seed=1, worker_kill=(0,), backends=("pmimd",))
         result = run_pmimd(engine, plan=plan)
         assert_matches_reference(result, reference)
@@ -98,7 +110,10 @@ class TestFastRecovery:
         assert "respawn" in kinds
         assert "retry" in kinds
 
-    def test_unrecoverable_pool_degrades_to_mimd(self, engine, reference):
+    def test_unrecoverable_pool_degrades_to_mimd(
+        self, engine, reference, speculate
+    ):
+        speculate()
         plan = FaultPlan(seed=2, fail_backends=("pmimd",))
         policy = FallbackPolicy(chain=("pmimd", "mimd"), retries=0)
         result = run_pmimd(engine, plan=plan, policy=policy)
@@ -112,17 +127,20 @@ class TestFastRecovery:
         # The failed attempt carries the classified dump.
         assert result.attempts[0].crash_dump["error"] == "BackendFault"
 
-    def test_retries_exhausted_then_degrades(self, engine, reference):
+    def test_retries_exhausted_then_degrades(
+        self, engine, reference, monkeypatch
+    ):
         """Kill injection with zero retry budget: the supervisor gives
         up, and the FallbackPolicy still lands on the right answer."""
+        monkeypatch.setattr(supervisor_mod, "MAX_RETRIES", 0)
+        monkeypatch.setattr(supervisor_mod, "MAX_RESPAWNS", 2)
         plan = FaultPlan(seed=3, worker_kill=(0, 1, 2, 3),
                          backends=("pmimd",))
         policy = FallbackPolicy(chain=("pmimd", "mimd"), retries=0)
         config = BackendConfig(
-            workers=2, shards=4,
+            workers=2,
             supervision=SupervisionPolicy(
-                wedge_timeout=0.6, max_retries=0, max_respawns=2,
-                backoff_base_seconds=0.01,
+                wedge_timeout=0.6, backoff_base_seconds=0.01
             ),
         )
         result = run_pmimd(engine, plan=plan, policy=policy, config=config)
@@ -141,8 +159,8 @@ class TestInjectionMatrix:
     """The kill/hang/slow matrix the CI chaos-smoke job runs."""
 
     @pytest.mark.parametrize("kind", ["kill", "hang", "slow"])
-    @pytest.mark.parametrize("layout", ["block", "cyclic"])
-    def test_explicit_injection(self, engine, reference, kind, layout):
+    def test_explicit_injection(self, engine, reference, speculate, kind):
+        speculate()
         plan = FaultPlan(
             seed=10,
             backends=("pmimd",),
@@ -150,10 +168,7 @@ class TestInjectionMatrix:
             slow_seconds=0.8,
             **{f"worker_{kind}": (1,)},
         )
-        config = BackendConfig(
-            workers=2, shards=4, shard_layout=layout, supervision=FAST
-        )
-        result = run_pmimd(engine, plan=plan, config=config)
+        result = run_pmimd(engine, plan=plan)
         assert_matches_reference(result, reference)
         kinds = {e["event"] for e in result.events}
         if kind == "kill":
@@ -166,9 +181,10 @@ class TestInjectionMatrix:
             assert "speculate" in kinds
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_rate_based_injection(self, engine, reference, seed):
+    def test_rate_based_injection(self, engine, reference, speculate, seed):
         """Seeded 10%-of-shards random kill/hang/slow: every recovery
         path must still produce the exact reference answer."""
+        speculate()
         plan = FaultPlan(
             seed=seed,
             worker_fault_rate=0.10,
@@ -183,36 +199,34 @@ class TestInjectionMatrix:
             if not attempt.ok:
                 assert attempt.fault_kind  # classified, never anonymous
 
-    def test_slow_worker_speculated(self, engine, reference):
+    def test_slow_worker_speculated(self, engine, reference, speculate):
+        speculate(factor=2.0, samples=2)
         plan = FaultPlan(
             seed=11, worker_slow=(2,), slow_seconds=1.0,
             backends=("pmimd",),
         )
         config = BackendConfig(
-            workers=2, shards=8,
+            workers=2,
             supervision=SupervisionPolicy(
-                wedge_timeout=5.0,
-                straggler_factor=2.0,
-                min_straggler_samples=2,
-                straggler_floor_seconds=0.05,
+                wedge_timeout=5.0, straggler_floor_seconds=0.05
             ),
         )
         result = run_pmimd(engine, plan=plan, config=config)
         assert_matches_reference(result, reference)
         assert result.events  # supervision story present
 
-    def test_hang_recovery_classified(self, engine, reference):
+    def test_hang_recovery_classified(self, engine, reference, speculate):
         plan = FaultPlan(
             seed=12, worker_hang=(0,), hang_seconds=5.0,
             backends=("pmimd",),
         )
         # Speculation off (absurd sample requirement) so the hang must
         # be recovered through the wedge path, deterministically.
+        speculate(factor=4.0, samples=1000)
         config = BackendConfig(
-            workers=2, shards=4,
+            workers=2,
             supervision=SupervisionPolicy(
-                wedge_timeout=0.6, backoff_base_seconds=0.01,
-                min_straggler_samples=1000,
+                wedge_timeout=0.6, backoff_base_seconds=0.01
             ),
         )
         result = run_pmimd(engine, plan=plan, config=config)
@@ -232,36 +246,30 @@ class TestCheckpointChaos:
 
     EVERY = 5
 
-    def run_with_checkpoints(self, engine, tmp_path, layout, kill_after):
+    @pytest.fixture(autouse=True)
+    def fast_speculation(self, speculate):
+        speculate()
+
+    def run_with_checkpoints(self, engine, tmp_path, kill_after):
         plan = FaultPlan(
             seed=20,
             worker_kill=(0,),
             kill_after_steps=kill_after,
             backends=("pmimd",),
         )
-        config = BackendConfig(
-            workers=2,
-            shards=4,
-            shard_layout=layout,
-            supervision=FAST,
-        )
         return run_pmimd(
             engine,
             plan=plan,
-            config=config,
             checkpoint_every=self.EVERY,
             checkpoint_dir=str(tmp_path),
         )
 
-    @pytest.mark.parametrize("layout", ["block", "cyclic"])
     def test_kill_between_checkpoints_resumes_from_store(
-        self, engine, reference, tmp_path, layout
+        self, engine, reference, tmp_path
     ):
         # 12 statements in: the first processor of the shard is past
         # its step-10 capture but short of step 15 when the worker dies.
-        result = self.run_with_checkpoints(
-            engine, tmp_path, layout, kill_after=12
-        )
+        result = self.run_with_checkpoints(engine, tmp_path, kill_after=12)
         assert_matches_reference(result, reference)
         kinds = [e["event"] for e in result.events]
         assert "worker-dead" in kinds
@@ -275,15 +283,12 @@ class TestCheckpointChaos:
             assert event["step"] > 0
             assert event["step"] % self.EVERY == 0
 
-    @pytest.mark.parametrize("layout", ["block", "cyclic"])
     def test_store_cleared_after_completion(
-        self, engine, reference, tmp_path, layout
+        self, engine, reference, tmp_path
     ):
         from repro.reliability import CheckpointStore
 
-        result = self.run_with_checkpoints(
-            engine, tmp_path, layout, kill_after=12
-        )
+        result = self.run_with_checkpoints(engine, tmp_path, kill_after=12)
         assert_matches_reference(result, reference)
         # Completed processors clear their keys — nothing stale left to
         # leak into an unrelated later run.
@@ -311,7 +316,5 @@ class TestCheckpointChaos:
         store.save(
             "proc-2", Checkpoint(backend="vm", step=5, pc=0, env={})
         )
-        result = self.run_with_checkpoints(
-            engine, tmp_path, "block", kill_after=17
-        )
+        result = self.run_with_checkpoints(engine, tmp_path, kill_after=17)
         assert_matches_reference(result, reference)

@@ -202,16 +202,6 @@ class TestFold:
                 "workers must be >= 1",
             ),
             (
-                dict(backend="pmimd", nproc=2, config=BackendConfig(shards=0)),
-                "shards must be >= 1",
-            ),
-            (
-                dict(
-                    backend="pmimd", nproc=2, config=BackendConfig(shard_layout="diag")
-                ),
-                "shard_layout must be 'block' or 'cyclic'",
-            ),
-            (
                 dict(backend="mimd", nproc=2, checkpoint_every=5),
                 "'mimd' does not checkpoint",
             ),
@@ -243,8 +233,6 @@ class TestFold:
             "pmimd-checkpoint-every-0",
             "checkpoint-every-bool",
             "workers-negative",
-            "shards-0",
-            "shard-layout",
             "mimd-checkpoint-every",
             "mimd-checkpoint-dir",
             "chain-mimd-checkpoint-every",

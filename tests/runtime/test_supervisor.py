@@ -18,6 +18,7 @@ from repro.reliability.errors import (
     OutOfBoundsFault,
     ReliabilityError,
 )
+from repro.reliability import supervisor as supervisor_mod
 from repro.reliability.supervisor import (
     SupervisionPolicy,
     WorkerSupervisor,
@@ -206,7 +207,8 @@ class InTransitWorker(FakeWorker):
 
 
 class TestIdleWait:
-    def test_a_queued_message_ends_the_wait(self):
+    def test_a_queued_message_ends_the_wait(self, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "POLL_INTERVAL", 5.0)
         clock = FakeClock()
         waits = []
 
@@ -224,7 +226,7 @@ class TestIdleWait:
         supervisor = WorkerSupervisor(
             lambda worker_id: InTransitWorker(worker_id, succeed),
             2,
-            SupervisionPolicy(poll_interval=5.0),
+            SupervisionPolicy(),
             clock=clock,
             wait=wait,
         )
@@ -257,8 +259,7 @@ class TestRetryAndBackoff:
 
     def test_backoff_delays_redispatch(self):
         policy = SupervisionPolicy(
-            backoff_base_seconds=1.0, backoff_factor=2.0,
-            backoff_max_seconds=10.0, max_retries=2,
+            backoff_base_seconds=1.0, backoff_max_seconds=10.0
         )
 
         def flaky(worker, task):
@@ -278,18 +279,31 @@ class TestRetryAndBackoff:
         assert dispatches[1]["t"] - dispatches[0]["t"] >= 1.0
 
     def test_backoff_schedule(self):
-        policy = SupervisionPolicy(
-            backoff_base_seconds=0.1, backoff_factor=3.0,
-            backoff_max_seconds=0.5,
-        )
-        assert policy.backoff_seconds(0) == 0.0
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.3)
-        assert policy.backoff_seconds(3) == 0.5  # capped
+        """Replay ``n`` draws from ``[base, min(cap, 3 · base ·
+        BACKOFF_FACTOR^(n−1))]``."""
 
-    def test_retries_exhausted_is_unrecoverable(self):
+        class Edge:
+            """An rng that draws one edge of the window."""
+
+            def __init__(self, pick):
+                self.uniform = pick
+
+        policy = SupervisionPolicy(
+            backoff_base_seconds=0.1, backoff_max_seconds=10.0
+        )
+        low, high = Edge(min), Edge(max)
+        assert [policy.backoff_seconds(n, low) for n in (1, 2, 3)] == [0.1] * 3
+        assert [policy.backoff_seconds(n, high) for n in (1, 2, 3)] == [
+            pytest.approx(0.3),
+            pytest.approx(0.6),
+            pytest.approx(1.2),
+        ]
+        assert policy.backoff_seconds(0, high) == 0.0
+
+    def test_retries_exhausted_is_unrecoverable(self, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "MAX_RETRIES", 1)
         dump = {"error": "BackendFault", "message": "x", "retryable": True}
-        policy = SupervisionPolicy(max_retries=1, backoff_base_seconds=0.0)
+        policy = SupervisionPolicy(backoff_base_seconds=0.0)
         supervisor, _, _ = make_supervisor(fail_with(dump), policy=policy)
         with pytest.raises(BackendFault, match="unrecoverable") as excinfo:
             supervisor.run([Shard(0, (1,))])
@@ -350,11 +364,12 @@ class TestCrashRecovery:
         replay = spawned[1].tasks[0]
         assert replay["procs"] == [2, 3]
 
-    def test_wedged_worker_detected_and_replaced(self):
+    def test_wedged_worker_detected_and_replaced(self, monkeypatch):
         def hang(worker, task):
             return iter(())  # accept the task, never answer, stay alive
 
-        policy = SupervisionPolicy(wedge_timeout=1.0, poll_interval=0.2)
+        monkeypatch.setattr(supervisor_mod, "POLL_INTERVAL", 0.2)
+        policy = SupervisionPolicy(wedge_timeout=1.0)
         supervisor, _, _ = make_supervisor([hang, succeed], nworkers=1,
                                            policy=policy)
         outcome = supervisor.run([Shard(0, (1,))])
@@ -363,7 +378,7 @@ class TestCrashRecovery:
         wedged = [e for e in outcome.events if e["event"] == "worker-wedged"]
         assert len(wedged) == 1
 
-    def test_heartbeat_defers_wedge_verdict(self):
+    def test_heartbeat_defers_wedge_verdict(self, monkeypatch):
         calls = {"n": 0}
 
         def slow_but_alive(worker, task):
@@ -373,7 +388,8 @@ class TestCrashRecovery:
                 return iter(())
             return succeed(worker, task)
 
-        policy = SupervisionPolicy(wedge_timeout=1.0, poll_interval=0.2)
+        monkeypatch.setattr(supervisor_mod, "POLL_INTERVAL", 0.2)
+        policy = SupervisionPolicy(wedge_timeout=1.0)
         supervisor, clock, spawned = make_supervisor(
             [slow_but_alive], nworkers=1, policy=policy
         )
@@ -384,27 +400,14 @@ class TestCrashRecovery:
         assert len(wedged) == 1
         assert wedged[0]["t"] > 11.0
 
-    def test_shard_deadline_enforced(self):
-        def hang(worker, task):
-            worker.beat = 1e9  # heartbeating forever, still stuck
-            return iter(())
-
-        policy = SupervisionPolicy(
-            wedge_timeout=1e9, shard_deadline_seconds=2.0, poll_interval=0.5
-        )
-        supervisor, _, _ = make_supervisor([hang, succeed], nworkers=1,
-                                           policy=policy)
-        outcome = supervisor.run([Shard(0, (1,))])
-        assert sorted(outcome.results) == [1]
-        assert any(e["event"] == "shard-deadline" for e in outcome.events)
-
-    def test_pool_exhaustion_raises_retryable(self):
+    def test_pool_exhaustion_raises_retryable(self, monkeypatch):
         def die_silently(worker, task):
             worker.alive = False
             return iter(())
 
-        policy = SupervisionPolicy(max_respawns=1, max_retries=5,
-                                   backoff_base_seconds=0.0)
+        monkeypatch.setattr(supervisor_mod, "MAX_RESPAWNS", 1)
+        monkeypatch.setattr(supervisor_mod, "MAX_RETRIES", 5)
+        policy = SupervisionPolicy(backoff_base_seconds=0.0)
         supervisor, _, spawned = make_supervisor(
             die_silently, nworkers=1, policy=policy
         )
@@ -414,22 +417,25 @@ class TestCrashRecovery:
         assert len(spawned) == 2  # original + the one respawn
 
 
+@pytest.fixture
+def eager_speculation(monkeypatch):
+    """Speculate past twice the median of three shards, polling every
+    50 ms; the policy's floor and wedge timeout are left to the test."""
+    monkeypatch.setattr(supervisor_mod, "MIN_STRAGGLER_SAMPLES", 3)
+    monkeypatch.setattr(supervisor_mod, "STRAGGLER_FACTOR", 2.0)
+    monkeypatch.setattr(supervisor_mod, "POLL_INTERVAL", 0.05)
+    return SupervisionPolicy(straggler_floor_seconds=0.0, wedge_timeout=1e9)
+
+
 class TestSpeculation:
-    def test_straggler_gets_a_duplicate(self):
+    def test_straggler_gets_a_duplicate(self, eager_speculation):
         def slow_on_shard_3(worker, task):
             if task["shard"] == 3 and task["attempt"] == 0:
                 return iter(())  # never answers; duplicate must win
             return succeed(worker, task)
 
-        policy = SupervisionPolicy(
-            min_straggler_samples=3,
-            straggler_factor=2.0,
-            straggler_floor_seconds=0.0,
-            wedge_timeout=1e9,
-            poll_interval=0.05,
-        )
         supervisor, _, _ = make_supervisor(
-            slow_on_shard_3, nworkers=2, policy=policy
+            slow_on_shard_3, nworkers=2, policy=eager_speculation
         )
         shards = [Shard(i, (i + 1,)) for i in range(4)]
         outcome = supervisor.run(shards)
@@ -438,7 +444,7 @@ class TestSpeculation:
         speculate = [e for e in outcome.events if e["event"] == "speculate"]
         assert speculate[0]["shard"] == 3
 
-    def test_speculative_copy_runs_as_replay(self):
+    def test_speculative_copy_runs_as_replay(self, eager_speculation):
         """The duplicate must carry attempt+1 so first-attempt-only
         transient injections cannot re-fire on it."""
         seen = []
@@ -449,15 +455,8 @@ class TestSpeculation:
                 return iter(())
             return succeed(worker, task)
 
-        policy = SupervisionPolicy(
-            min_straggler_samples=3,
-            straggler_factor=2.0,
-            straggler_floor_seconds=0.0,
-            wedge_timeout=1e9,
-            poll_interval=0.05,
-        )
         supervisor, _, _ = make_supervisor(
-            slow_first, nworkers=2, policy=policy
+            slow_first, nworkers=2, policy=eager_speculation
         )
         supervisor.run([Shard(i, (i + 1,)) for i in range(4)])
         assert (3, 1) in seen  # the duplicate was a replay
@@ -552,12 +551,10 @@ class TestDumpReconstruction:
 
 class TestPolicyValidation:
     def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            SupervisionPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(straggler_factor=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="wedge_timeout"):
             SupervisionPolicy(wedge_timeout=0.0)
+        with pytest.raises(ValueError, match="wedge_timeout"):
+            SupervisionPolicy(wedge_timeout=-1.0)
 
     def test_supervisor_needs_a_worker(self):
         with pytest.raises(ValueError, match="worker"):
@@ -576,15 +573,8 @@ class TestBackoffJitter:
     """Decorrelated jitter on retry backoff (thundering-herd control)."""
 
     POLICY = SupervisionPolicy(
-        backoff_base_seconds=0.1, backoff_factor=3.0, backoff_max_seconds=0.5
+        backoff_base_seconds=0.1, backoff_max_seconds=0.5
     )
-
-    def test_no_rng_is_the_pure_schedule(self):
-        # rng=None must keep the exact capped-exponential values that
-        # FakeClock-driven tests (and operators reading logs) rely on.
-        assert self.POLICY.backoff_seconds(1, rng=None) == pytest.approx(0.1)
-        assert self.POLICY.backoff_seconds(2, rng=None) == pytest.approx(0.3)
-        assert self.POLICY.backoff_seconds(3, rng=None) == 0.5
 
     def test_deterministic_given_seed(self):
         import random
@@ -611,17 +601,11 @@ class TestBackoffJitter:
         assert self.POLICY.backoff_seconds(0, rng=random.Random(1)) == 0.0
 
     def test_supervisor_jitter_is_seeded(self):
-        policy = SupervisionPolicy(jitter_seed=42)
-        sup_a = make_supervisor([succeed, succeed], policy=policy)[0]
-        sup_b = make_supervisor([succeed, succeed], policy=policy)[0]
+        sup_a = make_supervisor([succeed, succeed], policy=self.POLICY)[0]
+        sup_b = make_supervisor([succeed, succeed], policy=self.POLICY)[0]
         a = [sup_a.policy.backoff_seconds(k, rng=sup_a._backoff_rng) for k in (1, 2)]
         b = [sup_b.policy.backoff_seconds(k, rng=sup_b._backoff_rng) for k in (1, 2)]
         assert a == b
-
-    def test_jitter_seed_none_disables(self):
-        policy = SupervisionPolicy(jitter_seed=None)
-        supervisor = make_supervisor([succeed, succeed], policy=policy)[0]
-        assert supervisor._backoff_rng is None
 
 
 class TestDumpHardening:
