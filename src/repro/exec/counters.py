@@ -131,6 +131,10 @@ class ExecutionCounters:
         self.section_events: dict[str, int] = {}
         self.section_layer_steps: dict[str, int] = {}
         self.lane_active_steps = np.zeros(nproc, dtype=np.int64)
+        # Width-1 events (and calls) tallied once per kind, not yet
+        # folded into the tallies above: see :meth:`tally`.
+        self.pending: dict[str, int] = {}
+        self.pending_calls: dict[str, int] = {}
 
     # -- recording -------------------------------------------------------------
 
@@ -192,9 +196,8 @@ class ExecutionCounters:
     def record_scalar(self, kind: str) -> None:
         """Record one width-1, single-layer, unmasked instruction.
 
-        Exactly what ``record(kind)`` does, for the scalar
-        interpreter's per-statement events: four dict adds once the
-        kind has been seen.
+        Exactly what ``record(kind)`` does, at once: four dict adds
+        once the kind has been seen (:meth:`tally` defers them).
         """
         events = self.events
         if kind in events:
@@ -204,6 +207,56 @@ class ExecutionCounters:
             self.active_elements[kind] += 1
         else:
             self.record(kind)
+
+    def tally(self, kind: str) -> None:
+        """Count one width-1, single-layer, unmasked instruction, to be
+        folded into the four kind tallies by :meth:`fold`.
+
+        Those four stay equal under such events, so the scalar
+        interpreter adds to one count per kind and lets :meth:`fold`
+        copy the sums over.  The first event of a kind goes through
+        :meth:`first`, so every kind takes its place in the key order
+        when it happens, exactly as with per-event :meth:`record_scalar`.
+        """
+        try:
+            self.pending[kind] += 1
+        except KeyError:
+            self.first(kind)
+
+    def first(self, kind: str) -> None:
+        """:meth:`tally`'s first event of ``kind``: recorded at once."""
+        self.record_scalar(kind)
+        self.pending[kind] = 0
+
+    def first_call(self, name: str) -> None:
+        """The first width-1 call of ``name`` tallied into
+        :attr:`pending_calls`: recorded at once, as :meth:`first` does."""
+        calls = self.calls
+        if name in calls:
+            calls[name] += 1
+            self.call_layer_steps[name] += 1
+        else:
+            calls[name] = 1
+            self.call_layer_steps[name] = 1
+        self.pending_calls[name] = 0
+
+    def fold(self) -> None:
+        """Add the pending width-1 counts into the tallies, leaving
+        nothing pending.  The scalar interpreter folds on every way out
+        of a run and before each checkpoint or snapshot;
+        :meth:`state_dict` folds too."""
+        for kind, count in self.pending.items():
+            if count:
+                self.events[kind] += count
+                self.layer_steps[kind] += count
+                self.element_ops[kind] += count
+                self.active_elements[kind] += count
+                self.pending[kind] = 0
+        for name, count in self.pending_calls.items():
+            if count:
+                self.calls[name] += count
+                self.call_layer_steps[name] += count
+                self.pending_calls[name] = 0
 
     def record_block(
         self,
@@ -371,6 +424,7 @@ class ExecutionCounters:
         bit-identical to this one — unlike :meth:`summary`, which is a
         human-facing digest.
         """
+        self.fold()
         state: dict = {"nproc": self.nproc}
         for name in TALLIES:
             state[name] = dict(getattr(self, name))
@@ -386,11 +440,13 @@ class ExecutionCounters:
         """
         self.nproc = int(state["nproc"])
         # In place: the scalar interpreter's generated code holds the
-        # tally dicts themselves.
+        # pending dicts themselves.
         for name in TALLIES:
             tally = getattr(self, name)
             tally.clear()
             tally.update(state[name])
+        self.pending.clear()
+        self.pending_calls.clear()
         self.lane_active_steps = np.array(
             state["lane_active_steps"], dtype=np.int64
         )

@@ -20,9 +20,10 @@ Plumbing choices, all in service of a 1-copy data path:
   to the in-process ``mimd`` leg instead of crashing.
 * Large array bindings travel through a POSIX shared-memory
   :class:`~repro.exec.shm.ShmArena`; each worker attaches the
-  segments read-only-by-convention (the scalar interpreter's DECL
-  copies plain-ndarray bindings into private storage before the
-  program can write).
+  segments read-only and passes the views to every processor as they
+  are, so the scalar interpreter's DECL copy is a processor's only
+  private copy, and a write into an undeclared shared input fails
+  (non-retryable) instead of reaching the other processors.
 * Per-processor results stream back over a pipe as they finish, so a
   dead worker loses only the processors it had not yet reported.  A
   ``proc`` message carries the processor's env, counters and statement
@@ -244,6 +245,27 @@ def _kill_switch(kill_after: int, counter: list):
     return killer
 
 
+def _outside_failure(error: Exception) -> dict:
+    """The crash dump of an error that escaped the interpreter.
+
+    A write into a read-only shared input (an external storing into an
+    undeclared one) is the program's doing and fails the same way on
+    every attempt: a non-retryable fault.  Anything else is taken for
+    an infrastructure failure, which a replay may get past.
+    """
+    read_only = isinstance(error, ValueError) and "read-only" in str(error)
+    if read_only:
+        message = (
+            f"write into a shared input, which pmimd maps read-only ({error}); "
+            "declare the array so that each processor gets its own copy"
+        )
+    else:
+        message = (
+            f"worker crashed outside the interpreter: {type(error).__name__}: {error}"
+        )
+    return {"error": "BackendFault", "message": message, "retryable": not read_only}
+
+
 def _worker_loop(
     conn,
     slots,
@@ -276,7 +298,6 @@ def _worker_loop(
     """
     segments = []
     shared = {}
-    base_bindings = dict(bindings or {})
     beat = _beat(slots)
     store = (
         CheckpointStore(checkpoint_dir)
@@ -286,8 +307,9 @@ def _worker_loop(
     try:
         for spec in shm_specs:
             array, segment = attach(spec)
+            array.flags.writeable = False
             segments.append(segment)
-            base_bindings[spec.name] = shared[spec.name] = array
+            shared[spec.name] = array
         while True:
             try:
                 task = conn.recv()
@@ -321,7 +343,10 @@ def _worker_loop(
                     if bindings_for is not None:
                         proc_bindings = dict(bindings_for(proc))
                     else:
-                        proc_bindings = replicate_bindings(base_bindings)
+                        # DECL copies a shared input into the processor's
+                        # own array; until then it reads the segment.
+                        proc_bindings = replicate_bindings(bindings or {})
+                        proc_bindings.update(shared)
                     proc_bindings.setdefault("myproc", proc)
                     proc_bindings.setdefault("nproc", nproc)
                     hook = (
@@ -397,14 +422,7 @@ def _worker_loop(
                         "type": "fail",
                         "shard": shard,
                         "attempt": attempt,
-                        "dump": {
-                            "error": "BackendFault",
-                            "message": (
-                                f"worker crashed outside the interpreter: "
-                                f"{type(error).__name__}: {error}"
-                            ),
-                            "retryable": True,
-                        },
+                        "dump": _outside_failure(error),
                     }
                 )
     finally:
@@ -556,6 +574,31 @@ class PMIMDExecutor:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
 
+    def _precompile(self) -> None:
+        """Generate the code of every kind of interpreter a worker runs:
+        a first attempt under the fault plan (with the kill switch's
+        statement hook when it counts statements), a replay without it,
+        each capturing checkpoints when configured."""
+        # The code depends only on there being a hook, a plan, a sink.
+        def nothing(*args):
+            pass
+
+        plan = self.fault_plan
+        settings = [(None, None)]
+        if plan is not None:
+            settings.append((plan, None))
+            if plan.kill_after_steps:
+                settings.append((plan, nothing))
+        for fault_plan, hook in settings:
+            ScalarInterpreter(
+                self.source,
+                self.externals,
+                statement_hook=hook,
+                fault_plan=fault_plan,
+                checkpoint_every=self.checkpoint_every,
+                checkpoint_sink=nothing if self.checkpoint_every else None,
+            ).precompile()
+
     def run(
         self,
         bindings: dict | None = None,
@@ -586,7 +629,7 @@ class PMIMDExecutor:
         ctx = multiprocessing.get_context("fork")
         # Each worker is forked afresh: generating the program's code
         # here hands every worker the compiled sources with the fork.
-        ScalarInterpreter(self.source, self.externals).precompile()
+        self._precompile()
         shards = plan_shards(self.nproc, 2 * self.workers)
         nworkers = max(1, min(self.workers, len(shards)))
         arena = ShmArena()

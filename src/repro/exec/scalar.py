@@ -10,25 +10,29 @@ The interpreter is dynamically typed (ints, floats, bools,
 sections are supported Fortran-90 style.
 
 Execution is compiled: the first time a statement list runs, it is
-lowered once into a closure per statement, chosen by statement type,
-and nothing re-dispatches on AST node types per statement.  Each
-assignment (its value and its target store), and each other
-expression a statement evaluates, becomes one *generated* Python
-function (:class:`_Emitter`), in the manner of the VM's block closures
-(:mod:`repro.vm.fuse`): every node leaves its value in a local, and
-names, constants and source locations are closure variables, so
-same-shape statements share one code object.  The hot leaves take
-host-scalar fast paths (rank-1/rank-2 element loads and rank-1 element
-stores with Python-int subscripts, ``+ - *`` on two host ints or two
-host floats); every other case calls the generic helpers, so results,
-counter events and fault texts are the same either way.  Compiled
-code is cached per interpreter, keyed by the AST node (or statement
-list) it came from.
+lowered once into one *generated* Python function (:class:`_Emitter`),
+in the manner of the VM's block closures (:mod:`repro.vm.fuse`).  Each
+statement's prologue — statement count, budget compare, trace entry —
+is inline; so are assignments, external CALLs and DO loops, whose
+bodies are inline too when they hold no label.  Every other statement
+(WHILE, IF, WHERE, FORALL, declarations, MiniF CALLs) calls a closure
+compiled for it, which runs its own statement lists through their own
+generated functions.  Every expression node leaves its value in a
+local, and names, constants, statements and source locations are
+closure variables, so same-shape statement lists share one code
+object.  The hot leaves take host-scalar fast paths (rank-1/rank-2
+element loads and rank-1 element stores with Python-int subscripts,
+``+ - *`` on two host ints or two host floats); every other case calls
+the generic helpers, so results, counter events and fault texts are the
+same either way.  Compiled code is cached per interpreter, keyed by the
+AST node (or statement list) it came from.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import weakref
 from collections import deque
 
 import numpy as np
@@ -125,8 +129,12 @@ def _unop(op: str, operand, record):
     return _scalarize(result)
 
 
-def _nothing(env) -> None:
-    pass
+def _literal_type(expr: ast.Expr):
+    """``int`` or ``float`` for an integer or real literal (the host
+    type of its value), else None."""
+    if isinstance(expr, (ast.IntLit, ast.RealLit)) and type(expr.value) in (int, float):
+        return type(expr.value)
+    return None
 
 
 def _raising(error_type, *args):
@@ -144,6 +152,15 @@ class ScalarInterpreter:
     Events are recorded into the interpreter's own ``counters`` (a
     fresh :class:`~repro.exec.counters.ExecutionCounters`, restored
     from the checkpoint on a resume), read back after :meth:`run`.
+    Width-1 events are tallied once per kind while the run goes and
+    folded into the counters on every way out of it
+    (:meth:`~repro.exec.counters.ExecutionCounters.tally`).
+
+    A generated statement list keeps its statement count in a local and
+    adds it to ``executed_statements`` and the budget meter's steps
+    before anything that may read them or run statements of its own:
+    the meter's poll, an injected fault, a statement hook, a checkpoint
+    capture, a call out of the list, and on leaving the list.
 
     Args:
         source: Parsed program (may contain subroutines).
@@ -206,15 +223,17 @@ class ScalarInterpreter:
         self._resume: list | None = None
         self._call_depth = 0
         self._ckpt_next: int | None = None
-        # Compiled closures by id of the statement list / node they came
+        # Compiled code by id of the statement list / node it came
         # from; each entry keeps its node alive so the id stays unique.
+        # Statement lists are compiled for one mode (:meth:`_set_mode`).
+        self._mode = self._run_mode()
         self._bodies: dict[int, tuple] = {}
         self._exprs: dict[int, tuple] = {}
         self._stores: dict[int, tuple] = {}
-        self._arm_prologue()
 
     def snapshot(self) -> MachineSnapshot:
         """The interpreter's state right now (for crash dumps)."""
+        self.counters.fold()
         return MachineSnapshot(
             backend="scalar",
             pc=self.executed_statements,
@@ -285,7 +304,7 @@ class ScalarInterpreter:
         else:
             self._ckpt_next = None
         self._frames = [] if (capturing or resume_from is not None) else None
-        self._arm_prologue()
+        self._set_mode()
         try:
             self.exec_body(routine.body, env)
         except (ReturnSignal, StopSignal):
@@ -293,43 +312,51 @@ class ScalarInterpreter:
         except MiniFError as error:
             raise attach_snapshot(error, self.snapshot())
         finally:
+            self.counters.fold()
             self._resume = None
             self._frames = None
             self._ckpt_next = None
         return env
 
-    def _arm_prologue(self) -> None:
-        """Bind the statement prologue's ``tick`` and ``trace`` steps.
+    def _run_mode(self) -> tuple[bool, bool, bool]:
+        """What the statement prologue carries on this run: an injected
+        fault check, a statement hook call, checkpoint frames."""
+        return (
+            self.fault_plan is not None,
+            self.statement_hook is not None,
+            self._frames is not None,
+        )
 
-        A plain run ticks the budget meter and appends to the trace
-        ring.  The optional parts wrap these steps only when the
-        interpreter has them: the injected-fault check follows the tick
-        (inside the tick's error handling, as a budget trip), the
-        statement hook follows the trace entry (outside the statement's
-        location stamping).  Re-armed by every :meth:`run`, after the
-        meter and the ring are replaced.
-        """
-        tick = self._meter.tick
-        plan = self.fault_plan
-        if plan is not None:
-            meter_tick = tick
-            raise_op_fault = plan.raise_op_fault
+    def _set_mode(self) -> None:
+        """Drop the compiled statement lists if this run needs another
+        prologue than the one they were generated with, so that a plain
+        run pays nothing for the optional parts."""
+        mode = self._run_mode()
+        if mode != self._mode:
+            self._mode = mode
+            self._bodies = {}
 
-            def tick(loc):
-                meter_tick(loc)
-                raise_op_fault(self.executed_statements, "scalar")
+    def _poll(self, location) -> int:
+        """The slow half of the inline budget compare: the meter's
+        check, with the steps already added.  Returns how many more
+        statements run before the next check."""
+        meter = self._meter
+        try:
+            meter._check(location)
+        except MiniFError:
+            self._settle_trace(self.executed_statements - 1)
+            raise
+        return meter._due - meter.steps
 
-        trace = self._trace.append
-        hook = self.statement_hook
-        if hook is not None:
-            append = trace
-
-            def trace(stmt):
-                append(stmt)
-                hook(stmt, self._env)
-
-        self._tick = tick
-        self._trace_stmt = trace
+    def _fault(self, pending: int) -> None:
+        """Raise the injected fault planned for the statement just
+        counted (``pending`` statements not yet added to the count)."""
+        step = self.executed_statements + pending
+        try:
+            self.fault_plan.raise_op_fault(step, "scalar")
+        except MiniFError:
+            self._settle_trace(step - 1)
+            raise
 
     # -- checkpoint capture / resume ----------------------------------------------
 
@@ -402,9 +429,7 @@ class ScalarInterpreter:
         head = self._resume.pop(0)
         kind = head[0] if isinstance(head, (list, tuple)) and head else None
         if kind == "do" and isinstance(stmt, ast.Do):
-            self._run_do(
-                stmt, env, int(head[1]), int(head[2]), int(head[3]), fresh=False
-            )
+            self._resume_do(stmt, env, int(head[1]), int(head[2]), int(head[3]))
         elif kind == "while" and isinstance(stmt, (ast.While, ast.DoWhile)):
             self._run_while(stmt, env, fresh=False)
         elif kind == "if" and isinstance(stmt, ast.If):
@@ -423,18 +448,54 @@ class ScalarInterpreter:
                 f"statement {type(stmt).__name__}"
             )
 
-    # -- compiled-closure caches -------------------------------------------------
+    def _resume_do(
+        self, stmt: ast.Do, env: dict, value: int, trips_left: int, stride: int
+    ) -> None:
+        """The rest of a DO loop captured mid-trip, in its ``["do",
+        value, trips_left, stride]`` frame: the current trip's
+        control-variable store and ``acu`` event are already in the
+        restored state, so only its (partially executed) body runs
+        before the remaining trips, which run as the generated loop
+        runs them."""
+        body = self._body(stmt.body)
+        var = stmt.var
+        frame = ["do", value, trips_left, stride]
+        self._frames.append(frame)
+        resumed = True
+        try:
+            while trips_left > 0:
+                frame[1] = value
+                frame[2] = trips_left
+                if not resumed:
+                    env[var] = value
+                    self.counters.tally("acu")
+                resumed = False
+                try:
+                    body(env)
+                except LoopExit:
+                    return
+                except LoopCycle:
+                    pass
+                value += stride
+                trips_left -= 1
+        finally:
+            self._frames.pop()
+        env[var] = value
+
+    # -- compiled-code caches ----------------------------------------------------
 
     def precompile(self) -> None:
-        """Compile every statement list of every routine now, generating
-        its code into the shared source cache, so that processes forked
-        afterwards (pmimd workers) start with that cache warm."""
-        stack = [unit.body for unit in self.source.units]
-        while stack:
-            body = stack.pop()
-            self._body(body)
-            for stmt in body:
-                stack.extend(ast.sub_bodies(stmt))
+        """Compile every routine's statement lists for the runs this
+        interpreter's settings make (a fault plan, a statement hook,
+        checkpoint capture) now, generating their code into the shared
+        caches, so that processes forked afterwards (pmimd workers)
+        start with those caches warm."""
+        capturing = bool(self.checkpoint_every) and self.checkpoint_sink is not None
+        self._frames = [] if capturing else None
+        self._set_mode()
+        self._frames = None
+        for unit in self.source.units:
+            self._body(unit.body)
 
     def exec_body(self, body: list[ast.Stmt], env: dict) -> None:
         """Execute a statement list, honoring GOTO to labels it contains."""
@@ -459,109 +520,35 @@ class ScalarInterpreter:
     def _expr(self, expr: ast.Expr):
         entry = self._exprs.get(id(expr))
         if entry is None:
-            function = self._generate("env", lambda out: out.value(expr))
+            function = _make_function(expr, "env", lambda out: out.value(expr), self)
             entry = self._exprs[id(expr)] = (expr, function)
         return entry[1]
 
     def _store(self, target: ast.Expr):
         entry = self._stores.get(id(target))
         if entry is None:
-            function = self._generate(
-                "value, env", lambda out: out.store(target, "value")
+            function = _make_function(
+                target, "value, env", lambda out: out.store(target, "value"), self
             )
             entry = self._stores[id(target)] = (target, function)
         return entry[1]
 
-    def _generate(self, params: str, emit):
-        """The generated function ``run(<params>)`` whose body ``emit``
-        writes (:func:`_make_function`), recording into this interpreter's
-        counters."""
-        return _make_function(params, emit, self.counters)
-
     # -- statements --------------------------------------------------------------
 
     def _compile_body(self, body: list[ast.Stmt]):
-        """Lower a statement list into one ``run(env)`` closure.
-
-        Each statement runs one prologue here — statement count,
-        budget tick, trace entry — then its compiled action; a
-        ``MiniFError`` the action raises is stamped with the
-        statement's location unless a more deeply nested statement
-        already stamped it.  An injected fault plan and a statement
-        hook ride on the tick and the trace (:meth:`_arm_prologue`).
-        Only a run that captures or resumes checkpoints keeps a
-        control-path frame, and does its frame bookkeeping and
-        checkpoint due-check before the count.
-        """
-        steps = [(stmt, stmt.loc, self._compile_stmt(stmt)) for stmt in body]
-        labels = {
-            stmt.label: index
-            for index, stmt in enumerate(body)
-            if stmt.label is not None
-        }
-        count = len(steps)
-
-        def run(env):
-            frames = self._frames
-            if frames is None:
-                frame = None
-                pc, reenter = 0, False
-            else:
-                # Checkpoint-tracking: keep a ["body", pc] frame so a
-                # capture inside any statement knows its position here,
-                # and honor a pending resume path.
-                pc, reenter = self._resume_position(count)
-                frame = ["body", pc]
-                frames.append(frame)
-            tick = self._tick
-            trace = self._trace_stmt
-            try:
-                while pc < count:
-                    stmt, loc, action = steps[pc]
-                    try:
-                        if frame is not None:
-                            frame[1] = pc
-                            if reenter:
-                                reenter = False
-                                self._reenter_stmt(stmt, env)
-                                pc += 1
-                                continue
-                            next_at = self._ckpt_next
-                            if (
-                                next_at is not None
-                                and self.executed_statements >= next_at
-                                and not self._call_depth
-                            ):
-                                self._emit_checkpoint(env)
-                        self.executed_statements += 1
-                        self._env = env
-                        try:
-                            tick(loc)
-                        except MiniFError:
-                            self._settle_trace(self.executed_statements - 1)
-                            raise
-                        trace(stmt)
-                        try:
-                            action(env)
-                        except MiniFError as error:
-                            # The innermost statement wins.
-                            if not error.location.line:
-                                locate(error, loc)
-                            raise
-                    except GotoSignal as signal:
-                        if signal.target in labels:
-                            pc = labels[signal.target]
-                            continue
-                        raise
-                    pc += 1
-            finally:
-                if frame is not None:
-                    frames.pop()
-
-        return run
+        """Lower a statement list into one generated ``run(env)``
+        (:meth:`_Emitter.statement_list`), for this run's mode."""
+        return _make_function(
+            body,
+            "env",
+            lambda out: out.statement_list(body, self),
+            self,
+            (self._mode, frozenset(self.externals)),
+        )
 
     def _compile_stmt(self, stmt: ast.Stmt):
-        """The action closure ``action(env)`` of one statement."""
+        """The action closure ``action(env)`` of a statement the
+        generated code does not lower itself."""
         compiler = _STMT_COMPILERS.get(type(stmt))
         if compiler is None:
             return _raising(
@@ -571,79 +558,9 @@ class ScalarInterpreter:
             )
         return compiler(self, stmt)
 
-    def _compile_assign(self, stmt: ast.Assign):
-        return self._generate(
-            "env", lambda out: out.store(stmt.target, out.value(stmt.value))
-        )
-
-    def _compile_do(self, stmt: ast.Do):
-        lo = self._expr(stmt.lo)
-        hi = self._expr(stmt.hi)
-        stride = self._expr(stmt.stride) if stmt.stride is not None else None
-
-        def do(env):
-            first = lo(env)
-            if type(first) is not int:
-                first = as_int_scalar(first, "DO lower bound")
-            last = hi(env)
-            if type(last) is not int:
-                last = as_int_scalar(last, "DO upper bound")
-            step = 1
-            if stride is not None:
-                step = stride(env)
-                if type(step) is not int:
-                    step = as_int_scalar(step, "DO stride")
-            if step == 0:
-                raise InterpreterError("DO stride is zero", stmt.loc)
-            env[stmt.var] = first
-            trips = max(0, (last - first + step) // step)
-            self._run_do(stmt, env, first, trips, step, fresh=True)
-
-        return do
-
-    def _run_do(
-        self, stmt: ast.Do, env: dict, value: int, trips_left: int,
-        stride: int, fresh: bool,
-    ) -> None:
-        """The trips of a DO loop, in a ``["do", value, trips_left,
-        stride]`` frame while checkpointing.
-
-        ``fresh=False`` resumes the loop mid-flight: the current trip's
-        control-variable store and ``acu`` event are already in the
-        restored state, so only its (partially executed) body runs.
-        """
-        body = self._body(stmt.body)
-        record = self.counters.record_scalar
-        var = stmt.var
-        frames = self._frames
-        frame = ["do", value, trips_left, stride]
-        if frames is not None:
-            frames.append(frame)
-        resumed = not fresh
-        try:
-            while trips_left > 0:
-                frame[1] = value
-                frame[2] = trips_left
-                if resumed:
-                    resumed = False
-                else:
-                    env[var] = value
-                    record("acu")
-                try:
-                    body(env)
-                except LoopExit:
-                    return
-                except LoopCycle:
-                    pass
-                value += stride
-                trips_left -= 1
-        finally:
-            if frames is not None:
-                frames.pop()
-        env[var] = value
-
     def _compile_while(self, stmt):
         self._expr(stmt.cond)  # generated with the statement, for precompile
+        self._body(stmt.body)
         return lambda env: self._run_while(stmt, env, fresh=True)
 
     def _run_while(self, stmt, env: dict, fresh: bool) -> None:
@@ -668,7 +585,7 @@ class ScalarInterpreter:
             while True:
                 if not resumed:
                     flag = as_bool_scalar(cond(env), what)
-                    self.counters.record_scalar("acu")
+                    self.counters.tally("acu")
                     if not flag:
                         return
                 resumed = False
@@ -684,7 +601,7 @@ class ScalarInterpreter:
 
     def _compile_if(self, stmt: ast.If):
         cond = self._expr(stmt.cond)
-        record = self.counters.record_scalar
+        record = self.counters.tally
 
         def test(env):
             taken = as_bool_scalar(cond(env), "IF condition")
@@ -697,7 +614,7 @@ class ScalarInterpreter:
         # In sequential execution a WHERE behaves like an IF over the
         # (scalar or uniform) mask.
         mask = self._expr(stmt.mask)
-        record = self.counters.record_scalar
+        record = self.counters.tally
 
         def test(env):
             value = mask(env)
@@ -737,6 +654,7 @@ class ScalarInterpreter:
         hi = self._expr(stmt.hi)
         if stmt.mask is not None:
             self._expr(stmt.mask)  # generated with the statement, for precompile
+        self._body(stmt.body)
 
         def forall(env):
             first = as_int_scalar(lo(env), "FORALL lower bound")
@@ -775,46 +693,9 @@ class ScalarInterpreter:
             if frames is not None:
                 frames.pop()
 
-    def _compile_goto(self, stmt: ast.Goto):
-        record = self.counters.record_scalar
-        target = stmt.target
-
-        def goto(env):
-            record("acu")
-            raise GotoSignal(target)
-
-        return goto
-
     def _compile_callstmt(self, stmt: ast.CallStmt):
-        external = self.externals.get(stmt.name)
-        if external is None:
-            return lambda env: self._call_routine(stmt, env)
-        name = stmt.name
-        arg_exprs = stmt.args
-
-        def emit(out):
-            # Output arguments may be unset before the call — pass None.
-            items = [
-                f"env.get({out.const(arg.name)})"
-                if isinstance(arg, ast.Var)
-                else out.value(arg)
-                for arg in arg_exprs
-            ]
-            return f"[{', '.join(items)}]"
-
-        arguments = self._generate("env", emit)
-        counters = self.counters
-
-        def call(env):
-            values = arguments(env)
-            counters.record_call(name)
-            self._call_depth += 1
-            try:
-                external(self, arg_exprs, values, env)
-            finally:
-                self._call_depth -= 1
-
-        return call
+        """A CALL into a MiniF subroutine (external CALLs are inline)."""
+        return lambda env: self._call_routine(stmt, env)
 
     def _call_routine(self, stmt: ast.CallStmt, env: dict) -> None:
         """CALL into a MiniF subroutine: by-value in, write-back out."""
@@ -825,7 +706,7 @@ class ScalarInterpreter:
             raise InterpreterError(
                 f"CALL {stmt.name}: arity mismatch", stmt.loc
             )
-        self.counters.record_scalar("acu")
+        self.counters.tally("acu")
         callee_env: dict = {}
         writeback: list[tuple[str, ast.Expr]] = []
         for param, arg in zip(routine.params, stmt.args):
@@ -877,40 +758,42 @@ class ScalarInterpreter:
         for name, value in zip(stmt.names, stmt.values):
             env[name] = self.eval(value, env)
 
+
 def _call_helper(helper):
     """Compile a rare statement kind to a closure calling its helper."""
     return lambda interp, stmt: lambda env: helper(interp, stmt, env)
 
 
-def _const_action(action):
-    return lambda interp, stmt: action
-
-
-#: Statement compiler per statement class (exact type).
+#: Closure compiler per statement class (exact type) the generated code
+#: calls out to.
 _STMT_COMPILERS = {
-    ast.Assign: ScalarInterpreter._compile_assign,
-    ast.Do: ScalarInterpreter._compile_do,
     ast.DoWhile: ScalarInterpreter._compile_while,
     ast.While: ScalarInterpreter._compile_while,
     ast.If: ScalarInterpreter._compile_if,
     ast.Where: ScalarInterpreter._compile_where,
     ast.Forall: ScalarInterpreter._compile_forall,
-    ast.Goto: ScalarInterpreter._compile_goto,
     ast.CallStmt: ScalarInterpreter._compile_callstmt,
     ast.Decl: _call_helper(ScalarInterpreter._exec_decl),
     ast.ParamDecl: _call_helper(ScalarInterpreter._exec_paramdecl),
-    ast.Continue: _const_action(_nothing),
-    ast.Decomposition: _const_action(_nothing),
-    ast.Align: _const_action(_nothing),
-    ast.Distribute: _const_action(_nothing),
-    ast.ExitStmt: _const_action(_raising(LoopExit)),
-    ast.CycleStmt: _const_action(_raising(LoopCycle)),
-    ast.Return: _const_action(_raising(ReturnSignal)),
-    ast.Stop: _const_action(_raising(StopSignal)),
 }
 
+#: Statements with no action: the prologue is all they run.
+_NO_ACTION = (ast.Continue, ast.Decomposition, ast.Align, ast.Distribute)
 
-# -- generated code for expressions and assignments ---------------------------
+#: Statements whose action is raising a control signal.
+_SIGNALS = {
+    ast.ExitStmt: "LoopExit",
+    ast.CycleStmt: "LoopCycle",
+    ast.Return: "ReturnSignal",
+    ast.Stop: "StopSignal",
+}
+
+#: Loops nested deeper than this in one generated function call their
+#: body's own function (Python allows 20 nested blocks per function).
+_MAX_INLINE_LOOPS = 4
+
+
+# -- generated code ---------------------------------------------------------------
 
 
 class _Emitter:
@@ -918,15 +801,32 @@ class _Emitter:
 
     Each expression node becomes a few statements that leave its value
     in a fresh local, in the order the tree evaluates.  Names,
-    constants, error messages and source locations are closure
-    variables (``c0, c1, ...``), so the source depends only on the
-    shape of the tree and same-shape statements share one code object.
+    constants, error messages, statements and source locations are
+    closure variables (``c0, c1, ...``), so the source depends only on
+    the shape of the tree and same-shape statement lists share one code
+    object.
+
+    A statement list (:meth:`statement_list`) becomes the whole
+    function.  Its statement count lives in the local ``k`` (the
+    statements not yet added to the interpreter's count) and its budget
+    headroom in ``room``; :meth:`flush` adds ``k`` to the count and the
+    meter, :meth:`reload` re-reads the headroom after a call out.  One
+    ``try`` around the list stamps an error that carries no location
+    with the statement whose code raised it: every line records the
+    location of the innermost statement it belongs to (``self.loc``),
+    and the handler looks up the line the error passed through.
     """
 
     def __init__(self):
         self.lines: list[str] = []
         self.consts: list = []
         self.fresh = 0
+        self.indent = ""
+        # The location an error raised by the next lines is stamped
+        # with, one entry per line.
+        self.loc = None
+        self.locs: list = []
+        self.line_locs: str | None = None
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -937,19 +837,31 @@ class _Emitter:
         return f"t{self.fresh}"
 
     def line(self, text: str) -> None:
-        self.lines.append("        " + text)
+        self.lines.append("        " + self.indent + text)
+        self.locs.append(self.loc)
 
-    def record(self, kind: str, indent: str = "") -> None:
-        """Emit ``record_scalar(kind)``, with its dict adds inline once
-        the kind has been seen."""
-        self.line(f"{indent}if {kind!r} in events:")
-        for tally in _SCALAR_TALLIES:
-            self.line(f"{indent}    {tally}[{kind!r}] += 1")
-        self.line(f"{indent}else:")
-        self.line(f"{indent}    record({kind!r})")
+    @contextlib.contextmanager
+    def block(self, head: str):
+        """Emit ``head`` and indent what the ``with`` body emits."""
+        self.line(head)
+        self.indent += "    "
+        try:
+            yield
+        finally:
+            self.indent = self.indent[:-4]
+
+    def record(self, kind: str) -> None:
+        """Emit the width-1 event ``kind``: one add to its pending count
+        (:meth:`~repro.exec.counters.ExecutionCounters.tally`)."""
+        with self.block("try:"):
+            self.line(f"pending[{kind!r}] += 1")
+        with self.block("except KeyError:"):
+            self.line(f"first({kind!r})")
 
     def fail(self, message: str, loc) -> None:
         self.line(f"raise InterpreterError({self.const(message)}, {self.const(loc)})")
+
+    # -- expressions -------------------------------------------------------------
 
     def value(self, expr: ast.Expr) -> str:
         """Emit ``expr``; the local or closure variable holding its value."""
@@ -980,10 +892,29 @@ class _Emitter:
         if expr.op not in _ARITH:
             self.line(generic)
             return result
-        for test, kind, event in (("if", "float", "real_op"), ("elif", "int", "int_op")):
-            self.line(f"{test} type({left}) is {kind} and type({right}) is {kind}:")
-            self.line(f"    {result} = {left} {expr.op} {right}")
-            self.record(event, "    ")
+        # A literal operand's type is known here: its test is dropped,
+        # and a branch it rules out is not emitted.
+        known = (_literal_type(expr.left), _literal_type(expr.right))
+        test = "if"
+        for kind, event in ((float, "real_op"), (int, "int_op")):
+            if any(static not in (None, kind) for static in known):
+                continue
+            checks = [
+                f"type({operand}) is {kind.__name__}"
+                for operand, static in zip((left, right), known)
+                if static is None
+            ]
+            if not checks:  # both literals: no other branch can run
+                self.line(f"{result} = {left} {expr.op} {right}")
+                self.record(event)
+                return result
+            with self.block(f"{test} {' and '.join(checks)}:"):
+                self.line(f"{result} = {left} {expr.op} {right}")
+                self.record(event)
+            test = "elif"
+        if test == "if":
+            self.line(generic)
+            return result
         self.line("else:")
         self.line("    " + generic)
         return result
@@ -1068,8 +999,9 @@ class _Emitter:
         self.line("    " + generic)
         return result
 
-    def store(self, target: ast.Expr, value: str) -> None:
-        """Emit the store of ``value`` into ``target``."""
+    def store(self, target: ast.Expr, value: str, known=None) -> None:
+        """Emit the store of ``value`` (of host type ``known``, when
+        that is known) into ``target``."""
         self.record("store")
         if isinstance(target, ast.Var):
             name = self.const(target.name)
@@ -1096,10 +1028,260 @@ class _Emitter:
             self.line(generic)
             return
         test, index = self.element(array, subs, 1)
+        if known is None:
+            # ``coerce`` passes a host number through unchanged.
+            value = f"{value} if type({value}) is float or type({value}) is int else coerce({value})"
         self.line(f"if {test}:")
-        self.line(f"    {array}.data[{index}] = coerce({value})")
+        self.line(f"    {array}.data[{index}] = {value}")
         self.line("else:")
         self.line("    " + generic)
+
+    # -- statements --------------------------------------------------------------
+
+    def statement_list(self, body: list, interp: ScalarInterpreter) -> None:
+        """Emit ``body`` as the whole function, for ``interp``'s mode.
+
+        The function adds its statements to the interpreter's count and
+        meter on the way out, stamps located errors, re-enters itself
+        at a label's index on a GOTO the list holds, and — in a run that
+        captures or resumes checkpoints — keeps a ``["body", pc]`` frame
+        and starts at a resume path's position.
+        """
+        self.interp = interp
+        self.faults, self.hook, self.frames = interp._mode
+        self.loops = 0
+        self.line_locs = self.const(None)  # filled in by _make_function
+        self.line("meter = interp._meter")
+        self.line("room = meter._due - meter.steps")
+        self.line("k = 0")
+        self.line("trace = interp._trace.append")
+        if body:
+            self.line("interp._env = env")
+        labels = {
+            stmt.label: index for index, stmt in enumerate(body) if stmt.label is not None
+        }
+        if self.frames:
+            self.line("frames = interp._frames")
+            self.line(f"pc, reenter = interp._resume_position({len(body)})")
+            self.line("frame = ['body', pc]")
+            self.line("frames.append(frame)")
+        elif labels:
+            self.line("pc = 0")
+        with self.block("try:"):
+            if labels:
+                with self.block("while True:"):
+                    with self.block("try:"):
+                        self.entries(body, set(labels.values()))
+                        self.line("break")
+                    with self.block("except GotoSignal as signal:"):
+                        self.reload()
+                        self.line(f"pc = {self.const(labels)}.get(signal.target, -1)")
+                        self.line("if pc < 0:")
+                        self.line("    raise")
+            elif self.frames:
+                self.entries(body, set())
+            else:
+                for stmt in body:
+                    self.statement(stmt)
+            if not body:
+                self.line("pass")
+        with self.block("except MiniFError as error:"):
+            self.line("if not error.location.line:")
+            self.line(
+                f"    locate(error, {self.line_locs}.get(error.__traceback__.tb_lineno))"
+            )
+            self.line("raise")
+        with self.block("finally:"):
+            if self.frames:
+                self.line("frames.pop()")
+            self.line("interp.executed_statements += k")
+            self.line("meter.steps += k")
+
+    def entries(self, body: list, starts: set) -> None:
+        """Emit ``body`` so that the function may start at any index in
+        ``starts`` (every index while checkpointing): ``pc`` holds the
+        index to start at."""
+        if self.frames:
+            for index, stmt in enumerate(body):
+                with self.block(f"if pc <= {index}:"):
+                    self.line(f"frame[1] = {index}")
+                    with self.block("if reenter:"):
+                        self.line("reenter = False")
+                        self.flush()
+                        self.line(f"interp._reenter_stmt({self.const(stmt)}, env)")
+                        self.reload()
+                    with self.block("else:"):
+                        self.checkpoint_due()
+                        self.statement(stmt)
+            return
+        bounds = sorted(starts | {0}) + [len(body)]
+        for first, end in zip(bounds, bounds[1:]):
+            with self.block(f"if pc <= {first}:"):
+                for stmt in body[first:end]:
+                    self.statement(stmt)
+
+    def flush(self) -> None:
+        """Emit: add the pending statements to the count and the meter."""
+        self.line("interp.executed_statements += k")
+        self.line("meter.steps += k")
+        self.line("k = 0")
+
+    def reload(self) -> None:
+        """Emit: re-read the budget headroom and the current env after
+        code that may have run statements of its own."""
+        self.line("room = meter._due - meter.steps")
+        self.line("interp._env = env")
+
+    def checkpoint_due(self) -> None:
+        """Emit the capture of a due checkpoint (deferred inside a CALL)."""
+        with self.block(
+            "if interp._ckpt_next is not None and interp.executed_statements + k"
+            " >= interp._ckpt_next and not interp._call_depth:"
+        ):
+            self.flush()
+            self.line("interp._emit_checkpoint(env)")
+
+    def call_out(self, call: str) -> None:
+        """Emit ``call``, which may run statements of its own."""
+        self.flush()
+        self.line(call)
+        self.reload()
+
+    def statement(self, stmt: ast.Stmt) -> None:
+        """Emit one statement: its prologue, then its action.
+
+        The prologue's lines belong to the enclosing statement (an
+        injected fault is stamped with the loop around it); the
+        action's to the statement itself.
+        """
+        node = self.const(stmt)
+        self.line("k += 1")
+        with self.block("if k >= room:"):
+            self.flush()
+            self.line(f"room = poll({self.const(stmt.loc)})")
+        if self.faults:
+            self.line("interp._fault(k)")
+        self.line(f"trace({node})")
+        if self.hook:
+            self.call_out(f"interp.statement_hook({node}, env)")
+        outer, self.loc = self.loc, stmt.loc
+        if isinstance(stmt, ast.Assign):
+            self.store(stmt.target, self.value(stmt.value), _literal_type(stmt.value))
+        elif isinstance(stmt, ast.Do):
+            self.do(stmt)
+        elif isinstance(stmt, ast.CallStmt) and stmt.name in self.interp.externals:
+            self.external(stmt)
+        elif isinstance(stmt, ast.Goto):
+            self.record("acu")
+            self.line(f"raise GotoSignal({self.const(stmt.target)})")
+        elif type(stmt) in _SIGNALS:
+            self.line(f"raise {_SIGNALS[type(stmt)]}")
+        elif not isinstance(stmt, _NO_ACTION):
+            action = self.const(_Late(ScalarInterpreter._compile_stmt, stmt))
+            self.call_out(f"{action}(env)")
+        self.loc = outer
+
+    def bound(self, expr: ast.Expr, what: str) -> str:
+        """Emit a DO bound: a local holding it as a host int."""
+        value = self.value(expr)
+        result = self.temp()
+        self.line(f"{result} = {value}")
+        if _literal_type(expr) is not int:
+            self.line(f"if type({result}) is not int:")
+            self.line(f"    {result} = as_int_scalar({result}, {what!r})")
+        return result
+
+    def do(self, stmt: ast.Do) -> None:
+        """A DO loop as a ``while`` over its trips: the control-variable
+        store and the ``acu`` event per trip, then the body — inline
+        when it holds no label, else a call of its own function.  While
+        checkpointing the loop keeps a ``["do", value, trips_left,
+        stride]`` frame and always calls the body's function, which
+        keeps its own body frame."""
+        value = self.bound(stmt.lo, "DO lower bound")
+        last = self.bound(stmt.hi, "DO upper bound")
+        step = "1"
+        if stmt.stride is not None:
+            step = self.bound(stmt.stride, "DO stride")
+            self.line(f"if {step} == 0:")
+            self.line(f"    raise InterpreterError('DO stride is zero', {self.const(stmt.loc)})")
+        var = self.const(stmt.var)
+        trips = self.temp()
+        self.line(f"env[{var}] = {value}")
+        if stmt.stride is None:
+            self.line(f"{trips} = {last} - {value} + 1")
+        else:
+            self.line(f"{trips} = ({last} - {value} + {step}) // {step}")
+        inline = (
+            not self.frames
+            and self.loops < _MAX_INLINE_LOOPS
+            and all(inner.label is None for inner in stmt.body)
+        )
+        frame = None
+        if self.frames:
+            frame = self.temp()
+            self.line(f"{frame} = ['do', {value}, {trips}, {step}]")
+            self.line(f"frames.append({frame})")
+        with self.block("try:") if frame else contextlib.nullcontext():
+            with self.block(f"while {trips} > 0:"):
+                if frame is not None:
+                    self.line(f"{frame}[1] = {value}")
+                    self.line(f"{frame}[2] = {trips}")
+                self.line(f"env[{var}] = {value}")
+                self.record("acu")
+                with self.block("try:"):
+                    if inline:
+                        self.loops += 1
+                        for inner in stmt.body:
+                            self.statement(inner)
+                        self.loops -= 1
+                    else:
+                        body = self.const(_Late(ScalarInterpreter._body, stmt.body))
+                        self.call_out(f"{body}(env)")
+                    if not stmt.body:
+                        self.line("pass")
+                with self.block("except LoopExit:"):
+                    self.reload()
+                    self.line("break")
+                with self.block("except LoopCycle:"):
+                    self.reload()
+                self.line(f"{value} += {step}")
+                self.line(f"{trips} -= 1")
+            with self.block("else:"):
+                self.line(f"env[{var}] = {value}")
+        if frame is not None:
+            with self.block("finally:"):
+                self.line("frames.pop()")
+
+    def external(self, stmt: ast.CallStmt) -> None:
+        """An external CALL: the argument list and the call's events
+        inline, then ``fn(interp, arg_exprs, args, env)``."""
+        # Output arguments may be unset before the call — pass None.
+        items = [
+            f"env.get({self.const(arg.name)})" if isinstance(arg, ast.Var) else self.value(arg)
+            for arg in stmt.args
+        ]
+        args = self.temp()
+        self.line(f"{args} = [{', '.join(items)}]")
+        name = self.const(stmt.name)
+        with self.block("try:"):
+            self.line(f"pending_calls[{name}] += 1")
+        with self.block("except KeyError:"):
+            self.line(f"first_call({name})")
+        self.record("call")
+        external = self.const(_Late(_external, stmt.name))
+        call = f"{external}(interp, {self.const(stmt.args)}, {args}, env)"
+        if not self.frames:
+            self.call_out(call)
+            return
+        # Checkpoint captures wait while a CALL is on the stack.
+        self.flush()
+        self.line("interp._call_depth += 1")
+        with self.block("try:"):
+            self.line(call)
+        with self.block("finally:"):
+            self.line("interp._call_depth -= 1")
+        self.reload()
 
 
 #: Emitter per expression class (matched along the MRO).
@@ -1121,12 +1303,19 @@ _EMIT = {
 _HELPERS = {
     "ARRAYS": (FArray, np.ndarray),
     "FArray": FArray,
+    "GotoSignal": GotoSignal,
     "InterpreterError": InterpreterError,
+    "LoopCycle": LoopCycle,
+    "LoopExit": LoopExit,
+    "MiniFError": MiniFError,
+    "ReturnSignal": ReturnSignal,
+    "StopSignal": StopSignal,
     "as_int_scalar": as_int_scalar,
     "binop": _binop,
     "call_intrinsic": call_intrinsic,
     "coerce": coerce,
     "load": _load,
+    "locate": locate,
     "not_an_array": _not_an_array,
     "np": np,
     "scalarize": _scalarize,
@@ -1135,35 +1324,83 @@ _HELPERS = {
 }
 
 #: Function factories by generated source, cleared when it fills.
-#: Names and constants are closure variables, so the source depends
-#: only on a statement's shape and programs share it.
+#: Names, constants and statements are closure variables, so the source
+#: depends only on a statement list's shape and programs share it.
 _FACTORIES: dict = {}
 _MAX_FACTORIES = 512
 
+#: Per program, by id of its ``SourceFile`` (an entry goes when the
+#: program does): ``(node, factory, constants)`` by the id of the node a
+#: function was generated from, its parameters and, for a statement
+#: list, the run mode and the external names.  Another interpreter of
+#: the same program binds the same code without emitting it again.
+_TEMPLATES: dict = {}
 
-#: The tallies a width-1 event adds one to (``record_scalar``).
-_SCALAR_TALLIES = ("events", "layer_steps", "element_ops", "active_elements")
+#: The generated source above the function's own lines.
+_HEADER = (
+    "def bind(interp, consts):",
+    "    counters = interp.counters",
+    "    pending, pending_calls = counters.pending, counters.pending_calls",
+    "    first, first_call, record = counters.first, counters.first_call, counters.tally",
+    "    poll = interp._poll",
+)
 
 
-def _make_function(params: str, emit, counters: ExecutionCounters):
-    """Generate ``run(<params>)``: ``emit(out)`` writes its body into an
-    :class:`_Emitter` and returns the expression it returns, or None.
-    The function records its events into ``counters``."""
+class _Late:
+    """A constant of generated code that each interpreter supplies:
+    ``function(interp, arg)`` when the function is bound."""
+
+    __slots__ = ("function", "arg")
+
+    def __init__(self, function, arg):
+        self.function = function
+        self.arg = arg
+
+
+def _external(interp: ScalarInterpreter, name: str):
+    return interp.externals[name]
+
+
+def _make_function(node, params: str, emit, interp: ScalarInterpreter, mode=None):
+    """Generate ``run(<params>)`` for ``node``, bound to ``interp``:
+    ``emit(out)`` writes its body into an :class:`_Emitter` and returns
+    the expression it returns, or None.  The function records its
+    events into ``interp``'s counters."""
+    source = interp.source
+    templates = _TEMPLATES.get(id(source))
+    if templates is None:
+        templates = _TEMPLATES[id(source)] = {}
+        weakref.finalize(source, _TEMPLATES.pop, id(source), None)
+    key = (id(node), params, mode)
+    template = templates.get(key)
+    if template is None:
+        # The entry keeps its node alive, so the id stays unique.
+        template = templates[key] = (node, *_generate(params, emit))
+    _, factory, consts = template
+    return factory(
+        interp,
+        tuple(
+            const.function(interp, const.arg) if type(const) is _Late else const
+            for const in consts
+        ),
+    )
+
+
+def _generate(params: str, emit) -> tuple:
+    """``(factory, constants)`` of the function ``emit`` writes."""
     out = _Emitter()
     result = emit(out)
     if result is not None:
         out.line(f"return {result}")
     consts = "".join(f"c{i}, " for i in range(len(out.consts)))
-    source = "\n".join(
-        [
-            "def bind(record, tallies, consts):",
-            f"    ({', '.join(_SCALAR_TALLIES)}) = tallies",
-            f"    ({consts}) = consts",
-            f"    def run({params}):",
-            *(out.lines or ["        pass"]),
-            "    return run",
-        ]
-    )
+    header = [*_HEADER, f"    ({consts}) = consts", f"    def run({params}):"]
+    if out.line_locs is not None:
+        # Line numbers of the function's lines start after the header.
+        first = len(header) + 1
+        out.consts[int(out.line_locs[1:])] = {
+            first + index: loc for index, loc in enumerate(out.locs) if loc is not None
+        }
+    source = "\n".join([*header, *(out.lines or ["        pass"]), "    return run"])
     factory = _FACTORIES.get(source)
     if factory is None:
         if len(_FACTORIES) >= _MAX_FACTORIES:
@@ -1171,5 +1408,4 @@ def _make_function(params: str, emit, counters: ExecutionCounters):
         namespace = dict(_HELPERS)
         exec(compile(source, "<minif>", "exec"), namespace)
         factory = _FACTORIES[source] = namespace["bind"]
-    tallies = tuple(getattr(counters, name) for name in _SCALAR_TALLIES)
-    return factory(counters.record_scalar, tallies, tuple(out.consts))
+    return factory, tuple(out.consts)

@@ -21,10 +21,12 @@ must therefore not unregister what they attach — that would drop the
 arena's own registration, and the arena's later ``unlink`` would make
 the tracker print a ``KeyError`` traceback for the segment.
 
-Workers treat attached arrays as read-only inputs.  This is safe by
-construction: the scalar interpreter's DECL copies plain-ndarray
-bindings into a fresh private ``FArray`` before the program can write
-to them, so SPMD programs never mutate the shared segment.
+Workers map attached arrays read-only (pmimd clears each view's
+``writeable`` flag) and hand the views to every processor as they are:
+the scalar interpreter's DECL copies a plain-ndarray binding into the
+processor's own ``FArray`` before the program can write to it, and a
+write into an undeclared shared input (an external storing into it)
+raises instead of reaching the other processors.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class ShmArena:
         Plain ndarrays and FArray-like values (``.name/.shape/.data``)
         at or above the threshold move into shared memory; everything
         else stays in the returned light dict unchanged.  Workers merge
-        the attached arrays back under their binding names — DECL's
-        defensive copy then gives each processor its private storage.
+        the attached (read-only) arrays back under their binding names —
+        DECL's copy then gives each processor its private storage.
         """
         light: dict = {}
         specs: list[SharedArraySpec] = []

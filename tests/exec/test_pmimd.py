@@ -220,9 +220,13 @@ def test_the_parent_generates_the_code_workers_inherit(tree, monkeypatch):
     from repro.exec import scalar
 
     monkeypatch.setattr(scalar, "_FACTORIES", {})
+    monkeypatch.setattr(scalar, "_TEMPLATES", {})
     result = PMIMDExecutor(tree, 2, workers=1).run(bindings_for=lambda p: {"n": 8})
     assert [env["s"] for env in result.envs] == [32.0, 40.0]
     assert scalar._FACTORIES
+    assert (id(tree.main.body), "env", ((False, False, False), frozenset())) in (
+        scalar._TEMPLATES[id(tree)]
+    )
 
 
 def test_default_workers_follows_the_affinity_mask(monkeypatch):
@@ -326,6 +330,26 @@ def _both(source, bindings=None, bindings_for=None, nproc=3):
     return runs[0].env, runs[1].env
 
 
+class _ScriptedConn:
+    """A worker's pipe end that hands out ``tasks`` and keeps what the
+    worker sends."""
+
+    def __init__(self, tasks):
+        self.tasks = list(tasks)
+        self.sent = []
+
+    def recv(self):
+        if not self.tasks:
+            raise EOFError
+        return self.tasks.pop(0)
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def close(self):
+        pass
+
+
 class TestShippedEnvs:
     """pmimd envs are bit-identical to mimd's whether a shared input
     ships in full or as an UnchangedInput marker, and each is private."""
@@ -375,6 +399,66 @@ class TestShippedEnvs:
         )
         _assert_bit_identical(pmimd, mimd)
         _assert_private(pmimd, {"x": x})
+
+
+    def test_no_shipped_env_aliases_a_segment(self, monkeypatch):
+        """A worker reads shared inputs through the read-only segments;
+        what it ships is DECL's private copies and markers, never a
+        view of a segment."""
+        from repro.exec import pmimd
+        from repro.exec.shm import ShmArena
+
+        views = []  # (first byte, end) of each attached view
+        attach = pmimd.attach
+
+        def spying_attach(spec):
+            array, segment = attach(spec)
+            start = array.__array_interface__["data"][0]
+            views.append((start, start + array.nbytes))
+            return array, segment
+
+        def in_a_segment(array):
+            start = array.__array_interface__["data"][0]
+            end = start + max(array.nbytes, 1)
+            return any(start < stop and first < end for first, stop in views)
+
+        monkeypatch.setattr(pmimd, "attach", spying_attach)
+        x = np.linspace(-1.0, 1.0, N)
+        y = np.arange(N, dtype=np.float64)
+        conn = _ScriptedConn([{"shard": 0, "procs": (1, 2)}, {"cmd": "stop"}])
+        with ShmArena() as arena:
+            light, specs = arena.share_bindings({"x": x, "y": y, "n": 3})
+            pmimd._worker_loop(
+                conn, [0.0] * 3, parse_source(WRITES), 2, {}, None, None,
+                light, None, None, tuple(specs),
+            )
+            assert len(views) == 2
+            procs = [m for m in conn.sent if m["type"] == "proc"]
+            assert [m["proc"] for m in procs] == [1, 2]
+            for message in procs:
+                env = message["payload"]["env"]
+                assert isinstance(env["x"], FArray)  # declared: written privately
+                assert isinstance(env["y"], UnchangedInput)  # undeclared: read only
+                for value in env.values():
+                    for array in _arrays(value):
+                        assert not in_a_segment(array)
+        assert conn.sent[-1] == {"type": "done", "shard": 0, "attempt": 0}
+
+    def test_an_external_writing_a_shared_input_fails_typed(self):
+        """The segment is read-only: the write fails, once and for all,
+        instead of reaching the other processors."""
+        from repro.reliability import BackendFault
+        from repro.runtime import Engine
+
+        def poke(interp, arg_exprs, args, env):
+            env["y"][args[0]] = -1.0
+
+        program = Engine().compile("PROGRAM p\n  INTEGER myproc\n  CALL poke(myproc)\nEND\n")
+        y = np.arange(N, dtype=np.float64)
+        with pytest.raises(BackendFault, match="read-only") as info:
+            program.run({"y": y}, nproc=2, backend="pmimd", externals={"poke": poke})
+        assert not info.value.retryable
+        assert (y == np.arange(N)).all()
 
 
 class TestMarkUnchanged:

@@ -93,15 +93,16 @@ class TestSharedCode:
         assert (env["v"].data.tolist(), env["w"].data.tolist()) == (
             [3, 2, 0, 0], [0, 3, 0, 0],
         )
-        body = interp.source.main.body
-        code = [interp._compile_assign(stmt).__code__ for stmt in body[1:]]
-        set_i, set_j, store_v, store_w, product = code
-        assert set_i is set_j
-        assert store_v is store_w
-        assert product is not store_v  # ``*`` is part of the shape
-        # Across interpreters too: one code object per shape.
-        other = ScalarInterpreter(parse_source(SHAPES))
-        assert other._compile_assign(body[3]).__code__ is store_v
+        code = interp._body(interp.source.main.body).__code__
+        # A statement list is one generated function: another list of
+        # the same shape, under other names and constants, shares it.
+        renamed = SHAPES.replace("v", "a").replace("w", "b").replace("= 2", "= 3")
+        other = ScalarInterpreter(parse_source(renamed))
+        assert other.run()["b"].data.tolist() == [0, 0, 4, 0]
+        assert other._body(other.source.main.body).__code__ is code
+        # ``*`` is part of the shape.
+        plus = ScalarInterpreter(parse_source(SHAPES.replace("i * j", "i + j")))
+        assert plus._body(plus.source.main.body).__code__ is not code
 
     def test_the_source_cache_stays_within_its_bound(self, monkeypatch):
         monkeypatch.setattr(scalar, "_FACTORIES", {})
@@ -146,3 +147,26 @@ def test_precompile_leaves_a_run_nothing_to_generate(monkeypatch):
     env = ScalarInterpreter(parse_source(NESTED), externals).run()
     assert (env["s"], env["k"], env["m"]) == (5, 3, 3)
     assert scalar._FACTORIES == warm
+
+
+class _CountingDict(dict):
+    """A source cache that counts how often it is emptied."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_a_fuzz_campaign_never_empties_the_source_cache(monkeypatch):
+    """``repro fuzz --seed 0 -n 30`` generates its whole-list sources
+    (187 of them) well inside the cache bound, so the cache never
+    thrashes."""
+    from repro.fuzz import run_fuzz
+
+    cache = _CountingDict()
+    monkeypatch.setattr(scalar, "_FACTORIES", cache)
+    assert run_fuzz(seed=0, iterations=30).ok
+    assert cache.clears == 0
+    assert 0 < len(cache) < scalar._MAX_FACTORIES // 2
